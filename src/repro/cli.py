@@ -636,7 +636,6 @@ def _render_fleet_summary(summary, title: str) -> str:
 def cmd_fleet(args) -> int:
     import json
     import pathlib
-    from dataclasses import replace
 
     from repro.analysis import has_errors, render_text
     from repro.fleet import compare_to_static, resolve_fleet_model, simulate_fleet
@@ -650,19 +649,23 @@ def cmd_fleet(args) -> int:
     if has_errors(diagnostics):
         return 1
     spec = FleetSpec.load(path)
-    overrides = {}
-    if args.gpus is not None:
-        overrides["gpus"] = args.gpus
-    if args.ticks is not None:
-        overrides["ticks"] = args.ticks
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.policy is not None:
-        overrides["policy"] = args.policy
-    if args.static_freq is not None:
-        overrides["static_freq_mhz"] = args.static_freq
+    overrides = {
+        key: value
+        for key, value in (
+            ("gpus", args.gpus),
+            ("ticks", args.ticks),
+            ("seed", args.seed),
+            ("policy", args.policy),
+            ("static_freq_mhz", args.static_freq),
+        )
+        if value is not None
+    }
     if overrides:
-        spec = replace(spec, **overrides)
+        # Overrides pass through the fleet schema like the file did, so
+        # a bad value is a SPEC002 diagnostic naming the field.
+        spec = FleetSpec.from_record(
+            {**spec.as_record(), **overrides}, file=str(path), base_dir=spec.base_dir
+        )
     if args.format == "text":
         print(spec.describe())
     model, _manifest = resolve_fleet_model(spec)

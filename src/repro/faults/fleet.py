@@ -8,8 +8,9 @@ front* so the vectorized and reference engines consume the identical
 schedule (the schedule is input data, not engine behaviour, so it can
 never be a source of divergence between them).
 
-Each cell reuses :func:`~repro.faults.injector.fault_hash_unit` with
-site ``"fleet.gpu.<g>"`` and occurrence ``<tick>`` — the same
+Each cell takes the value of
+:func:`~repro.faults.injector.fault_hash_unit` with site
+``"fleet.gpu.<g>"`` and occurrence ``<tick>`` — the same
 ``sha256(seed, site, occurrence)`` discipline every other fault decision
 in the repo derives from, so a fleet failure schedule is reproducible
 from ``(seed, probability)`` alone and completely decorrelated across
@@ -18,9 +19,9 @@ GPUs, ticks, and seeds.
 
 from __future__ import annotations
 
-import numpy as np
+import hashlib
 
-from repro.faults.injector import fault_hash_unit
+import numpy as np
 
 __all__ = ["fleet_failure_schedule"]
 
@@ -38,12 +39,26 @@ def fleet_failure_schedule(
     ``fault_hash_unit(seed, f"{site_prefix}.{g}", t) < probability`` —
     an independent Bernoulli draw per GPU-tick. ``probability <= 0``
     short-circuits to an all-``False`` grid without hashing.
+
+    The hash input of a cell is a per-GPU constant prefix
+    ``"<seed>\\x1f<site>\\x1f"`` followed by the tick, so each GPU's
+    prefix is hashed once and its state copied per tick. One GPU's
+    8-byte digest prefixes are then decoded in a single pass: big-endian
+    ``uint64`` to ``float64`` (correctly rounded, like Python's
+    ``int / float``) over ``2**64`` — the exact value ``fault_hash_unit``
+    computes for each cell.
     """
     fires = np.zeros((int(n_ticks), int(n_gpus)), dtype=bool)
     if probability <= 0.0:
         return fires
+    ticks = [str(t).encode("utf-8") for t in range(int(n_ticks))]
     for g in range(int(n_gpus)):
-        site = f"{site_prefix}.{g}"
-        for t in range(int(n_ticks)):
-            fires[t, g] = fault_hash_unit(seed, site, t) < probability
+        prefix = hashlib.sha256(f"{int(seed)}\x1f{site_prefix}.{g}\x1f".encode("utf-8"))
+        digests = bytearray()
+        for tick in ticks:
+            h = prefix.copy()
+            h.update(tick)
+            digests += h.digest()[:8]
+        units = np.frombuffer(digests, dtype=">u8").astype(np.float64) / 2.0**64
+        fires[:, g] = units < probability
     return fires

@@ -6,8 +6,9 @@ arXiv 2004.08177): a discrete-time simulator whose per-tick pipeline —
 job arrivals → EDF scheduling → batched frequency advice →
 power/thermal/energy accounting → completion/SLA tracking — runs as
 NumPy passes over structure-of-arrays state, with frequency advice for
-the whole fleet served per tick by **one** combined-forest batch call
-instead of per-job scalar predictions.
+the whole fleet read from a per-job-type profile table that **one**
+combined-forest batch call fills per run, instead of per-job scalar
+predictions.
 
 Layout:
 
@@ -17,8 +18,9 @@ Layout:
   sha256 GPU failure schedule (all randomness, decided up front);
 - :mod:`repro.fleet.policy` — deadline-aware frequency selection,
   scalar and batched, provably tie-equivalent;
-- :mod:`repro.fleet.advisor` — memoized batched profiles through
-  :meth:`~repro.modeling.DomainSpecificModel.predict_tradeoff_batch`;
+- :mod:`repro.fleet.advisor` — the per-job-type profile table, one
+  :meth:`~repro.modeling.DomainSpecificModel.predict_tradeoff_batch`
+  call per run;
 - :mod:`repro.fleet.engine` — the vectorized tick loop and the
   spec-level entry points;
 - :mod:`repro.fleet.reference` — the deliberately naive per-object

@@ -1,42 +1,40 @@
 """Fleet-wide frequency advice through the combined SoA forest pool.
 
-One simulated tick may place dozens of jobs. The pre-SoA way to advise
+One simulated tick may place hundreds of jobs, but a fleet workload
+draws them from a handful of job types, and a profile depends only on
+the type's features and the frequency grid. The pre-SoA way to advise
 them is one :meth:`~repro.modeling.DomainSpecificModel.predict_tradeoff`
 call per job — ``4 x n_estimators`` per-tree Python walks each — which
 is exactly what the naive reference engine does (and why it is slow).
-The fleet advisor instead routes **all** of a tick's not-yet-profiled
-feature tuples through
-:meth:`~repro.modeling.DomainSpecificModel.predict_tradeoff_batch` in a
-single call — one traversal of the combined four-submodel
-:class:`~repro.ml.soa.FlatForest` node pool — and memoizes profiles by
-feature tuple (a fleet workload draws jobs from a small set of job
-types, so after warm-up a tick's advice is pure dictionary lookups).
+The fleet advisor instead predicts **every** job type once per run
+through :meth:`~repro.modeling.DomainSpecificModel.predict_tradeoff_batch`
+— one traversal of the combined four-submodel
+:class:`~repro.ml.soa.FlatForest` node pool — and hands back a profile
+table: per-type ``times``/``energies`` rows that the tick loop gathers
+by job type.
 
 Bit-transparency: profiles are deterministic functions of the feature
 tuple and the grid, and ``predict_tradeoff_batch`` is documented (and
-property-tested) bit-identical to scalar ``predict_tradeoff``, so
-memoized-batched advice equals the reference engine's uncached scalar
-calls float-for-float.
+property-tested) bit-identical to scalar ``predict_tradeoff``, so the
+table rows equal the reference engine's uncached scalar calls
+float-for-float.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["FleetAdvisor"]
 
-FeatureKey = Tuple[float, ...]
-
 
 class FleetAdvisor:
-    """Per-job-type trade-off profiles over one fleet frequency grid."""
+    """Trade-off profiles over one fleet frequency grid."""
 
     def __init__(self, model, freqs_mhz: np.ndarray) -> None:
         self.model = model
         self.freqs_mhz = np.asarray(freqs_mhz, dtype=float)
-        self._profiles: Dict[FeatureKey, object] = {}
 
     def profile(self, features: Sequence[float]):
         """Uncached scalar prediction — the naive reference path.
@@ -47,21 +45,17 @@ class FleetAdvisor:
         """
         return self.model.predict_tradeoff(list(features), self.freqs_mhz)
 
-    def profiles(self, features_batch: Sequence[FeatureKey]) -> List:
-        """Profiles for a tick's placements; one batched call for misses.
+    def profiles(
+        self, features_batch: Sequence[Sequence[float]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(times, energies)`` tables, one row per input row.
 
-        Returns one :class:`~repro.modeling.domain.TradeoffPrediction`
-        per input row (rows may repeat). Unseen feature tuples are
-        predicted together through ``predict_tradeoff_batch`` — a single
-        combined-pool SoA traversal regardless of how many jobs the
-        tick places.
+        Both are ``(len(features_batch), F)`` arrays over the grid, from
+        a single ``predict_tradeoff_batch`` call (rows may repeat). Row
+        *i* equals ``profile(features_batch[i])``'s ``times_s`` /
+        ``energies_j`` bitwise.
         """
-        missing: List[FeatureKey] = []
-        for key in features_batch:
-            if key not in self._profiles and key not in missing:
-                missing.append(key)
-        if missing:
-            fresh = self.model.predict_tradeoff_batch(missing, self.freqs_mhz)
-            for key, prof in zip(missing, fresh):
-                self._profiles[key] = prof
-        return [self._profiles[key] for key in features_batch]
+        profs = self.model.predict_tradeoff_batch(features_batch, self.freqs_mhz)
+        times = np.stack([p.times_s for p in profs])
+        energies = np.stack([p.energies_j for p in profs])
+        return times, energies

@@ -13,8 +13,9 @@ and mirrored step-for-step by the reference engine):
 3. **arrivals** — this tick's jobs join the queue;
 4. **scheduling** — earliest-deadline-first over the queue onto healthy
    idle GPUs (ascending index), frequency picked per placement by the
-   deadline-aware policy from profiles served through one batched
-   combined-forest call (:class:`~repro.fleet.advisor.FleetAdvisor`);
+   deadline-aware policy from a per-job-type profile table predicted
+   once per run through one batched combined-forest call
+   (:class:`~repro.fleet.advisor.FleetAdvisor`);
 5. **thermal/power** — an elementwise first-order temperature proxy
    update from each GPU's current draw;
 6. **trajectory** — integer queue/running/done/down counters.
@@ -132,7 +133,8 @@ def _run_vectorized(spec, model, workload: FleetWorkload) -> FleetResult:
     fail_grid = workload.failures
     deadline_s = workload.deadline_s
     job_type = workload.job_type
-    type_features = workload.type_features
+    # One profile row per job type, predicted once for the whole run.
+    type_times, type_energies = advisor.profiles(workload.type_features)
 
     for t in range(n_t):
         t_s = t * tick_s
@@ -188,22 +190,22 @@ def _run_vectorized(spec, model, workload: FleetWorkload) -> FleetResult:
         queued = np.flatnonzero(status == JOB_QUEUED)
         idle = np.flatnonzero((running < 0) & (down_until <= t))
         if queued.size and idle.size:
-            order = np.lexsort((queued, deadline_s[queued]))
+            # ``queued`` is ascending, so a stable sort on the deadline
+            # breaks ties by job id.
+            order = np.argsort(deadline_s[queued], kind="stable")
             pick = queued[order[: idle.size]]
             gsel = idle[: pick.size]
-            k = pick.size
-            profs = advisor.profiles([type_features[i] for i in job_type[pick]])
-            times = np.stack([p.times_s for p in profs])
-            energies = np.stack([p.energies_j for p in profs])
+            pick_type = job_type[pick]
             if advised:
                 sel = select_min_energy_deadline_batch(
-                    times, energies, deadline_s[pick] - t_s
+                    type_times[pick_type],
+                    type_energies[pick_type],
+                    deadline_s[pick] - t_s,
                 )
             else:
-                sel = np.full(k, static_idx, dtype=np.int64)
-            rows = np.arange(k)
-            dur = times[rows, sel]
-            jen = energies[rows, sel]
+                sel = static_idx
+            dur = type_times[pick_type, sel]
+            jen = type_energies[pick_type, sel]
             # Close each GPU's idle span at the placement instant.
             energy[gsel] += idle_w * (t_s - avail_s[gsel])
             status[pick] = JOB_RUNNING

@@ -96,6 +96,35 @@ class TestFleetCommand:
         assert payload["spec"]["ticks"] == 10
         assert payload["spec"]["seed"] == 9
 
+    def test_static_policy_override(self, fleet_dir, capsys):
+        rc = main(
+            ["fleet", str(fleet_dir / "fleet.json"),
+             "--policy", "static", "--static-freq", "950", "--format", "json"]
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["spec"]["policy"] == "static"
+        assert payload["spec"]["static_freq_mhz"] == 950.0
+        assert payload["summary"]["policy"] == "static"
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--policy", "static", "--static-freq", "-5"], "static_freq_mhz"),
+            (["--policy", "static"], "static_freq_mhz"),
+            (["--gpus", "0"], "gpus"),
+            (["--gpus", "-1"], "gpus"),
+            (["--ticks", "-2"], "ticks"),
+            (["--seed", "-3"], "seed"),
+        ],
+    )
+    def test_bad_override_is_a_spec_diagnostic(self, fleet_dir, capsys, flags, field):
+        rc = main(["fleet", str(fleet_dir / "fleet.json"), *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"[SPEC002] {field}:" in captured.err
+        assert captured.out == ""
+
     def test_invalid_spec_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"format": "repro.fleet", "schema_version": 1}))

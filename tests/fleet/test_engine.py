@@ -9,10 +9,12 @@ from repro.fleet import (
     JOB_PENDING,
     JOB_QUEUED,
     JOB_RUNNING,
+    FleetAdvisor,
     compare_to_static,
     diff_trajectories,
     simulate_fleet,
 )
+from repro.ml.forest import reference_mode
 from repro.specs.fleet import FleetJobType
 
 from tests.fleet.conftest import make_spec
@@ -40,6 +42,71 @@ class TestBitIdentity:
         assert vec.pop("mode") == "vectorized"
         assert ref.pop("mode") == "reference"
         assert vec == ref
+
+    @pytest.mark.parametrize(
+        "job_types",
+        [
+            # every job of a tick shares its deadline
+            (FleetJobType(name="only", features=(4.0,), deadline_s=8.0),),
+            # a "short" job arriving 8 ticks after a "long" one ties with
+            # it, so EDF must order ties across job ids that are not in
+            # deadline order
+            (
+                FleetJobType(name="long", features=(4.0,), deadline_s=8.0),
+                FleetJobType(name="short", features=(2.0,), deadline_s=4.0),
+            ),
+        ],
+        ids=["one-type", "cross-tick-ties"],
+    )
+    @pytest.mark.parametrize(
+        "policy, static_freq", [("advised", None), ("static", 1225.0)]
+    )
+    def test_loaded_fleet_with_tied_deadlines_matches_reference(
+        self, tiny_model, job_types, policy, static_freq
+    ):
+        # Arrivals at 4x the GPU count per tick: the queue outgrows the fleet.
+        spec = make_spec(
+            job_types=job_types,
+            arrival_rate_per_tick=16.0,
+            arrival_horizon_ticks=20,
+            gpu_failure_prob=0.05,
+            repair_ticks=3,
+            policy=policy,
+            static_freq_mhz=static_freq,
+            seed=29,
+        )
+        vec = simulate_fleet(spec, tiny_model, mode="vectorized")
+        ref = simulate_fleet(spec, tiny_model, mode="reference")
+        assert diff_trajectories(vec, ref) == []
+        summary = vec.summary()
+        assert summary["peak_queue"] > 20
+        assert summary["gpu_failures"] > 0
+        assert np.unique(vec.job_deadline_s).size * 4 < vec.n_jobs
+
+
+class TestProfileTable:
+    BATCH = [(1.0,), (4.0,), (1.0,), (2.5,), (4.0,)]
+
+    def _assert_rows_equal_scalar(self, advisor, batch):
+        times, energies = advisor.profiles(batch)
+        assert times.shape == energies.shape == (len(batch), advisor.freqs_mhz.size)
+        for i, features in enumerate(batch):
+            prof = advisor.profile(features)
+            assert times[i].tobytes() == prof.times_s.tobytes()
+            assert energies[i].tobytes() == prof.energies_j.tobytes()
+            # the reference engine's scalar path walks trees one by one
+            with reference_mode():
+                ref = advisor.profile(features)
+            assert times[i].tobytes() == ref.times_s.tobytes()
+            assert energies[i].tobytes() == ref.energies_j.tobytes()
+
+    def test_rows_with_duplicates_equal_scalar_profiles_bitwise(self, tiny_model):
+        advisor = FleetAdvisor(tiny_model, make_spec().freq_grid())
+        self._assert_rows_equal_scalar(advisor, self.BATCH)
+
+    def test_one_row_batch_equals_scalar_profile_bitwise(self, tiny_model):
+        advisor = FleetAdvisor(tiny_model, make_spec().freq_grid())
+        self._assert_rows_equal_scalar(advisor, [(3.0,)])
 
 
 class TestDeterminism:
