@@ -580,15 +580,15 @@ def cmd_advise(args) -> int:
 
     registry = ModelRegistry(args.registry)
     service = AdvisorService.from_registry(
-        registry, args.name, _serving_freqs(args), version=args.version
+        registry,
+        args.name,
+        _serving_freqs(args),
+        version=args.version,
+        mem_freqs_mhz=_mem_freq_list(args),
     )
     objective = _objective_from_args(args)
     features = [float(v) for v in args.features.split(",")]
-    mem_freqs = _mem_freq_list(args)
-    if mem_freqs is not None:
-        advice = service.advise_grid(features, mem_freqs, objective)
-    else:
-        advice = service.advise(features, objective)
+    advice = service.advise(features, objective)
     manifest = service.manifest
     if args.format == "json":
         print(

@@ -8,6 +8,7 @@ from repro.modeling.domain import (
     DomainSpecificModel,
     TradeoffPrediction,
     default_regressor_factory,
+    stack_memory_rows,
 )
 from repro.modeling.general import (
     GeneralPurposeModel,
@@ -43,5 +44,6 @@ __all__ = [
     "cronos_static_spec",
     "default_regressor_factory",
     "ligen_static_spec",
+    "stack_memory_rows",
     "true_front",
 ]

@@ -19,7 +19,7 @@ configurations; no measured value of the predicted input is ever used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,12 @@ from repro.modeling.dataset import EnergyDataset
 from repro.pareto.front import ParetoFront, extract_front
 from repro.utils.validation import check_positive, ensure_1d
 
-__all__ = ["TradeoffPrediction", "DomainSpecificModel", "default_regressor_factory"]
+__all__ = [
+    "TradeoffPrediction",
+    "DomainSpecificModel",
+    "default_regressor_factory",
+    "stack_memory_rows",
+]
 
 
 def default_regressor_factory() -> Regressor:
@@ -46,7 +51,13 @@ def default_regressor_factory() -> Regressor:
 
 @dataclass(frozen=True)
 class TradeoffPrediction:
-    """Predicted multi-objective profile of one input across frequencies."""
+    """Predicted multi-objective profile of one input across frequencies.
+
+    A core-only profile has one entry per core clock. A 2-D
+    ``(f_core, f_mem)`` profile is flattened: ``mem_freqs_mhz`` runs in
+    parallel with every other array (build one with
+    :func:`stack_memory_rows`).
+    """
 
     freqs_mhz: np.ndarray
     times_s: np.ndarray
@@ -54,14 +65,46 @@ class TradeoffPrediction:
     speedups: np.ndarray
     normalized_energies: np.ndarray
     baseline_freq_mhz: float
+    mem_freqs_mhz: Optional[np.ndarray] = None
 
     def pareto_front(self) -> ParetoFront:
         """Pareto-optimal predicted configurations (§5.2.2 step 2)."""
-        return extract_front(self.speedups, self.normalized_energies, self.freqs_mhz)
+        return extract_front(
+            self.speedups, self.normalized_energies, self.freqs_mhz, self.mem_freqs_mhz
+        )
 
     def pareto_frequencies(self) -> np.ndarray:
         """The predicted Pareto-optimal frequency set (§5.2.2 step 3)."""
         return self.pareto_front().freqs_mhz
+
+
+def stack_memory_rows(
+    rows: Iterable[Tuple[float, TradeoffPrediction]]
+) -> TradeoffPrediction:
+    """One flattened 2-D profile from ``(mem_freq_mhz, core-only profile)`` rows.
+
+    Rows are concatenated in the given order, so an objective's
+    first-index tie break prefers the earlier row. Speedups are only
+    comparable across rows normalized against the same baseline (as
+    :meth:`repro.runtime.engine.CampaignEngine.characterize_grid`
+    measures them); the stacked profile keeps the first row's
+    ``baseline_freq_mhz``.
+    """
+    rows = list(rows)
+    if not rows:
+        raise ValueError("a grid profile needs at least one (mem, profile) row")
+    profiles = [p for _, p in rows]
+    return TradeoffPrediction(
+        freqs_mhz=np.concatenate([p.freqs_mhz for p in profiles]),
+        times_s=np.concatenate([p.times_s for p in profiles]),
+        energies_j=np.concatenate([p.energies_j for p in profiles]),
+        speedups=np.concatenate([p.speedups for p in profiles]),
+        normalized_energies=np.concatenate([p.normalized_energies for p in profiles]),
+        baseline_freq_mhz=profiles[0].baseline_freq_mhz,
+        mem_freqs_mhz=np.concatenate(
+            [np.full(len(p.freqs_mhz), float(m)) for m, p in rows]
+        ),
+    )
 
 
 class DomainSpecificModel:

@@ -9,12 +9,9 @@
 
 from repro.pareto.front import (
     DEFAULT_FREQ_TOL_MHZ,
-    GridParetoFront,
-    GridParetoPoint,
     ParetoFront,
     ParetoPoint,
     extract_front,
-    extract_grid_front,
     half_bin_tolerance,
     pareto_mask,
 )
@@ -28,14 +25,11 @@ from repro.pareto.metrics import (
 
 __all__ = [
     "DEFAULT_FREQ_TOL_MHZ",
-    "GridParetoFront",
-    "GridParetoPoint",
     "ParetoFront",
     "ParetoPoint",
     "half_bin_tolerance",
     "exact_frequency_matches",
     "extract_front",
-    "extract_grid_front",
     "frequency_match_fraction",
     "front_coverage",
     "generational_distance",

@@ -9,6 +9,7 @@ so that duplicated points are reported once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -18,11 +19,8 @@ from repro.utils.validation import check_finite_array
 __all__ = [
     "ParetoPoint",
     "ParetoFront",
-    "GridParetoPoint",
-    "GridParetoFront",
     "pareto_mask",
     "extract_front",
-    "extract_grid_front",
     "half_bin_tolerance",
     "DEFAULT_FREQ_TOL_MHZ",
 ]
@@ -54,11 +52,18 @@ def half_bin_tolerance(freqs_mhz, floor_mhz: float = DEFAULT_FREQ_TOL_MHZ) -> fl
 
 @dataclass(frozen=True)
 class ParetoPoint:
-    """One configuration on (or compared against) a Pareto front."""
+    """One configuration on (or compared against) a Pareto front.
+
+    ``mem_freq_mhz`` is the memory clock of a 2-D ``(f_core, f_mem)``
+    configuration and ``None`` on a core-only sweep. Domination is
+    judged in the (speedup, energy) objective plane alone; the clocks
+    only identify *which* configuration achieved the point.
+    """
 
     speedup: float
     energy: float
     freq_mhz: float
+    mem_freq_mhz: Optional[float] = None
 
     def dominates(self, other: "ParetoPoint", tol: float = 0.0) -> bool:
         """True if this point is at least as good on both axes and strictly
@@ -117,6 +122,11 @@ class ParetoFront:
         return np.array([p.freq_mhz for p in self._points], dtype=float)
 
     @property
+    def mem_freqs_mhz(self) -> np.ndarray:
+        """Memory clocks of the front configurations (NaN on a core-only front)."""
+        return np.array([p.mem_freq_mhz for p in self._points], dtype=float)
+
+    @property
     def speedups(self) -> np.ndarray:
         """Speedups of the front configurations (ascending)."""
         return np.array([p.speedup for p in self._points], dtype=float)
@@ -132,15 +142,30 @@ class ParetoFront:
     def __iter__(self):
         return iter(self._points)
 
-    def contains_freq(self, freq_mhz: float, tol_mhz: float = DEFAULT_FREQ_TOL_MHZ) -> bool:
+    def contains_freq(
+        self,
+        freq_mhz: float,
+        tol_mhz: float = DEFAULT_FREQ_TOL_MHZ,
+        mem_freq_mhz: Optional[float] = None,
+        mem_tol_mhz: Optional[float] = None,
+    ) -> bool:
         """True if a configuration with frequency ``freq_mhz`` is on the front.
 
         Pass ``tol_mhz=half_bin_tolerance(grid)`` to match against a
         specific sweep grid instead of the conservative default floor.
+        With ``mem_freq_mhz`` the ``(core, mem)`` pair must appear
+        jointly on one front point. Core and memory tables have very
+        different bin spacings, so the memory axis takes its own
+        ``mem_tol_mhz`` (defaulting to ``tol_mhz``).
         """
         if len(self._points) == 0:
             return False
-        return bool(np.any(np.abs(self.freqs_mhz - float(freq_mhz)) <= tol_mhz))
+        hit = np.abs(self.freqs_mhz - float(freq_mhz)) <= tol_mhz
+        if mem_freq_mhz is not None:
+            if mem_tol_mhz is None:
+                mem_tol_mhz = tol_mhz
+            hit &= np.abs(self.mem_freqs_mhz - float(mem_freq_mhz)) <= mem_tol_mhz
+        return bool(np.any(hit))
 
     def max_speedup_point(self) -> ParetoPoint:
         """The highest-performance front point."""
@@ -161,89 +186,29 @@ class ParetoFront:
         return bool(np.all(np.diff(en) >= -1e-12))
 
 
-def extract_front(speedups, energies, freqs_mhz) -> ParetoFront:
-    """Extract the Pareto front from parallel arrays of configurations."""
+def extract_front(speedups, energies, freqs_mhz, mem_freqs_mhz=None) -> ParetoFront:
+    """Extract the Pareto front from parallel arrays of configurations.
+
+    ``mem_freqs_mhz`` makes the configurations 2-D: it runs in parallel
+    with the other arrays over the flattened ``(core, mem)`` grid, and
+    each front point carries its memory clock. The objective plane is
+    unchanged (maximize speedup, minimize energy).
+    """
     sp = check_finite_array(speedups, "speedups").ravel()
     en = check_finite_array(energies, "energies").ravel()
     fr = check_finite_array(freqs_mhz, "freqs_mhz").ravel()
     if not (sp.size == en.size == fr.size):
         raise ValueError("speedups, energies and freqs_mhz must have equal length")
     mask = pareto_mask(sp, en)
+    if mem_freqs_mhz is None:
+        mems = repeat(None)
+    else:
+        mf = check_finite_array(mem_freqs_mhz, "mem_freqs_mhz").ravel()
+        if mf.size != sp.size:
+            raise ValueError("mem_freqs_mhz and freqs_mhz must have equal length")
+        mems = mf[mask].tolist()
     pts = [
-        ParetoPoint(speedup=float(s), energy=float(e), freq_mhz=float(f))
-        for s, e, f in zip(sp[mask], en[mask], fr[mask])
+        ParetoPoint(speedup=float(s), energy=float(e), freq_mhz=float(f), mem_freq_mhz=m)
+        for s, e, f, m in zip(sp[mask], en[mask], fr[mask], mems)
     ]
     return ParetoFront(pts)
-
-
-@dataclass(frozen=True)
-class GridParetoPoint(ParetoPoint):
-    """A front point on the 2-D (core, memory) frequency grid.
-
-    Domination is still judged purely in the (speedup, energy) objective
-    plane — the clocks only identify *which* configuration achieved the
-    point.
-    """
-
-    mem_freq_mhz: float
-
-    @property
-    def freq_pair(self) -> tuple:
-        """The ``(f_core, f_mem)`` configuration, in MHz."""
-        return (self.freq_mhz, self.mem_freq_mhz)
-
-
-class GridParetoFront(ParetoFront):
-    """A Pareto front over 2-D (core, memory) frequency configurations."""
-
-    @property
-    def mem_freqs_mhz(self) -> np.ndarray:
-        """Memory clocks of the front configurations."""
-        return np.array([p.mem_freq_mhz for p in self._points], dtype=float)
-
-    def contains_pair(
-        self,
-        freq_mhz: float,
-        mem_freq_mhz: float,
-        tol_mhz: float = DEFAULT_FREQ_TOL_MHZ,
-        mem_tol_mhz: float | None = None,
-    ) -> bool:
-        """True if the ``(core, mem)`` pair appears on the front.
-
-        Core and memory tables have very different bin spacings, so each
-        axis takes its own tolerance; ``mem_tol_mhz`` defaults to
-        ``tol_mhz``.
-        """
-        if len(self._points) == 0:
-            return False
-        if mem_tol_mhz is None:
-            mem_tol_mhz = tol_mhz
-        core_ok = np.abs(self.freqs_mhz - float(freq_mhz)) <= tol_mhz
-        mem_ok = np.abs(self.mem_freqs_mhz - float(mem_freq_mhz)) <= mem_tol_mhz
-        return bool(np.any(core_ok & mem_ok))
-
-
-def extract_grid_front(speedups, energies, freqs_mhz, mem_freqs_mhz) -> GridParetoFront:
-    """Extract the Pareto front over a flattened 2-D frequency grid.
-
-    All four arrays run in parallel over the flattened ``(core, mem)``
-    configurations — build them with e.g. ``np.meshgrid`` + ``ravel``.
-    The objective plane is unchanged (maximize speedup, minimize energy);
-    only the configuration identity is two-dimensional.
-    """
-    sp = check_finite_array(speedups, "speedups").ravel()
-    en = check_finite_array(energies, "energies").ravel()
-    fr = check_finite_array(freqs_mhz, "freqs_mhz").ravel()
-    mf = check_finite_array(mem_freqs_mhz, "mem_freqs_mhz").ravel()
-    if not (sp.size == en.size == fr.size == mf.size):
-        raise ValueError(
-            "speedups, energies, freqs_mhz and mem_freqs_mhz must have equal length"
-        )
-    mask = pareto_mask(sp, en)
-    pts = [
-        GridParetoPoint(
-            speedup=float(s), energy=float(e), freq_mhz=float(f), mem_freq_mhz=float(m)
-        )
-        for s, e, f, m in zip(sp[mask], en[mask], fr[mask], mf[mask])
-    ]
-    return GridParetoFront(pts)

@@ -583,58 +583,8 @@ class CampaignEngine:
         (``quarantined_points``, ``completeness()``). Without a plan
         every slot is a real result, exactly as before.
         """
-        if not apps:
-            raise ConfigurationError("characterize_many needs at least one application")
-        repetitions = check_positive_int(repetitions, "repetitions")
-        sweep = resolve_sweep(spec.core_freqs, freqs_mhz)
-        method = self.method if method is None else self._check_method(method)
-
-        tasks: List[MeasurementTask] = []
-        payloads: List[Dict[str, Any]] = []
-        for app in apps:
-            try:
-                app_fp = app_fingerprint(app)
-            except ConfigurationError:
-                # Without a cache, identity is only needed for seeding;
-                # fall back to the app name so ad-hoc (non-dataclass)
-                # workloads still run. With a cache the ambiguity could
-                # collide cache entries, so the error stands.
-                if self.cache is not None:
-                    raise
-                app_fp = {"type": type(app).__qualname__, "config": {"name": app.name}}
-            for freq in [None, *sweep]:
-                task = self._task_for(app, app_fp, spec, freq, repetitions, method)
-                tasks.append(task)
-                payloads.append(self._cache_payload(task, app_fp))
-
-        if method == "replay":
-            self._account_launch_evals(apps, spec, len(sweep) + 1, repetitions)
-
-        measurements = self._run_tasks(tasks, payloads, progress)
-
-        # Merge per-point measurements back into one result per app.
-        points_per_app = 1 + len(sweep)
-        results: List[Optional[CharacterizationResult]] = []
-        baseline_label, baseline_freq = self._baseline_descriptor(spec)
-        for i, app in enumerate(apps):
-            chunk = measurements[i * points_per_app : (i + 1) * points_per_app]
-            baseline, samples = chunk[0], chunk[1:]
-            if baseline is None:
-                # Every synergy metric is relative to the baseline; with
-                # it quarantined the app's sweep is unusable this run.
-                results.append(None)
-                continue
-            result = CharacterizationResult(
-                app_name=app.name,
-                device_name=spec.name,
-                baseline_label=baseline_label,
-                baseline_freq_mhz=baseline_freq,
-                baseline_time_s=baseline.time_s,
-                baseline_energy_j=baseline.energy_j,
-                samples=[m.to_sample() for m in samples if m is not None],
-            )
-            results.append(result)
-        return results
+        grids = self._sweep(apps, spec, freqs_mhz, [None], repetitions, progress, method)
+        return [None if rows is None else rows[0] for rows in grids]
 
     def characterize_grid(
         self,
@@ -665,13 +615,36 @@ class CampaignEngine:
         baseline voids the app's slot (``None``); lost grid points are
         dropped from their row's samples.
         """
+        mem_sweep = resolve_sweep(spec.mem_freq_table, mem_freqs_mhz)
+        return self._sweep(apps, spec, freqs_mhz, mem_sweep, repetitions, progress, method)
+
+    def _sweep(
+        self,
+        apps: Sequence[Application],
+        spec: DeviceSpec,
+        freqs_mhz: Optional[Sequence[float]],
+        mem_sweep: Sequence[Optional[float]],
+        repetitions: int,
+        progress: Optional[ProgressFn],
+        method: Optional[str],
+    ) -> List[Optional[List[CharacterizationResult]]]:
+        """The task pool both sweeps share: build, account, run and merge.
+
+        ``mem_sweep`` lists the memory columns. ``[None]`` is the core-only
+        column, which never touches the memory clock; a pinned column at
+        the reference clock keeps the same legacy task identity. Each
+        app's slot holds one result per column, in ``mem_sweep`` order, or
+        ``None`` when its baseline was quarantined.
+        """
         if not apps:
-            raise ConfigurationError("characterize_grid needs at least one application")
+            raise ConfigurationError("a sweep needs at least one application")
         repetitions = check_positive_int(repetitions, "repetitions")
         sweep = resolve_sweep(spec.core_freqs, freqs_mhz)
-        mem_sweep = resolve_sweep(spec.mem_freq_table, mem_freqs_mhz)
         method = self.method if method is None else self._check_method(method)
         reference_mem = float(spec.mem_freq_mhz)
+        points = [(None, None)] + [
+            (f, None if m == reference_mem else m) for m in mem_sweep for f in sweep
+        ]
 
         tasks: List[MeasurementTask] = []
         payloads: List[Dict[str, Any]] = []
@@ -679,12 +652,14 @@ class CampaignEngine:
             try:
                 app_fp = app_fingerprint(app)
             except ConfigurationError:
+                # Without a cache, identity is only needed for seeding;
+                # fall back to the app name so ad-hoc (non-dataclass)
+                # workloads still run. With a cache the ambiguity could
+                # collide cache entries, so the error stands.
                 if self.cache is not None:
                     raise
                 app_fp = {"type": type(app).__qualname__, "config": {"name": app.name}}
-            for freq, mem in [(None, None)] + [
-                (f, None if m == reference_mem else m) for m in mem_sweep for f in sweep
-            ]:
+            for freq, mem in points:
                 task = self._task_for(
                     app, app_fp, spec, freq, repetitions, method, mem_freq_mhz=mem
                 )
@@ -692,19 +667,19 @@ class CampaignEngine:
                 payloads.append(self._cache_payload(task, app_fp))
 
         if method == "replay":
-            self._account_launch_evals(
-                apps, spec, 1 + len(sweep) * len(mem_sweep), repetitions
-            )
+            self._account_launch_evals(apps, spec, len(points), repetitions)
 
         measurements = self._run_tasks(tasks, payloads, progress)
 
-        points_per_app = 1 + len(sweep) * len(mem_sweep)
+        # Merge per-point measurements back into one row per memory column.
         results: List[Optional[List[CharacterizationResult]]] = []
         baseline_label, baseline_freq = self._baseline_descriptor(spec)
         for i, app in enumerate(apps):
-            chunk = measurements[i * points_per_app : (i + 1) * points_per_app]
+            chunk = measurements[i * len(points) : (i + 1) * len(points)]
             baseline = chunk[0]
             if baseline is None:
+                # Every synergy metric is relative to the baseline; with
+                # it quarantined the app's sweep is unusable this run.
                 results.append(None)
                 continue
             rows: List[CharacterizationResult] = []
@@ -719,7 +694,7 @@ class CampaignEngine:
                         baseline_time_s=baseline.time_s,
                         baseline_energy_j=baseline.energy_j,
                         samples=[m.to_sample() for m in sub if m is not None],
-                        mem_freq_mhz=float(mem),
+                        mem_freq_mhz=mem,
                     )
                 )
             results.append(rows)

@@ -95,7 +95,8 @@ class AdviceKeyMaker:
     :func:`advice_key` canonical-JSON-hashes the model digest and the
     whole frequency grid on every request, which costs more than a cache
     hit itself. Within one service those are fixed, so this maker folds
-    them into a one-time ``base`` digest and composes the per-request
+    them (with the memory-clock axis of a 2-D serving grid, when there
+    is one) into a one-time ``base`` digest and composes the per-request
     remainder as an exact string: ``repr`` of the quantized feature
     tuple (float repr is shortest-round-trip — lossless and stable
     across processes) plus the frozen objective's field repr, memoized
@@ -106,13 +107,19 @@ class AdviceKeyMaker:
 
     __slots__ = ("_base", "_objective_tokens")
 
-    def __init__(self, model_digest: str, freqs_mhz: Sequence[float]) -> None:
-        self._base = stable_digest(
-            {
-                "model": str(model_digest),
-                "freqs_mhz": [float(f) for f in freqs_mhz],
-            }
-        )
+    def __init__(
+        self,
+        model_digest: str,
+        freqs_mhz: Sequence[float],
+        mem_freqs_mhz: Optional[Sequence[float]] = None,
+    ) -> None:
+        grid: Dict[str, Any] = {
+            "model": str(model_digest),
+            "freqs_mhz": [float(f) for f in freqs_mhz],
+        }
+        if mem_freqs_mhz is not None:
+            grid["mem_freqs_mhz"] = [float(m) for m in mem_freqs_mhz]
+        self._base = stable_digest(grid)
         self._objective_tokens: Dict[Objective, str] = {}
 
     def key(self, quantized_features: Tuple[float, ...], objective: Objective) -> str:

@@ -14,13 +14,12 @@ objective) tuple is deterministic and safely cacheable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ServingError
 from repro.modeling.domain import TradeoffPrediction
-from repro.pareto.front import extract_grid_front
 
 __all__ = ["OBJECTIVE_KINDS", "Objective", "Advice"]
 
@@ -183,7 +182,13 @@ class Objective:
         raise ServingError(f"unknown objective kind {self.kind!r}")
 
     def evaluate(self, prediction: TradeoffPrediction) -> Advice:
-        """Apply this objective to one predicted profile."""
+        """Apply this objective to one predicted profile.
+
+        A 2-D profile (one with ``mem_freqs_mhz``, see
+        :func:`~repro.modeling.domain.stack_memory_rows`) is searched as
+        one flattened ``(f_core, f_mem)`` grid, and the advice then also
+        carries the winning memory clock and the grid-wide Pareto pairs.
+        """
         sp = prediction.speedups
         ne = prediction.normalized_energies
         times = prediction.times_s
@@ -193,6 +198,8 @@ class Objective:
         front = prediction.pareto_front()
         pareto_freqs = tuple(float(f) for f in front.freqs_mhz)
         freq = float(prediction.freqs_mhz[idx])
+        mems = prediction.mem_freqs_mhz
+        mem_freq = None if mems is None else float(mems[idx])
         return Advice(
             objective=self.kind,
             freq_mhz=freq,
@@ -201,51 +208,10 @@ class Objective:
             predicted_speedup=float(sp[idx]),
             predicted_normalized_energy=float(ne[idx]),
             pareto_freqs_mhz=pareto_freqs,
-            on_pareto_front=front.contains_freq(freq),
-        )
-
-    def evaluate_grid(
-        self, profiles: Sequence[Tuple[float, TradeoffPrediction]]
-    ) -> Advice:
-        """Apply this objective across a 2-D ``(f_core, f_mem)`` grid.
-
-        ``profiles`` pairs each memory clock with the trade-off profile
-        predicted (or measured) at that clock; every profile must be
-        normalized against the *same* baseline (the reference-memory
-        baseline run — which is how :meth:`repro.runtime.engine.
-        CampaignEngine.characterize_grid` builds its rows), otherwise
-        speedups are not comparable across rows. Selection is the same
-        deterministic argmin/argmax as :meth:`evaluate`, taken over the
-        flattened grid in the given row order; the returned advice
-        carries the winning pair and the grid-wide Pareto front.
-        """
-        if not profiles:
-            raise ServingError("evaluate_grid requires at least one (mem, profile) row")
-        sp = np.concatenate([p.speedups for _, p in profiles])
-        ne = np.concatenate([p.normalized_energies for _, p in profiles])
-        times = np.concatenate([p.times_s for _, p in profiles])
-        energies = np.concatenate([p.energies_j for _, p in profiles])
-        core = np.concatenate([p.freqs_mhz for _, p in profiles])
-        mem = np.concatenate(
-            [np.full(len(p.freqs_mhz), float(m)) for m, p in profiles]
-        )
-        idx = self._select(sp, ne, times, energies)
-
-        front = extract_grid_front(sp, ne, core, mem)
-        freq = float(core[idx])
-        mem_freq = float(mem[idx])
-        return Advice(
-            objective=self.kind,
-            freq_mhz=freq,
-            predicted_time_s=float(times[idx]),
-            predicted_energy_j=float(energies[idx]),
-            predicted_speedup=float(sp[idx]),
-            predicted_normalized_energy=float(ne[idx]),
-            pareto_freqs_mhz=tuple(float(f) for f in front.freqs_mhz),
-            on_pareto_front=front.contains_pair(freq, mem_freq),
+            on_pareto_front=front.contains_freq(freq, mem_freq_mhz=mem_freq),
             mem_freq_mhz=mem_freq,
-            pareto_pairs_mhz=tuple(
-                (float(p.freq_mhz), float(p.mem_freq_mhz)) for p in front
+            pareto_pairs_mhz=(
+                None if mems is None else tuple((p.freq_mhz, p.mem_freq_mhz) for p in front)
             ),
         )
 

@@ -2,7 +2,9 @@
 
 :class:`AdvisorService` answers ``advise(features, objective)`` requests
 from a registry-resolved :class:`~repro.modeling.domain.DomainSpecificModel`
-with three layers of machinery a bare model call lacks:
+over one serving grid: the core clocks, optionally crossed with memory
+clocks for a model trained on a 2-D ``(f_core, f_mem)`` sweep. It adds
+three layers of machinery a bare model call lacks:
 
 1. an **LRU advice cache** keyed on (model digest, quantized features,
    frequency grid, objective) — repeated traffic (the common case for a
@@ -37,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ReproError, ServingError
-from repro.modeling.domain import DomainSpecificModel
+from repro.modeling.domain import DomainSpecificModel, TradeoffPrediction, stack_memory_rows
 from repro.serving.cache import AdviceKeyMaker, PredictionCache, quantize_features
 from repro.serving.objectives import Advice, Objective
 from repro.serving.registry import ModelManifest, ModelRegistry
@@ -45,6 +47,19 @@ from repro.serving.stats import ServiceStats, now_s
 from repro.utils.validation import ensure_1d
 
 __all__ = ["AdvisorService"]
+
+
+def _grid_axis(freqs_mhz: Sequence[float], name: str) -> np.ndarray:
+    """One serving-grid axis: a non-empty 1-D array of finite clocks > 0 MHz."""
+    axis = ensure_1d(freqs_mhz, name)
+    if axis.size == 0:
+        raise ServingError(f"serving {name} grid must be non-empty")
+    bad = axis[~(np.isfinite(axis) & (axis > 0))]
+    if bad.size:
+        raise ServingError(
+            f"serving {name} grid must hold finite clocks > 0 MHz, got {bad.tolist()}"
+        )
+    return axis
 
 
 class _Slot:
@@ -83,6 +98,14 @@ class AdvisorService:
         Upper bound on independent lock+dict cache shards (contention
         knob; clamped down for small caches — see
         :class:`~repro.serving.cache.PredictionCache`).
+    mem_freqs_mhz:
+        Memory clocks that, crossed with ``freqs_mhz``, make the serving
+        grid 2-D. Only for models whose last feature is the memory clock
+        (:data:`repro.experiments.datasets.MEM_FEATURE_NAME`): requests
+        then pass the *domain* features only and get a ``(core, mem)``
+        pair back. The model's trade-off speedup is normalized per
+        memory clock, so the trade-off pick is an approximation there;
+        deadline and power-cap objectives compare absolute predictions.
     """
 
     def __init__(
@@ -94,19 +117,20 @@ class AdvisorService:
         cache_size: int = 2048,
         cache_shards: int = 8,
         manifest: Optional[ModelManifest] = None,
+        mem_freqs_mhz: Optional[Sequence[float]] = None,
     ) -> None:
         self.model = model
-        freqs = ensure_1d(freqs_mhz, "freqs_mhz")
-        if freqs.size == 0:
-            raise ServingError("serving frequency grid must be non-empty")
-        self.freqs_mhz = freqs
+        self.freqs_mhz = _grid_axis(freqs_mhz, "frequency")
+        self.mem_freqs_mhz = (
+            None if mem_freqs_mhz is None else _grid_axis(mem_freqs_mhz, "memory-frequency")
+        )
         self.model_digest = str(model_digest)
         if max_batch < 1:
             raise ServingError("max_batch must be >= 1")
         self.max_batch = int(max_batch)
         self.manifest = manifest
         self.cache = PredictionCache(cache_size, shards=cache_shards)
-        self._keys = AdviceKeyMaker(self.model_digest, self.freqs_mhz)
+        self._keys = AdviceKeyMaker(self.model_digest, self.freqs_mhz, self.mem_freqs_mhz)
         self.stats = ServiceStats()
         self._cond = threading.Condition()
         self._busy = False
@@ -126,6 +150,7 @@ class AdvisorService:
         max_batch: int = 16,
         cache_size: int = 2048,
         cache_shards: int = 8,
+        mem_freqs_mhz: Optional[Sequence[float]] = None,
     ) -> "AdvisorService":
         """Resolve (integrity-verified) a registered model and serve it."""
         model, manifest = registry.resolve(name, version)
@@ -137,6 +162,7 @@ class AdvisorService:
             cache_size=cache_size,
             cache_shards=cache_shards,
             manifest=manifest,
+            mem_freqs_mhz=mem_freqs_mhz,
         )
 
     # ------------------------------------------------------------------
@@ -147,16 +173,25 @@ class AdvisorService:
 
         Safe to call from any number of threads; the answer for a given
         (features, objective) is identical whatever the interleaving.
-        Raises :class:`ServingError` for infeasible objectives.
+        On a 2-D serving grid ``features`` are the domain features (the
+        model's memory-clock feature excluded) and the advice names a
+        ``(core, mem)`` pair. Raises :class:`ServingError` for infeasible
+        objectives.
         """
         t0 = now_s()
         if objective is None:
             objective = Objective.tradeoff()
         feats = quantize_features(features)
-        if len(feats) != len(self.model.feature_names):
+        names = self.model.feature_names
+        if self.mem_freqs_mhz is None:
+            if len(feats) != len(names):
+                raise ServingError(
+                    f"expected {len(names)} features {names}, got {len(feats)}"
+                )
+        elif len(feats) + 1 != len(names):
             raise ServingError(
-                f"expected {len(self.model.feature_names)} features "
-                f"{self.model.feature_names}, got {len(feats)}"
+                f"expected {len(names) - 1} domain features (model features "
+                f"{names} end with the memory clock), got {len(feats)}"
             )
         key = self._keys.key(feats, objective)
 
@@ -218,61 +253,6 @@ class AdvisorService:
         """Serve a request list serially, in order (convenience path)."""
         return [self.advise(feats, obj) for feats, obj in requests]
 
-    def advise_grid(
-        self,
-        features: Sequence[float],
-        mem_freqs_mhz: Sequence[float],
-        objective: Optional[Objective] = None,
-    ) -> Advice:
-        """Recommend a (core, memory) frequency pair for one input.
-
-        For models trained on a 2-D sweep the last feature column is the
-        memory clock (:data:`repro.experiments.datasets.MEM_FEATURE_NAME`);
-        callers pass the *domain* features plus the candidate memory
-        clocks and the whole (f_core, f_mem) grid is evaluated under the
-        objective. Deadline and power-cap objectives compare the model's
-        absolute time/energy predictions across rows; the trade-off
-        objective's speedup axis is normalized per memory clock, so its
-        pick is an approximation there (the measured-campaign grid path
-        shares one true baseline). Direct path: grid requests are rare,
-        offline-style queries, so they skip the micro-batch coalescing
-        and the advice cache.
-        """
-        t0 = now_s()
-        if objective is None:
-            objective = Objective.tradeoff()
-        feats = quantize_features(features)
-        if len(feats) + 1 != len(self.model.feature_names):
-            raise ServingError(
-                f"expected {len(self.model.feature_names) - 1} domain features "
-                f"(model features {self.model.feature_names} end with the "
-                f"memory clock), got {len(feats)}"
-            )
-        mems = ensure_1d(mem_freqs_mhz, "mem_freqs_mhz")
-        if mems.size == 0:
-            raise ServingError("memory-frequency grid must be non-empty")
-        profiles = [
-            (
-                float(m),
-                self.model.predict_tradeoff(
-                    list(feats) + [float(m)], self.freqs_mhz
-                ),
-            )
-            for m in mems
-        ]
-        try:
-            advice = objective.evaluate_grid(profiles)
-        except ServingError:
-            with self._cond:
-                self.stats.requests += 1
-                self.stats.errors += 1
-            self.stats.latency.observe(now_s() - t0)
-            raise
-        with self._cond:
-            self.stats.requests += 1
-        self.stats.latency.observe(now_s() - t0)
-        return advice
-
     # ------------------------------------------------------------------
     # batch evaluation (leader only)
     # ------------------------------------------------------------------
@@ -288,9 +268,7 @@ class AdvisorService:
             groups.setdefault(slot.features, []).append(slot)
         feature_groups = list(groups)
         try:
-            predictions = self.model.predict_tradeoff_batch(
-                feature_groups, self.freqs_mhz
-            )
+            predictions = self._profiles(feature_groups)
         except BaseException as exc:
             with self._cond:
                 for slot in batch:
@@ -314,6 +292,24 @@ class AdvisorService:
             self.stats.evaluated += len(batch)
             for slot in batch:
                 slot.done = True
+
+    def _profiles(self, feature_groups: List[Tuple[float, ...]]) -> List[TradeoffPrediction]:
+        """One trade-off profile over the serving grid per feature group.
+
+        A 2-D grid expands each group into one model row per memory clock
+        inside the same single batched call, then stacks each group's rows
+        in memory-grid order.
+        """
+        if self.mem_freqs_mhz is None:
+            return self.model.predict_tradeoff_batch(feature_groups, self.freqs_mhz)
+        mems = self.mem_freqs_mhz.tolist()
+        rows = self.model.predict_tradeoff_batch(
+            [feats + (m,) for feats in feature_groups for m in mems], self.freqs_mhz
+        )
+        return [
+            stack_memory_rows(zip(mems, rows[i : i + len(mems)]))
+            for i in range(0, len(rows), len(mems))
+        ]
 
     # ------------------------------------------------------------------
     # lifecycle integration
@@ -370,7 +366,7 @@ class AdvisorService:
             self.model = model
             self.model_digest = str(model_digest)
             self.manifest = manifest
-            self._keys = AdviceKeyMaker(self.model_digest, self.freqs_mhz)
+            self._keys = AdviceKeyMaker(self.model_digest, self.freqs_mhz, self.mem_freqs_mhz)
 
     # ------------------------------------------------------------------
     # reporting

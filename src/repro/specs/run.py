@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ReproError, SpecError
-from repro.modeling.domain import TradeoffPrediction
+from repro.modeling.domain import TradeoffPrediction, stack_memory_rows
 from repro.specs.campaign import CampaignSpec
 from repro.specs.device_table import load_device_table
 from repro.specs.scenario import ObjectiveRef, ScenarioSpec, resolve_ref
@@ -196,37 +196,29 @@ def _evaluate_objective(
             return model.predict_tradeoff(list(features), result.freqs_mhz)
         return measured_tradeoff(result)
 
-    rows: List[AdviceRow] = []
-    if getattr(campaign, "mem_freqs_mhz", None):
-        # 2-D campaign: characterizations are keyed by domain features
-        # plus the memory clock; group the per-mem rows of each input and
-        # pick the best (f_core, f_mem) pair over the whole grid.
-        grouped: Dict[Tuple[float, ...], List[Tuple[float, Any]]] = {}
-        for features in sorted(campaign.characterizations):
-            result = campaign.characterizations[features]
-            grouped.setdefault(features[:-1], []).append((features[-1], result))
-        for domain_features, mem_rows in sorted(grouped.items()):
-            profiles = [
-                (mem, profile_for(domain_features + (mem,), result))
-                for mem, result in mem_rows
-            ]
-            label = mem_rows[0][1].app_name
-            try:
-                advice = objective.evaluate_grid(profiles)
-            except ServingError as exc:
-                rows.append(AdviceRow(label, domain_features, error=str(exc)))
-            else:
-                rows.append(AdviceRow(label, domain_features, advice=advice))
-        return rows
+    # A 2-D campaign keys each characterization by the domain features
+    # plus the memory clock: one input's per-clock rows stack into one
+    # grid profile, searched for the best (f_core, f_mem) pair.
+    grid = bool(getattr(campaign, "mem_freqs_mhz", None))
+    inputs: Dict[Tuple[float, ...], List[Tuple[float, ...]]] = {}
     for features in sorted(campaign.characterizations):
-        result = campaign.characterizations[features]
-        profile = profile_for(features, result)
+        inputs.setdefault(features[:-1] if grid else features, []).append(features)
+    rows: List[AdviceRow] = []
+    for domain_features, keys in inputs.items():
+        results = [campaign.characterizations[k] for k in keys]
+        if grid:
+            profile = stack_memory_rows(
+                (k[-1], profile_for(k, r)) for k, r in zip(keys, results)
+            )
+        else:
+            profile = profile_for(keys[0], results[0])
+        label = results[0].app_name
         try:
             advice = objective.evaluate(profile)
         except ServingError as exc:
-            rows.append(AdviceRow(result.app_name, features, error=str(exc)))
+            rows.append(AdviceRow(label, domain_features, error=str(exc)))
         else:
-            rows.append(AdviceRow(result.app_name, features, advice=advice))
+            rows.append(AdviceRow(label, domain_features, advice=advice))
     return rows
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.pareto.front import (
-    GridParetoFront,
-    GridParetoPoint,
-    extract_grid_front,
+    ParetoFront,
+    ParetoPoint,
+    extract_front,
     half_bin_tolerance,
 )
 
@@ -23,12 +23,12 @@ MEMS = [810.0, 810.0, 810.0, 1215.0, 1215.0, 1215.0]
 
 @pytest.fixture
 def front():
-    return extract_grid_front(SPEEDUPS, ENERGIES, CORES, MEMS)
+    return extract_front(SPEEDUPS, ENERGIES, CORES, MEMS)
 
 
 class TestExtraction:
     def test_front_is_the_non_dominated_set(self, front):
-        assert [p.freq_pair for p in front] == [
+        assert [(p.freq_mhz, p.mem_freq_mhz) for p in front] == [
             (300.0, 810.0),
             (900.0, 810.0),
             (900.0, 1215.0),
@@ -37,13 +37,13 @@ class TestExtraction:
 
     def test_points_carry_both_clocks(self, front):
         best = front.max_speedup_point()
-        assert isinstance(best, GridParetoPoint)
+        assert isinstance(best, ParetoPoint)
         assert best.freq_mhz == 1410.0
         assert best.mem_freq_mhz == 1215.0
-        assert best.freq_pair == (1410.0, 1215.0)
+        assert (best.freq_mhz, best.mem_freq_mhz) == (1410.0, 1215.0)
 
     def test_front_type_and_parallel_arrays(self, front):
-        assert isinstance(front, GridParetoFront)
+        assert isinstance(front, ParetoFront)
         assert np.array_equal(front.mem_freqs_mhz, [810.0, 810.0, 1215.0, 1215.0])
         assert front.freqs_mhz.shape == front.mem_freqs_mhz.shape
 
@@ -52,10 +52,10 @@ class TestExtraction:
 
     def test_length_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            extract_grid_front(SPEEDUPS, ENERGIES, CORES, MEMS[:-1])
+            extract_front(SPEEDUPS, ENERGIES, CORES, MEMS[:-1])
 
     def test_exact_duplicates_are_reported_once(self):
-        f = extract_grid_front(
+        f = extract_front(
             [1.0, 1.0], [0.5, 0.5], [900.0, 900.0], [810.0, 810.0]
         )
         assert len(f) == 1
@@ -64,7 +64,7 @@ class TestExtraction:
         # Two distinct (core, mem) pairs landing on the exact same
         # objective point: domination is judged in the objective plane,
         # so only the first is kept (matching pareto_mask's tie rule).
-        f = extract_grid_front(
+        f = extract_front(
             [1.0, 1.0], [0.5, 0.5], [900.0, 1410.0], [1215.0, 810.0]
         )
         assert len(f) == 1
@@ -72,44 +72,43 @@ class TestExtraction:
 
 class TestContainsPair:
     def test_exact_membership(self, front):
-        assert front.contains_pair(900.0, 810.0)
-        assert not front.contains_pair(1410.0, 810.0)  # dominated
-        assert not front.contains_pair(300.0, 1215.0)  # dominated
+        assert front.contains_freq(900.0, mem_freq_mhz=810.0)
+        assert not front.contains_freq(1410.0, mem_freq_mhz=810.0)  # dominated
+        assert not front.contains_freq(300.0, mem_freq_mhz=1215.0)  # dominated
 
     def test_axes_must_match_jointly(self, front):
         # 300 MHz core is on the front and 1215 MHz mem is on the front,
         # but never together.
         assert front.contains_freq(300.0)
         assert np.any(front.mem_freqs_mhz == 1215.0)
-        assert not front.contains_pair(300.0, 1215.0)
+        assert not front.contains_freq(300.0, mem_freq_mhz=1215.0)
 
     def test_separate_memory_tolerance(self, front):
         # Core within the default tolerance, memory 100 MHz off: only a
         # widened mem_tol_mhz accepts it.
-        assert not front.contains_pair(900.0, 910.0)
-        assert front.contains_pair(900.0, 910.0, mem_tol_mhz=135.0)
+        assert not front.contains_freq(900.0, mem_freq_mhz=910.0)
+        assert front.contains_freq(900.0, mem_freq_mhz=910.0, mem_tol_mhz=135.0)
 
     def test_half_bin_tolerances_per_axis(self, front):
         core_tol = half_bin_tolerance(CORES)
         mem_tol = half_bin_tolerance([810.0, 945.0, 1080.0, 1215.0])
-        assert front.contains_pair(
-            900.0 + 0.4 * core_tol, 810.0 + mem_tol, tol_mhz=core_tol, mem_tol_mhz=mem_tol
+        assert front.contains_freq(
+            900.0 + 0.4 * core_tol, tol_mhz=core_tol,
+            mem_freq_mhz=810.0 + mem_tol, mem_tol_mhz=mem_tol,
         )
-        assert not front.contains_pair(
-            900.0, 810.0 + 2.1 * mem_tol, tol_mhz=core_tol, mem_tol_mhz=mem_tol
+        assert not front.contains_freq(
+            900.0, tol_mhz=core_tol, mem_freq_mhz=810.0 + 2.1 * mem_tol, mem_tol_mhz=mem_tol
         )
 
     def test_empty_front_contains_nothing(self):
-        f = GridParetoFront([])
-        assert not f.contains_pair(900.0, 810.0)
+        f = ParetoFront([])
+        assert not f.contains_freq(900.0, mem_freq_mhz=810.0)
 
 
 def test_reference_mem_only_grid_matches_the_1d_front():
     """A grid with a single memory row reduces to the classic 1-D front."""
-    from repro.pareto.front import extract_front
-
     sp, en, fr = SPEEDUPS[3:], ENERGIES[3:], CORES[3:]
-    grid = extract_grid_front(sp, en, fr, [1215.0] * 3)
+    grid = extract_front(sp, en, fr, [1215.0] * 3)
     flat = extract_front(sp, en, fr)
     assert np.array_equal(grid.speedups, flat.speedups)
     assert np.array_equal(grid.energies, flat.energies)

@@ -44,6 +44,29 @@ class TestRunCommand:
         assert "scenario 'fixture-scenario'" in out
         assert "MHz" in out
 
+    @pytest.mark.parametrize(
+        "objective", [{"kind": "tradeoff"}, {"kind": "min_energy_deadline", "deadline_s": 1.0}]
+    )
+    def test_2d_scenario_advises_one_core_mem_pair_per_input(self, objective):
+        from repro.specs import ScenarioSpec, run_scenario
+
+        scenario = ScenarioSpec.from_record(
+            {
+                "format": "repro.scenario",
+                "schema_version": 1,
+                "name": "mhd-2d-advice",
+                "campaign": json.loads((EXAMPLES / "campaign_mhd_quick.json").read_text()),
+                "fault_plan": None,
+                "objective": {**objective, "model": None},
+                "outputs": None,
+            }
+        )
+        rows = run_scenario(scenario).advice
+        assert [row.features for row in rows] == [(6.0, 12.0, 8.0), (12.0, 24.0, 16.0)]
+        for row in rows:
+            assert row.error is None
+            assert (row.advice.freq_mhz, row.advice.mem_freq_mhz) == (210.0, 810.0)
+
     def test_check_valid_spec(self, capsys):
         rc = main(["run", str(EXAMPLES / "scenario_serving.json"), "--check"])
         out = capsys.readouterr().out
