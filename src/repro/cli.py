@@ -370,69 +370,85 @@ def cmd_campaign(args) -> int:
     return 0
 
 
+def _lint_spec_file(path):
+    """Read one spec file once and lint it; its record, or None on errors.
+
+    The static pass gates every spec command: a spec that does not lint
+    clean never runs. Diagnostics go to stderr.
+    """
+    from repro.analysis import has_errors, render_text
+    from repro.specs import lint_spec_file
+
+    record, diagnostics = lint_spec_file(path, explicit=True)
+    if diagnostics:
+        print(render_text(diagnostics), file=sys.stderr)
+    return None if has_errors(diagnostics) else record
+
+
 def cmd_run(args) -> int:
+    import dataclasses
     import pathlib
     import time
 
-    from repro.analysis import has_errors, render_text
-    from repro.specs import check_json_file
+    from repro.errors import SpecError
+    from repro.specs import (
+        RUNNABLE_SPEC_FORMATS,
+        SPEC_FORMATS,
+        CampaignSpec,
+        FleetSpec,
+        LifecycleSpec,
+        ScenarioSpec,
+    )
 
     path = pathlib.Path(args.scenario)
-    # Static pass first: a spec that does not lint clean never runs.
-    diagnostics = check_json_file(path, explicit=True)
-    if diagnostics:
-        print(render_text(diagnostics), file=sys.stderr)
-    if has_errors(diagnostics):
+    record = _lint_spec_file(path)
+    if record is None:
         return 1
     if args.check:
         print(f"{path}: spec is valid")
         return 0
+    fmt = record["format"]
+    spec_class = SPEC_FORMATS[fmt].spec_class
+    if spec_class is None:
+        raise SpecError(
+            f"{path}: format {fmt!r} is check-only; repro run executes "
+            f"{', '.join(RUNNABLE_SPEC_FORMATS)}"
+        )
+    if args.dataset_output and spec_class in (FleetSpec, LifecycleSpec):
+        raise SpecError(f"--dataset-output: a {fmt!r} spec builds no dataset")
+    spec = spec_class.from_record(record, file=str(path), base_dir=str(path.parent))
 
-    import json
-
-    from repro.experiments.report import render_campaign_summary
-    from repro.specs import CampaignSpec, ScenarioSpec
-    from repro.specs.run import run_scenario
-
-    record = json.loads(path.read_text(encoding="utf-8"))
-    if record.get("format") == "repro.lifecycle":
+    if isinstance(spec, LifecycleSpec):
         # Lifecycle specs run the closed train→serve→observe→retrain
         # loop — same lint-then-run discipline, different runtime.
         from repro.lifecycle import run_lifecycle
-        from repro.specs import LifecycleSpec
 
-        spec = LifecycleSpec.load(path)
         print(spec.describe())
         result = run_lifecycle(spec, closed_loop=True, progress=print)
         print(_render_lifecycle_result(result))
         return 0
-    if record.get("format") == "repro.fleet":
+    if isinstance(spec, FleetSpec):
         # Fleet specs run through the SoA tick engine, not the campaign
         # executor — same lint-then-run discipline, different runtime.
         from repro.fleet import resolve_fleet_model, simulate_fleet
-        from repro.specs import FleetSpec
 
-        spec = FleetSpec.load(path)
         print(spec.describe())
         model, _manifest = resolve_fleet_model(spec)
         result = simulate_fleet(spec, model)
         print(_render_fleet_summary(result.summary(), "fleet summary (vectorized)"))
         return 0
-    if record.get("format") == "repro.campaign":
+
+    from repro.experiments.report import render_campaign_summary
+    from repro.specs.run import run_scenario
+
+    scenario = spec
+    if isinstance(spec, CampaignSpec):
         # A bare campaign spec runs as a scenario with no extras.
-        scenario = ScenarioSpec(
-            name=path.stem,
-            campaign=CampaignSpec.from_record(
-                record, file=str(path), base_dir=str(path.parent)
-            ),
-            base_dir=str(path.parent),
-        )
-    else:
-        scenario = ScenarioSpec.load(path)
+        scenario = ScenarioSpec(name=path.stem, campaign=spec, base_dir=str(path.parent))
     if args.dataset_output:
         # Resolve the override against the caller's cwd (like `repro
         # campaign --dataset-output`), not the scenario's directory.
-        scenario = _replace_dataclass(
+        scenario = dataclasses.replace(
             scenario, dataset_output=str(pathlib.Path(args.dataset_output).absolute())
         )
     print(scenario.describe())
@@ -463,12 +479,6 @@ def cmd_run(args) -> int:
                 f"normalized energy {advice.predicted_normalized_energy:.3f})"
             )
     return 0
-
-
-def _replace_dataclass(obj, **changes):
-    from dataclasses import replace
-
-    return replace(obj, **changes)
 
 
 def cmd_tune(args) -> int:
@@ -637,18 +647,14 @@ def cmd_fleet(args) -> int:
     import json
     import pathlib
 
-    from repro.analysis import has_errors, render_text
     from repro.fleet import compare_to_static, resolve_fleet_model, simulate_fleet
-    from repro.specs import FleetSpec, check_json_file
+    from repro.specs import FleetSpec
 
     path = pathlib.Path(args.spec)
-    # Static pass first, like `repro run`: an unclean spec never runs.
-    diagnostics = check_json_file(path, explicit=True)
-    if diagnostics:
-        print(render_text(diagnostics), file=sys.stderr)
-    if has_errors(diagnostics):
+    record = _lint_spec_file(path)
+    if record is None:
         return 1
-    spec = FleetSpec.load(path)
+    spec = FleetSpec.from_record(record, file=str(path), base_dir=str(path.parent))
     overrides = {
         key: value
         for key, value in (

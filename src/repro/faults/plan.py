@@ -294,12 +294,10 @@ class FaultPlan:
         """
         # Deferred import: repro.specs imports this module for the kind
         # catalog, so importing it at module level would be circular.
-        from repro.errors import SpecValidationError
-        from repro.specs.fault_plan import validate_fault_plan_record
+        from repro.specs.fault_plan import FAULT_PLAN_SCHEMA
+        from repro.specs.schema import load_clean
 
-        clean, diags = validate_fault_plan_record(record)
-        if clean is None:
-            raise SpecValidationError("fault plan", diags)
+        clean = load_clean(FAULT_PLAN_SCHEMA, record, file="<fault plan>")
         return cls(
             seed=clean["seed"],
             specs=tuple(
@@ -335,12 +333,14 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: PathLike) -> "FaultPlan":
-        """Read a plan previously written by :meth:`save` (or by hand)."""
-        try:
-            text = pathlib.Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read fault plan {path}: {exc}") from exc
-        return cls.from_json(text)
+        """Read a plan previously written by :meth:`save` (or by hand).
+
+        Unreadable, undecodable or unparsable files raise
+        :class:`repro.errors.SpecError`, a :class:`ConfigurationError`.
+        """
+        from repro.specs.schema import read_spec_file  # deferred, see from_record()
+
+        return cls.from_record(read_spec_file(path, "fault plan"))
 
     def describe(self) -> str:
         """One-line human summary for run logs."""

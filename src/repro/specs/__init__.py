@@ -14,11 +14,11 @@ Three consumer surfaces:
 - **Static**: ``repro lint`` feeds ``.json`` files to
   :func:`~repro.specs.checker.check_json_file`, which emits ``SPEC001``–
   ``SPEC005`` diagnostics (see ``docs/static-analysis.md``).
-- **Load-time**: :class:`~repro.faults.plan.FaultPlan`,
-  :class:`~repro.specs.campaign.CampaignSpec` and
-  :class:`~repro.specs.scenario.ScenarioSpec` loaders validate through
-  the same schemas and raise :class:`repro.errors.SpecValidationError`
-  carrying *every* problem (collect-then-raise).
+- **Load-time**: :class:`~repro.faults.plan.FaultPlan` and the
+  :class:`~repro.specs.schema.RecordSpec` classes (campaign, scenario,
+  fleet, lifecycle) validate through the same schemas and raise
+  :class:`repro.errors.SpecValidationError` carrying *every* problem
+  (collect-then-raise).
 - **Execution**: ``repro run SCENARIO.json`` →
   :func:`~repro.specs.run.run_scenario`, bit-identical to the
   equivalent hand-wired ``repro campaign`` invocation.
@@ -36,13 +36,15 @@ from repro.specs.campaign import (
     EngineSpec,
     SweepSpec,
     campaign_spec_from_cli,
-    validate_campaign_record,
 )
 from repro.specs.checker import (
     KNOWN_SPEC_FORMATS,
     MANIFEST_SCHEMA,
+    RUNNABLE_SPEC_FORMATS,
+    SPEC_FORMATS,
     check_json_file,
     check_record,
+    lint_spec_file,
 )
 from repro.specs.device_table import (
     DEVICE_TABLE_FORMAT,
@@ -56,7 +58,6 @@ from repro.specs.device_table import (
 from repro.specs.fault_plan import (
     FAULT_PLAN_SCHEMA,
     FAULT_SPEC_SCHEMA,
-    validate_fault_plan_record,
 )
 from repro.specs.fleet import (
     FLEET_FORMAT,
@@ -65,7 +66,6 @@ from repro.specs.fleet import (
     FLEET_VERSION,
     FleetJobType,
     FleetSpec,
-    validate_fleet_record,
 )
 from repro.specs.lifecycle import (
     LIFECYCLE_APP_KINDS,
@@ -73,7 +73,6 @@ from repro.specs.lifecycle import (
     LIFECYCLE_SCHEMA,
     LIFECYCLE_VERSION,
     LifecycleSpec,
-    validate_lifecycle_record,
 )
 from repro.specs.run import (
     AdviceRow,
@@ -90,7 +89,6 @@ from repro.specs.scenario import (
     SCENARIO_VERSION,
     ObjectiveRef,
     ScenarioSpec,
-    validate_scenario_record,
 )
 from repro.specs.schema import (
     SPEC_FIELDS,
@@ -101,8 +99,11 @@ from repro.specs.schema import (
     SPEC_XREF,
     FieldSpec,
     RecordSchema,
+    RecordSpec,
     Reporter,
     load_clean,
+    read_spec_file,
+    record_field,
 )
 
 __all__ = [
@@ -115,12 +116,14 @@ __all__ = [
     "SPEC_RULE_IDS",
     "FieldSpec",
     "RecordSchema",
+    "RecordSpec",
+    "record_field",
     "Reporter",
     "load_clean",
+    "read_spec_file",
     # fault plans
     "FAULT_SPEC_SCHEMA",
     "FAULT_PLAN_SCHEMA",
-    "validate_fault_plan_record",
     # device tables
     "DEVICE_TABLE_FORMAT",
     "DEVICE_TABLE_VERSION",
@@ -138,7 +141,6 @@ __all__ = [
     "SweepSpec",
     "EngineSpec",
     "CampaignSpec",
-    "validate_campaign_record",
     "campaign_spec_from_cli",
     # scenarios
     "SCENARIO_FORMAT",
@@ -146,7 +148,6 @@ __all__ = [
     "SCENARIO_SCHEMA",
     "ObjectiveRef",
     "ScenarioSpec",
-    "validate_scenario_record",
     # fleet
     "FLEET_FORMAT",
     "FLEET_VERSION",
@@ -154,19 +155,20 @@ __all__ = [
     "FLEET_SCHEMA",
     "FleetJobType",
     "FleetSpec",
-    "validate_fleet_record",
     # lifecycle
     "LIFECYCLE_FORMAT",
     "LIFECYCLE_VERSION",
     "LIFECYCLE_APP_KINDS",
     "LIFECYCLE_SCHEMA",
     "LifecycleSpec",
-    "validate_lifecycle_record",
     # checker
+    "SPEC_FORMATS",
     "KNOWN_SPEC_FORMATS",
+    "RUNNABLE_SPEC_FORMATS",
     "MANIFEST_SCHEMA",
     "check_record",
     "check_json_file",
+    "lint_spec_file",
     # execution
     "AdviceRow",
     "ScenarioOutcome",

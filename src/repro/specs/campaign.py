@@ -12,20 +12,21 @@ same objects the CLI used to construct inline.
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.errors import SpecError, SpecValidationError
+from repro.errors import SpecError
 from repro.experiments import configs
 from repro.specs.schema import (
     SPEC_VALUE,
     SPEC_XREF,
     FieldSpec,
     RecordSchema,
+    RecordSpec,
     Reporter,
+    as_frozen,
+    as_plain,
+    record_field,
 )
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "SweepSpec",
     "EngineSpec",
     "CampaignSpec",
-    "validate_campaign_record",
     "campaign_spec_from_cli",
 ]
 
@@ -49,8 +49,6 @@ APP_KINDS = ("ligen", "cronos", "mhd")
 
 #: Device short names resolvable without a device table.
 BUILTIN_DEVICES = ("v100", "mi100", "max1100", "a100", "h100", "mi250")
-
-PathLike = Union[str, pathlib.Path]
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +188,6 @@ _DEVICE_REF_SCHEMA = RecordSchema(
 )
 
 
-def _defaults(schema: RecordSchema) -> Dict[str, Any]:
-    return {f.name: f.default for f in schema.fields}
-
-
 def _campaign_extra(clean: Dict[str, Any], rep: Reporter, path: str) -> None:
     prefix = f"{path}." if path else ""
     app = clean.get("app")
@@ -237,9 +231,9 @@ def _campaign_extra(clean: Dict[str, Any], rep: Reporter, path: str) -> None:
             f"reference, got {type(device).__name__}",
         )
     if clean.get("sweep") is None:
-        clean["sweep"] = _defaults(_SWEEP_SCHEMA)
+        clean["sweep"] = _SWEEP_SCHEMA.defaults()
     if clean.get("engine") is None:
-        clean["engine"] = _defaults(_ENGINE_SCHEMA)
+        clean["engine"] = _ENGINE_SCHEMA.defaults()
 
 
 CAMPAIGN_SCHEMA = RecordSchema(
@@ -256,18 +250,11 @@ CAMPAIGN_SCHEMA = RecordSchema(
 )
 
 
-def validate_campaign_record(
-    record: Any, file: str = "<campaign spec>"
-) -> Tuple[Optional[Dict[str, Any]], List[Diagnostic]]:
-    """Validate one campaign record; ``(clean_or_None, diagnostics)``."""
-    return CAMPAIGN_SCHEMA.validate(record, file=file)
-
-
 # ---------------------------------------------------------------------------
 # dataclasses
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(RecordSpec, schema=_SWEEP_SCHEMA):
     """Frequency sweep: a bin count *or* an explicit list, plus repetitions.
 
     ``mem_freqs_mhz`` turns the sweep into the 2-D ``(f_core, f_mem)``
@@ -275,25 +262,29 @@ class SweepSpec:
     ``None`` (the default) keeps the classic core-only sweep.
     """
 
-    freq_count: Optional[int] = None
-    freqs_mhz: Optional[Tuple[float, ...]] = None
-    repetitions: int = configs.DEFAULT_REPETITIONS
-    mem_freqs_mhz: Optional[Tuple[float, ...]] = None
+    freq_count: Optional[int] = record_field("freq_count", None)
+    freqs_mhz: Optional[Tuple[float, ...]] = record_field("freqs_mhz", None)
+    repetitions: int = record_field("repetitions", configs.DEFAULT_REPETITIONS)
+    #: Left out of core-only records, so their key set and fingerprints
+    #: stay those of pre-2-D specs.
+    mem_freqs_mhz: Optional[Tuple[float, ...]] = record_field(
+        "mem_freqs_mhz", None, optional=True
+    )
 
 
 @dataclass(frozen=True)
-class EngineSpec:
+class EngineSpec(RecordSpec, schema=_ENGINE_SCHEMA):
     """Execution knobs mirroring :class:`repro.runtime.engine.CampaignEngine`."""
 
-    seed: int = 42
-    jobs: int = 1
-    method: str = "replay"
-    cache_dir: Optional[str] = None
-    max_retries: int = 2
+    seed: int = record_field("seed", 42)
+    jobs: int = record_field("jobs", 1)
+    method: str = record_field("method", "replay")
+    cache_dir: Optional[str] = record_field("cache_dir", None)
+    max_retries: int = record_field("max_retries", 2)
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(RecordSpec, schema=CAMPAIGN_SCHEMA):
     """One validated, runnable campaign configuration.
 
     ``device_name`` and ``device_table`` are mutually exclusive; the
@@ -304,8 +295,8 @@ class CampaignSpec:
 
     app_kind: str
     app_params: Mapping[str, Any]
-    sweep: SweepSpec = SweepSpec()
-    engine: EngineSpec = EngineSpec()
+    sweep: SweepSpec = record_field("sweep", SweepSpec(), of=SweepSpec)
+    engine: EngineSpec = record_field("engine", EngineSpec(), of=EngineSpec)
     device_name: Optional[str] = "v100"
     device_table: Optional[str] = None
     #: Directory the spec was loaded from (for resolving relative paths);
@@ -314,55 +305,18 @@ class CampaignSpec:
     base_dir: Optional[str] = field(default=None, compare=False)
 
     def as_record(self) -> Dict[str, Any]:
-        """Canonical plain-dict form (inverse of :meth:`from_record`)."""
-        app: Dict[str, Any] = {"kind": self.app_kind}
+        """Canonical record: ``app`` is the kind plus its sorted params,
+        ``device`` a built-in name or a ``{"table": PATH}`` reference."""
+        record = super().as_record()
+        record["app"] = {"kind": self.app_kind}
         for key in sorted(self.app_params):
-            value = self.app_params[key]
-            if key == "grids":
-                app[key] = [list(g) for g in value]
-            elif isinstance(value, tuple):
-                app[key] = list(value)
-            else:
-                app[key] = value
-        return {
-            "format": CAMPAIGN_FORMAT,
-            "schema_version": CAMPAIGN_VERSION,
-            "app": app,
-            "device": (
-                {"table": self.device_table}
-                if self.device_table is not None
-                else self.device_name
-            ),
-            "sweep": {
-                "freq_count": self.sweep.freq_count,
-                "freqs_mhz": (
-                    None
-                    if self.sweep.freqs_mhz is None
-                    else list(self.sweep.freqs_mhz)
-                ),
-                "repetitions": self.sweep.repetitions,
-                # 2-D sweeps only: core-only records keep the legacy key
-                # set, so their fingerprints are unchanged.
-                **(
-                    {}
-                    if self.sweep.mem_freqs_mhz is None
-                    else {"mem_freqs_mhz": list(self.sweep.mem_freqs_mhz)}
-                ),
-            },
-            "engine": {
-                "seed": self.engine.seed,
-                "jobs": self.engine.jobs,
-                "method": self.engine.method,
-                "cache_dir": self.engine.cache_dir,
-                "max_retries": self.engine.max_retries,
-            },
-        }
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the canonical record."""
-        from repro.runtime.seeding import stable_digest
-
-        return stable_digest(self.as_record())
+            record["app"][key] = as_plain(self.app_params[key])
+        record["device"] = (
+            self.device_name
+            if self.device_table is None
+            else {"table": self.device_table}
+        )
+        return record
 
     @classmethod
     def from_clean(
@@ -370,70 +324,15 @@ class CampaignSpec:
     ) -> "CampaignSpec":
         """Build from a schema-cleaned record (see ``CAMPAIGN_SCHEMA``)."""
         app = dict(clean["app"])
-        kind = app.pop("kind")
-        if kind in ("cronos", "mhd"):
-            app["grids"] = tuple(tuple(int(d) for d in g) for g in app["grids"])
-        else:
-            for key in ("ligand_counts", "atom_counts", "fragment_counts"):
-                app[key] = tuple(int(v) for v in app[key])
         device = clean["device"]
-        sweep = clean["sweep"]
-        engine = clean["engine"]
-        return cls(
-            app_kind=kind,
-            app_params=app,
-            sweep=SweepSpec(
-                freq_count=sweep["freq_count"],
-                freqs_mhz=(
-                    None
-                    if sweep["freqs_mhz"] is None
-                    else tuple(float(f) for f in sweep["freqs_mhz"])
-                ),
-                repetitions=sweep["repetitions"],
-                mem_freqs_mhz=(
-                    None
-                    if sweep.get("mem_freqs_mhz") is None
-                    else tuple(float(f) for f in sweep["mem_freqs_mhz"])
-                ),
-            ),
-            engine=EngineSpec(
-                seed=engine["seed"],
-                jobs=engine["jobs"],
-                method=engine["method"],
-                cache_dir=engine["cache_dir"],
-                max_retries=engine["max_retries"],
-            ),
+        return super().from_clean(
+            clean,
+            base_dir,
+            app_kind=app.pop("kind"),
+            app_params={key: as_frozen(value) for key, value in app.items()},
             device_name=device if isinstance(device, str) else None,
             device_table=device["table"] if isinstance(device, Mapping) else None,
-            base_dir=base_dir,
         )
-
-    @classmethod
-    def from_record(
-        cls,
-        record: Any,
-        file: str = "<campaign spec>",
-        base_dir: Optional[str] = None,
-    ) -> "CampaignSpec":
-        """Validate + build; raises :class:`SpecValidationError` with *all* errors."""
-        clean, diags = CAMPAIGN_SCHEMA.validate(record, file=file)
-        if clean is None:
-            raise SpecValidationError("campaign spec", diags)
-        return cls.from_clean(clean, base_dir=base_dir)
-
-    @classmethod
-    def load(cls, path: PathLike) -> "CampaignSpec":
-        """Read + validate a campaign spec file."""
-        p = pathlib.Path(path)
-        try:
-            text = p.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise SpecError(f"cannot read campaign spec {p}: {exc}") from exc
-        try:
-            record = json.loads(text)
-        except ValueError as exc:
-            raise SpecError(f"campaign spec {p} is not valid JSON: {exc}") from exc
-        return cls.from_record(record, file=str(p), base_dir=str(p.parent))
 
     def describe(self) -> str:
         """One-line human summary for run logs."""

@@ -7,30 +7,34 @@ campaign's device table, a fault-plan path) and verifies registry-model
 references resolve — all **before any compute runs**. Unrecognized JSON
 files found while walking a directory are skipped silently (a directory
 full of datasets is not an error); explicitly named files must be
-recognizable specs.
+recognizable specs. :data:`SPEC_FORMATS` is the one table of formats:
+it feeds this dispatch, :data:`KNOWN_SPEC_FORMATS` and ``repro run``.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.errors import SpecError
+from repro.faults.plan import PLAN_FORMAT
 from repro.specs.campaign import (
     CAMPAIGN_FORMAT,
     CAMPAIGN_SCHEMA,
+    CampaignSpec,
 )
 from repro.specs.device_table import (
     DEVICE_TABLE_FORMAT,
     check_device_table,
 )
 from repro.specs.fault_plan import FAULT_PLAN_SCHEMA
-from repro.specs.fleet import FLEET_FORMAT, FLEET_SCHEMA
-from repro.specs.lifecycle import LIFECYCLE_FORMAT, LIFECYCLE_SCHEMA
+from repro.specs.fleet import FLEET_FORMAT, FLEET_SCHEMA, FleetSpec
+from repro.specs.lifecycle import LIFECYCLE_FORMAT, LIFECYCLE_SCHEMA, LifecycleSpec
 from repro.specs.scenario import (
     SCENARIO_FORMAT,
     SCENARIO_SCHEMA,
+    ScenarioSpec,
     resolve_ref,
 )
 from repro.specs.schema import (
@@ -38,13 +42,18 @@ from repro.specs.schema import (
     SPEC_XREF,
     FieldSpec,
     RecordSchema,
+    read_spec_file,
 )
 
 __all__ = [
     "MANIFEST_SCHEMA",
+    "SpecFormat",
+    "SPEC_FORMATS",
     "KNOWN_SPEC_FORMATS",
+    "RUNNABLE_SPEC_FORMATS",
     "check_record",
     "check_json_file",
+    "lint_spec_file",
 ]
 
 _MANIFEST_FORMAT = "repro.model_manifest"
@@ -94,6 +103,13 @@ def _error(rule: str, message: str, file: str) -> Diagnostic:
     return Diagnostic(rule=rule, severity=Severity.ERROR, message=message, file=file)
 
 
+def _read_failure(err: SpecError, file: str) -> Diagnostic:
+    """``IO001`` for an unreadable file, ``SYN001`` for bytes that are not JSON."""
+    if isinstance(err.__cause__, OSError):
+        return _error("IO001", f"cannot read file: {err.__cause__}", file)
+    return _error("SYN001", f"file is not valid JSON: {err.__cause__}", file)
+
+
 def _check_fault_plan(
     record: Any, file: str, base_dir: Optional[str]
 ) -> List[Diagnostic]:
@@ -139,11 +155,9 @@ def _check_referenced_file(
             )
         ]
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        return [_error("IO001", f"cannot read file: {exc}", str(path))]
-    except ValueError as exc:
-        return [_error("SYN001", f"file is not valid JSON: {exc}", str(path))]
+        record = read_spec_file(path)
+    except SpecError as err:
+        return [_read_failure(err, str(path))]
     fmt = record.get("format") if isinstance(record, Mapping) else None
     if fmt != expected_format:
         return [
@@ -192,7 +206,7 @@ def _check_scenario(
     if isinstance(plan, str):
         diags.extend(
             _check_referenced_file(
-                plan, "repro.fault_plan", "fault plan", file, base_dir
+                plan, PLAN_FORMAT, "fault plan", file, base_dir
             )
         )
     elif plan is not None:
@@ -279,18 +293,47 @@ def _check_model_ref(
     return []
 
 
-_CHECKERS = {
-    "repro.fault_plan": _check_fault_plan,
-    DEVICE_TABLE_FORMAT: check_device_table,
-    CAMPAIGN_FORMAT: _check_campaign,
-    SCENARIO_FORMAT: _check_scenario,
-    FLEET_FORMAT: _check_fleet,
-    LIFECYCLE_FORMAT: _check_lifecycle,
-    _MANIFEST_FORMAT: _check_manifest,
+def _check_device_table(
+    record: Any, file: str, base_dir: Optional[str]
+) -> List[Diagnostic]:
+    return check_device_table(record, file)
+
+
+class SpecFormat(NamedTuple):
+    """One spec format: its static checker, and the class ``repro run``
+    loads its records into (``None`` for a check-only format)."""
+
+    check: Callable[[Any, str, Optional[str]], List[Diagnostic]]
+    spec_class: Optional[type] = None
+
+
+#: Every spec format, by envelope ``format`` tag.
+SPEC_FORMATS: Dict[str, SpecFormat] = {
+    PLAN_FORMAT: SpecFormat(_check_fault_plan),
+    DEVICE_TABLE_FORMAT: SpecFormat(_check_device_table),
+    CAMPAIGN_FORMAT: SpecFormat(_check_campaign, CampaignSpec),
+    SCENARIO_FORMAT: SpecFormat(_check_scenario, ScenarioSpec),
+    FLEET_FORMAT: SpecFormat(_check_fleet, FleetSpec),
+    LIFECYCLE_FORMAT: SpecFormat(_check_lifecycle, LifecycleSpec),
+    _MANIFEST_FORMAT: SpecFormat(_check_manifest),
 }
 
 #: Envelope ``format`` tags the checker recognizes.
-KNOWN_SPEC_FORMATS = tuple(sorted(_CHECKERS))
+KNOWN_SPEC_FORMATS = tuple(sorted(SPEC_FORMATS))
+
+#: The formats ``repro run`` executes; the others are check-only.
+RUNNABLE_SPEC_FORMATS = tuple(
+    sorted(fmt for fmt, entry in SPEC_FORMATS.items() if entry.spec_class is not None)
+)
+
+
+def _spec_format(record: Any) -> Optional[str]:
+    """The record's ``format`` tag if it names a known format, else ``None``.
+
+    A tag that is not a string (a list, an object) is unrecognized too.
+    """
+    fmt = record.get("format") if isinstance(record, Mapping) else None
+    return fmt if isinstance(fmt, str) and fmt in SPEC_FORMATS else None
 
 
 def check_record(
@@ -305,27 +348,26 @@ def check_record(
                 file,
             )
         ]
-    fmt = record.get("format")
-    checker = _CHECKERS.get(fmt)
-    if checker is None:
+    fmt = _spec_format(record)
+    if fmt is None:
         return [
             _error(
                 SPEC_FIELDS,
-                f"unrecognized spec format {fmt!r}; known formats: "
+                f"unrecognized spec format {record.get('format')!r}; known formats: "
                 f"{', '.join(KNOWN_SPEC_FORMATS)}",
                 file,
             )
         ]
-    if checker is check_device_table:
-        return checker(record, file)
-    return checker(record, file, base_dir)
+    return SPEC_FORMATS[fmt].check(record, file, base_dir)
 
 
-def check_json_file(
+def lint_spec_file(
     path: Union[str, pathlib.Path], explicit: bool = False
-) -> List[Diagnostic]:
-    """Lint one ``.json`` file (the ``repro lint`` entry for JSON inputs).
+) -> Tuple[Any, List[Diagnostic]]:
+    """Read one ``.json`` file once and lint it: ``(record, diagnostics)``.
 
+    ``record`` is ``None`` when the file cannot be read or parsed, which
+    is an ``IO001`` or ``SYN001`` diagnostic rather than an exception.
     ``explicit`` distinguishes a file the user named on the command line
     (must be a recognizable spec) from one found while walking a
     directory (non-spec JSON is silently skipped).
@@ -333,24 +375,29 @@ def check_json_file(
     path = pathlib.Path(path)
     file = str(path).replace("\\", "/")
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        return [_error("IO001", f"cannot read file: {exc}", file)]
-    try:
-        record = json.loads(text)
-    except ValueError as exc:
-        return [_error("SYN001", f"file is not valid JSON: {exc}", file)]
-    recognized = isinstance(record, Mapping) and record.get("format") in _CHECKERS
-    if not recognized:
-        if explicit:
-            fmt = record.get("format") if isinstance(record, Mapping) else None
-            return [
-                _error(
-                    SPEC_FIELDS,
-                    f"not a recognized spec file (format {fmt!r}; known: "
-                    f"{', '.join(KNOWN_SPEC_FORMATS)})",
-                    file,
-                )
-            ]
-        return []
-    return check_record(record, file=file, base_dir=str(path.parent))
+        record = read_spec_file(path)
+    except SpecError as err:
+        return None, [_read_failure(err, file)]
+    if _spec_format(record) is not None:
+        return record, check_record(record, file=file, base_dir=str(path.parent))
+    if not explicit:
+        return record, []
+    fmt = record.get("format") if isinstance(record, Mapping) else None
+    return record, [
+        _error(
+            SPEC_FIELDS,
+            f"not a recognized spec file (format {fmt!r}; known: "
+            f"{', '.join(KNOWN_SPEC_FORMATS)})",
+            file,
+        )
+    ]
+
+
+def check_json_file(
+    path: Union[str, pathlib.Path], explicit: bool = False
+) -> List[Diagnostic]:
+    """Lint one ``.json`` file (the ``repro lint`` entry for JSON inputs).
+
+    See :func:`lint_spec_file`, which also returns the parsed record.
+    """
+    return lint_spec_file(path, explicit)[1]

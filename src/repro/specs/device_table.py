@@ -13,13 +13,12 @@ same internal-consistency invariants as the built-in self-check.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.errors import SpecError, SpecValidationError
+from repro.errors import SpecError
 from repro.hw.dvfs import FrequencyTable, VoltageCurve
 from repro.hw.specs import DeviceSpec
 from repro.specs.schema import (
@@ -28,6 +27,7 @@ from repro.specs.schema import (
     RecordSchema,
     Reporter,
     load_clean,
+    read_spec_file,
 )
 
 __all__ = [
@@ -360,18 +360,14 @@ def check_device_table(record: Any, file: str = "<device table>") -> List[Diagno
 def load_device_table(path: PathLike) -> DeviceSpec:
     """Load and validate a device table file into a :class:`DeviceSpec`.
 
-    Raises :class:`SpecError` on unreadable/unparsable files and
+    Raises :class:`SpecError` on unreadable/unparsable files and on a
+    table that does not build a valid spec (lint's ``SPEC002``), and
     :class:`SpecValidationError` (with the full diagnostic list) on
     schema violations.
     """
     p = pathlib.Path(path)
+    clean = load_clean(DEVICE_TABLE_SCHEMA, read_spec_file(p, "device table"), file=str(p))
     try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read device table {p}: {exc}") from exc
-    try:
-        record = json.loads(text)
+        return device_spec_from_clean(clean)
     except ValueError as exc:
-        raise SpecError(f"device table {p} is not valid JSON: {exc}") from exc
-    clean = load_clean(DEVICE_TABLE_SCHEMA, record, file=str(p))
-    return device_spec_from_clean(clean)
+        raise SpecError(f"device table {p} does not build a valid spec: {exc}") from exc

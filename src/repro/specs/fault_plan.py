@@ -10,9 +10,8 @@ deprecation warning.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
-from repro.analysis.diagnostics import Diagnostic
 from repro.faults.plan import CACHE_MODES, FAULT_KINDS, PLAN_FORMAT, PLAN_VERSION
 from repro.specs.schema import (
     SPEC_VALUE,
@@ -22,7 +21,7 @@ from repro.specs.schema import (
     Reporter,
 )
 
-__all__ = ["FAULT_SPEC_SCHEMA", "FAULT_PLAN_SCHEMA", "validate_fault_plan_record"]
+__all__ = ["FAULT_SPEC_SCHEMA", "FAULT_PLAN_SCHEMA"]
 
 
 def _check_can_fire(clean: Dict[str, Any], rep: Reporter, path: str) -> None:
@@ -68,10 +67,3 @@ FAULT_PLAN_SCHEMA = RecordSchema(
         ),
     ),
 )
-
-
-def validate_fault_plan_record(
-    record: Any, file: str = "<fault plan>"
-) -> Tuple[Optional[Dict[str, Any]], List[Diagnostic]]:
-    """Validate one fault-plan record; ``(clean_or_None, diagnostics)``."""
-    return FAULT_PLAN_SCHEMA.validate(record, file=file)

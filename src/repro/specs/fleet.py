@@ -12,20 +12,18 @@ a stable :meth:`~FleetSpec.fingerprint`, and is runnable both through
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.errors import SpecError, SpecValidationError
 from repro.specs.schema import (
     SPEC_VALUE,
     FieldSpec,
     RecordSchema,
+    RecordSpec,
     Reporter,
+    record_field,
 )
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "FLEET_SCHEMA",
     "FleetJobType",
     "FleetSpec",
-    "validate_fleet_record",
 ]
 
 FLEET_FORMAT = "repro.fleet"
@@ -43,8 +40,6 @@ FLEET_VERSION = 1
 
 #: Placement policies the tick engine implements.
 FLEET_POLICIES = ("advised", "static")
-
-PathLike = Union[str, pathlib.Path]
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +132,12 @@ _FAULTS_SCHEMA = RecordSchema(
 )
 
 
-def _defaults(schema: RecordSchema) -> Dict[str, Any]:
-    return {f.name: f.default for f in schema.fields}
-
-
 def _fleet_extra(clean: Dict[str, Any], rep: Reporter, path: str) -> None:
     prefix = f"{path}." if path else ""
     if clean.get("advisor") is None:
-        clean["advisor"] = _defaults(_ADVISOR_SCHEMA)
+        clean["advisor"] = _ADVISOR_SCHEMA.defaults()
     if clean.get("thermal") is None:
-        clean["thermal"] = _defaults(_THERMAL_SCHEMA)
+        clean["thermal"] = _THERMAL_SCHEMA.defaults()
     advisor = clean["advisor"]
     if advisor["freq_min_mhz"] >= advisor["freq_max_mhz"]:
         rep.error(
@@ -216,58 +207,55 @@ FLEET_SCHEMA = RecordSchema(
 )
 
 
-def validate_fleet_record(
-    record: Any, file: str = "<fleet spec>"
-) -> Tuple[Optional[Dict[str, Any]], List[Diagnostic]]:
-    """Validate one fleet record; ``(clean_or_None, diagnostics)``."""
-    return FLEET_SCHEMA.validate(record, file=file)
-
-
 # ---------------------------------------------------------------------------
 # dataclasses
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class FleetJobType:
+class FleetJobType(RecordSpec, schema=_JOB_TYPE_SCHEMA):
     """One workload class: features, relative deadline, and draw weight."""
 
-    name: str
-    features: Tuple[float, ...]
-    deadline_s: float
-    weight: float = 1.0
+    name: str = record_field("name")
+    features: Tuple[float, ...] = record_field("features")
+    deadline_s: float = record_field("deadline_s")
+    weight: float = record_field("weight", 1.0)
 
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(RecordSpec, schema=FLEET_SCHEMA):
     """One validated, runnable fleet simulation configuration.
 
     The registry path (``model_registry``) is stored exactly as written
     and resolved against ``base_dir`` only at run time, so the canonical
     record — and therefore :meth:`fingerprint` — is machine-independent,
-    like :class:`~repro.specs.campaign.CampaignSpec`.
+    like :class:`~repro.specs.campaign.CampaignSpec`. ``advisor.model``
+    is ``null`` without a registry, and ``faults`` is ``null`` at zero
+    failure probability.
     """
 
-    name: str
-    gpus: int
-    ticks: int
-    job_types: Tuple[FleetJobType, ...]
-    arrival_rate_per_tick: float
-    arrival_horizon_ticks: Optional[int] = None
-    tick_s: float = 1.0
-    seed: int = 42
-    idle_power_w: float = 25.0
-    model_registry: Optional[str] = None
-    model_name: Optional[str] = None
-    model_version: Optional[int] = None
-    freq_min_mhz: float = 135.0
-    freq_max_mhz: float = 1597.0
-    freq_points: int = 25
-    policy: str = "advised"
-    static_freq_mhz: Optional[float] = None
-    ambient_c: float = 30.0
-    heat_c_per_j: float = 0.01
-    cool_per_s: float = 0.05
-    gpu_failure_prob: float = 0.0
-    repair_ticks: int = 10
+    name: str = record_field("name")
+    gpus: int = record_field("gpus")
+    ticks: int = record_field("ticks")
+    job_types: Tuple[FleetJobType, ...] = record_field("job_types", of=FleetJobType)
+    arrival_rate_per_tick: float = record_field("arrivals.rate_per_tick")
+    arrival_horizon_ticks: Optional[int] = record_field("arrivals.horizon_ticks", None)
+    tick_s: float = record_field("tick_s", 1.0)
+    seed: int = record_field("seed", 42)
+    idle_power_w: float = record_field("idle_power_w", 25.0)
+    model_registry: Optional[str] = record_field(
+        "advisor.model.registry", None, key=True
+    )
+    model_name: Optional[str] = record_field("advisor.model.name", None)
+    model_version: Optional[int] = record_field("advisor.model.version", None)
+    freq_min_mhz: float = record_field("advisor.freq_min_mhz", 135.0)
+    freq_max_mhz: float = record_field("advisor.freq_max_mhz", 1597.0)
+    freq_points: int = record_field("advisor.freq_points", 25)
+    policy: str = record_field("policy", "advised")
+    static_freq_mhz: Optional[float] = record_field("static_freq_mhz", None)
+    ambient_c: float = record_field("thermal.ambient_c", 30.0)
+    heat_c_per_j: float = record_field("thermal.heat_c_per_j", 0.01)
+    cool_per_s: float = record_field("thermal.cool_per_s", 0.05)
+    gpu_failure_prob: float = record_field("faults.gpu_failure_prob", 0.0, key=True)
+    repair_ticks: int = record_field("faults.repair_ticks", 10)
     #: Directory the spec was loaded from (for resolving the registry
     #: path); excluded from equality and from the canonical record.
     base_dir: Optional[str] = field(default=None, compare=False)
@@ -275,142 +263,6 @@ class FleetSpec:
     def freq_grid(self) -> np.ndarray:
         """The advisor's frequency grid (MHz), shared by both engines."""
         return np.linspace(self.freq_min_mhz, self.freq_max_mhz, self.freq_points)
-
-    def as_record(self) -> Dict[str, Any]:
-        """Canonical plain-dict form (inverse of :meth:`from_record`)."""
-        model = None
-        if self.model_registry is not None:
-            model = {
-                "registry": self.model_registry,
-                "name": self.model_name,
-                "version": self.model_version,
-            }
-        return {
-            "format": FLEET_FORMAT,
-            "schema_version": FLEET_VERSION,
-            "name": self.name,
-            "gpus": self.gpus,
-            "ticks": self.ticks,
-            "tick_s": self.tick_s,
-            "seed": self.seed,
-            "idle_power_w": self.idle_power_w,
-            "arrivals": {
-                "rate_per_tick": self.arrival_rate_per_tick,
-                "horizon_ticks": self.arrival_horizon_ticks,
-            },
-            "job_types": [
-                {
-                    "name": jt.name,
-                    "features": list(jt.features),
-                    "deadline_s": jt.deadline_s,
-                    "weight": jt.weight,
-                }
-                for jt in self.job_types
-            ],
-            "advisor": {
-                "model": model,
-                "freq_min_mhz": self.freq_min_mhz,
-                "freq_max_mhz": self.freq_max_mhz,
-                "freq_points": self.freq_points,
-            },
-            "policy": self.policy,
-            "static_freq_mhz": self.static_freq_mhz,
-            "thermal": {
-                "ambient_c": self.ambient_c,
-                "heat_c_per_j": self.heat_c_per_j,
-                "cool_per_s": self.cool_per_s,
-            },
-            "faults": (
-                None
-                if self.gpu_failure_prob <= 0.0
-                else {
-                    "gpu_failure_prob": self.gpu_failure_prob,
-                    "repair_ticks": self.repair_ticks,
-                }
-            ),
-        }
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the canonical record."""
-        from repro.runtime.seeding import stable_digest
-
-        return stable_digest(self.as_record())
-
-    @classmethod
-    def from_clean(
-        cls, clean: Dict[str, Any], base_dir: Optional[str] = None
-    ) -> "FleetSpec":
-        """Build from a schema-cleaned record (see ``FLEET_SCHEMA``)."""
-        advisor = clean["advisor"]
-        thermal = clean["thermal"]
-        model = advisor["model"]
-        faults = clean["faults"]
-        return cls(
-            name=clean["name"],
-            gpus=clean["gpus"],
-            ticks=clean["ticks"],
-            tick_s=float(clean["tick_s"]),
-            seed=clean["seed"],
-            idle_power_w=float(clean["idle_power_w"]),
-            arrival_rate_per_tick=float(clean["arrivals"]["rate_per_tick"]),
-            arrival_horizon_ticks=clean["arrivals"]["horizon_ticks"],
-            job_types=tuple(
-                FleetJobType(
-                    name=jt["name"],
-                    features=tuple(float(v) for v in jt["features"]),
-                    deadline_s=float(jt["deadline_s"]),
-                    weight=float(jt["weight"]),
-                )
-                for jt in clean["job_types"]
-            ),
-            model_registry=None if model is None else model["registry"],
-            model_name=None if model is None else model["name"],
-            model_version=None if model is None else model["version"],
-            freq_min_mhz=float(advisor["freq_min_mhz"]),
-            freq_max_mhz=float(advisor["freq_max_mhz"]),
-            freq_points=advisor["freq_points"],
-            policy=clean["policy"],
-            static_freq_mhz=(
-                None
-                if clean["static_freq_mhz"] is None
-                else float(clean["static_freq_mhz"])
-            ),
-            ambient_c=float(thermal["ambient_c"]),
-            heat_c_per_j=float(thermal["heat_c_per_j"]),
-            cool_per_s=float(thermal["cool_per_s"]),
-            gpu_failure_prob=(
-                0.0 if faults is None else float(faults["gpu_failure_prob"])
-            ),
-            repair_ticks=10 if faults is None else faults["repair_ticks"],
-            base_dir=base_dir,
-        )
-
-    @classmethod
-    def from_record(
-        cls,
-        record: Any,
-        file: str = "<fleet spec>",
-        base_dir: Optional[str] = None,
-    ) -> "FleetSpec":
-        """Validate + build; raises :class:`SpecValidationError` with *all* errors."""
-        clean, diags = FLEET_SCHEMA.validate(record, file=file)
-        if clean is None:
-            raise SpecValidationError("fleet spec", diags)
-        return cls.from_clean(clean, base_dir=base_dir)
-
-    @classmethod
-    def load(cls, path: PathLike) -> "FleetSpec":
-        """Read + validate a fleet spec file."""
-        p = pathlib.Path(path)
-        try:
-            text = p.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise SpecError(f"cannot read fleet spec {p}: {exc}") from exc
-        try:
-            record = json.loads(text)
-        except ValueError as exc:
-            raise SpecError(f"fleet spec {p} is not valid JSON: {exc}") from exc
-        return cls.from_record(record, file=str(p), base_dir=str(p.parent))
 
     def describe(self) -> str:
         """One-line human summary for run logs."""

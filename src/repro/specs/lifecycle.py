@@ -14,20 +14,18 @@ lifecycle`` and generically through ``repro run``.
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.errors import SpecError, SpecValidationError
 from repro.specs.schema import (
     SPEC_VALUE,
     FieldSpec,
     RecordSchema,
+    RecordSpec,
     Reporter,
+    record_field,
 )
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "LIFECYCLE_APP_KINDS",
     "LIFECYCLE_SCHEMA",
     "LifecycleSpec",
-    "validate_lifecycle_record",
 ]
 
 LIFECYCLE_FORMAT = "repro.lifecycle"
@@ -44,8 +41,6 @@ LIFECYCLE_VERSION = 1
 
 #: Workload kinds the loop knows how to build and (on drift) retrain on.
 LIFECYCLE_APP_KINDS = ("ligen", "cronos")
-
-PathLike = Union[str, pathlib.Path]
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +149,12 @@ _INJECTION_SCHEMA = RecordSchema(
 )
 
 
-def _defaults(schema: RecordSchema) -> Dict[str, Any]:
-    return {f.name: f.default for f in schema.fields}
-
-
 def _lifecycle_extra(clean: Dict[str, Any], rep: Reporter, path: str) -> None:
     prefix = f"{path}." if path else ""
     if clean.get("serving") is None:
-        clean["serving"] = _defaults(_SERVING_SCHEMA)
+        clean["serving"] = _SERVING_SCHEMA.defaults()
     if clean.get("canary") is None:
-        clean["canary"] = _defaults(_CANARY_SCHEMA)
+        clean["canary"] = _CANARY_SCHEMA.defaults()
     serving = clean["serving"]
     if serving["freq_min_mhz"] >= serving["freq_max_mhz"]:
         rep.error(
@@ -226,54 +217,49 @@ LIFECYCLE_SCHEMA = RecordSchema(
 )
 
 
-def validate_lifecycle_record(
-    record: Any, file: str = "<lifecycle spec>"
-) -> Tuple[Optional[Dict[str, Any]], List[Diagnostic]]:
-    """Validate one lifecycle record; ``(clean_or_None, diagnostics)``."""
-    return LIFECYCLE_SCHEMA.validate(record, file=file)
-
-
 # ---------------------------------------------------------------------------
 # dataclass
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class LifecycleSpec:
+class LifecycleSpec(RecordSpec, schema=LIFECYCLE_SCHEMA):
     """One validated, runnable closed-loop lifecycle configuration.
 
     The registry path is stored exactly as written and resolved against
     ``base_dir`` only at run time, so the canonical record — and
     therefore :meth:`fingerprint` — is machine-independent, like every
-    other spec.
+    other spec. ``injection`` is ``null`` without an injection epoch.
     """
 
-    name: str
-    registry: str
-    model_name: str
-    app_kind: str
-    seed: int = 42
-    device_name: str = "v100"
-    ligand_counts: Optional[Tuple[int, ...]] = None
-    atom_counts: Optional[Tuple[int, ...]] = None
-    fragment_counts: Optional[Tuple[int, ...]] = None
-    grids: Optional[Tuple[Tuple[int, int, int], ...]] = None
-    steps: int = 10
-    freq_count: int = 6
-    repetitions: int = 1
-    trees: int = 12
-    freq_min_mhz: float = 135.0
-    freq_max_mhz: float = 1597.0
-    freq_points: int = 25
-    drift_window: int = 64
-    enter_mape: float = 20.0
-    exit_mape: float = 10.0
-    patience: int = 1
-    min_samples: int = 1
-    shadow_size: int = 32
-    tolerance: float = 0.0
-    inject_epoch: Optional[int] = None
-    inject_work_scale: float = 1.0
-    epochs: int = 6
-    requests_per_epoch: int = 16
+    name: str = record_field("name")
+    registry: str = record_field("model.registry")
+    model_name: str = record_field("model.name")
+    app_kind: str = record_field("workload.app")
+    seed: int = record_field("seed", 42)
+    device_name: str = record_field("workload.device", "v100")
+    ligand_counts: Optional[Tuple[int, ...]] = record_field("workload.ligand_counts", None)
+    atom_counts: Optional[Tuple[int, ...]] = record_field("workload.atom_counts", None)
+    fragment_counts: Optional[Tuple[int, ...]] = record_field(
+        "workload.fragment_counts", None
+    )
+    grids: Optional[Tuple[Tuple[int, int, int], ...]] = record_field("workload.grids", None)
+    steps: int = record_field("workload.steps", 10)
+    freq_count: int = record_field("workload.freq_count", 6)
+    repetitions: int = record_field("workload.repetitions", 1)
+    trees: int = record_field("workload.trees", 12)
+    freq_min_mhz: float = record_field("serving.freq_min_mhz", 135.0)
+    freq_max_mhz: float = record_field("serving.freq_max_mhz", 1597.0)
+    freq_points: int = record_field("serving.freq_points", 25)
+    drift_window: int = record_field("drift.window", 64)
+    enter_mape: float = record_field("drift.enter_mape", 20.0)
+    exit_mape: float = record_field("drift.exit_mape", 10.0)
+    patience: int = record_field("drift.patience", 1)
+    min_samples: int = record_field("drift.min_samples", 1)
+    shadow_size: int = record_field("canary.shadow_size", 32)
+    tolerance: float = record_field("canary.tolerance", 0.0)
+    inject_epoch: Optional[int] = record_field("injection.epoch", None, key=True)
+    inject_work_scale: float = record_field("injection.work_scale", 1.0)
+    epochs: int = record_field("epochs", 6)
+    requests_per_epoch: int = record_field("requests_per_epoch", 16)
     #: Directory the spec was loaded from (for resolving the registry
     #: path); excluded from equality and from the canonical record.
     base_dir: Optional[str] = field(default=None, compare=False)
@@ -281,159 +267,6 @@ class LifecycleSpec:
     def freq_grid(self) -> np.ndarray:
         """The serving frequency grid (MHz) the advisor evaluates over."""
         return np.linspace(self.freq_min_mhz, self.freq_max_mhz, self.freq_points)
-
-    def as_record(self) -> Dict[str, Any]:
-        """Canonical plain-dict form (inverse of :meth:`from_record`)."""
-        return {
-            "format": LIFECYCLE_FORMAT,
-            "schema_version": LIFECYCLE_VERSION,
-            "name": self.name,
-            "seed": self.seed,
-            "model": {"registry": self.registry, "name": self.model_name},
-            "workload": {
-                "app": self.app_kind,
-                "device": self.device_name,
-                "ligand_counts": (
-                    None if self.ligand_counts is None else list(self.ligand_counts)
-                ),
-                "atom_counts": (
-                    None if self.atom_counts is None else list(self.atom_counts)
-                ),
-                "fragment_counts": (
-                    None
-                    if self.fragment_counts is None
-                    else list(self.fragment_counts)
-                ),
-                "grids": (
-                    None
-                    if self.grids is None
-                    else [list(g) for g in self.grids]
-                ),
-                "steps": self.steps,
-                "freq_count": self.freq_count,
-                "repetitions": self.repetitions,
-                "trees": self.trees,
-            },
-            "serving": {
-                "freq_min_mhz": self.freq_min_mhz,
-                "freq_max_mhz": self.freq_max_mhz,
-                "freq_points": self.freq_points,
-            },
-            "drift": {
-                "window": self.drift_window,
-                "enter_mape": self.enter_mape,
-                "exit_mape": self.exit_mape,
-                "patience": self.patience,
-                "min_samples": self.min_samples,
-            },
-            "canary": {
-                "shadow_size": self.shadow_size,
-                "tolerance": self.tolerance,
-            },
-            "injection": (
-                None
-                if self.inject_epoch is None
-                else {
-                    "epoch": self.inject_epoch,
-                    "work_scale": self.inject_work_scale,
-                }
-            ),
-            "epochs": self.epochs,
-            "requests_per_epoch": self.requests_per_epoch,
-        }
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the canonical record."""
-        from repro.runtime.seeding import stable_digest
-
-        return stable_digest(self.as_record())
-
-    @classmethod
-    def from_clean(
-        cls, clean: Dict[str, Any], base_dir: Optional[str] = None
-    ) -> "LifecycleSpec":
-        """Build from a schema-cleaned record (see ``LIFECYCLE_SCHEMA``)."""
-        workload = clean["workload"]
-        serving = clean["serving"]
-        drift = clean["drift"]
-        canary = clean["canary"]
-        injection = clean["injection"]
-        return cls(
-            name=clean["name"],
-            seed=clean["seed"],
-            registry=clean["model"]["registry"],
-            model_name=clean["model"]["name"],
-            app_kind=workload["app"],
-            device_name=workload["device"],
-            ligand_counts=(
-                None
-                if workload["ligand_counts"] is None
-                else tuple(int(v) for v in workload["ligand_counts"])
-            ),
-            atom_counts=(
-                None
-                if workload["atom_counts"] is None
-                else tuple(int(v) for v in workload["atom_counts"])
-            ),
-            fragment_counts=(
-                None
-                if workload["fragment_counts"] is None
-                else tuple(int(v) for v in workload["fragment_counts"])
-            ),
-            grids=(
-                None
-                if workload["grids"] is None
-                else tuple(tuple(int(v) for v in g) for g in workload["grids"])
-            ),
-            steps=workload["steps"],
-            freq_count=workload["freq_count"],
-            repetitions=workload["repetitions"],
-            trees=workload["trees"],
-            freq_min_mhz=float(serving["freq_min_mhz"]),
-            freq_max_mhz=float(serving["freq_max_mhz"]),
-            freq_points=serving["freq_points"],
-            drift_window=drift["window"],
-            enter_mape=float(drift["enter_mape"]),
-            exit_mape=float(drift["exit_mape"]),
-            patience=drift["patience"],
-            min_samples=drift["min_samples"],
-            shadow_size=canary["shadow_size"],
-            tolerance=float(canary["tolerance"]),
-            inject_epoch=None if injection is None else injection["epoch"],
-            inject_work_scale=(
-                1.0 if injection is None else float(injection["work_scale"])
-            ),
-            epochs=clean["epochs"],
-            requests_per_epoch=clean["requests_per_epoch"],
-            base_dir=base_dir,
-        )
-
-    @classmethod
-    def from_record(
-        cls,
-        record: Any,
-        file: str = "<lifecycle spec>",
-        base_dir: Optional[str] = None,
-    ) -> "LifecycleSpec":
-        """Validate + build; raises :class:`SpecValidationError` with *all* errors."""
-        clean, diags = LIFECYCLE_SCHEMA.validate(record, file=file)
-        if clean is None:
-            raise SpecValidationError("lifecycle spec", diags)
-        return cls.from_clean(clean, base_dir=base_dir)
-
-    @classmethod
-    def load(cls, path: PathLike) -> "LifecycleSpec":
-        """Read + validate a lifecycle spec file."""
-        p = pathlib.Path(path)
-        try:
-            text = p.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise SpecError(f"cannot read lifecycle spec {p}: {exc}") from exc
-        try:
-            record = json.loads(text)
-        except ValueError as exc:
-            raise SpecError(f"lifecycle spec {p} is not valid JSON: {exc}") from exc
-        return cls.from_record(record, file=str(p), base_dir=str(p.parent))
 
     def describe(self) -> str:
         """One-line human summary for run logs."""

@@ -14,13 +14,10 @@ it references, never on where the files happened to live.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.errors import SpecError, SpecValidationError
 from repro.faults.plan import FaultPlan
 from repro.serving.objectives import OBJECTIVE_KINDS
 from repro.specs.campaign import CampaignSpec
@@ -29,7 +26,10 @@ from repro.specs.schema import (
     SPEC_XREF,
     FieldSpec,
     RecordSchema,
+    RecordSpec,
     Reporter,
+    load_clean,
+    record_field,
 )
 
 __all__ = [
@@ -38,14 +38,11 @@ __all__ = [
     "SCENARIO_SCHEMA",
     "ObjectiveRef",
     "ScenarioSpec",
-    "validate_scenario_record",
     "resolve_ref",
 ]
 
 SCENARIO_FORMAT = "repro.scenario"
 SCENARIO_VERSION = 1
-
-PathLike = Union[str, pathlib.Path]
 
 
 _MODEL_REF_SCHEMA = RecordSchema(
@@ -141,13 +138,6 @@ SCENARIO_SCHEMA = RecordSchema(
 )
 
 
-def validate_scenario_record(
-    record: Any, file: str = "<scenario spec>"
-) -> Tuple[Optional[Dict[str, Any]], List[Diagnostic]]:
-    """Structurally validate one scenario record (no file resolution)."""
-    return SCENARIO_SCHEMA.validate(record, file=file)
-
-
 def resolve_ref(ref: str, base_dir: Optional[str]) -> pathlib.Path:
     """Resolve a spec-internal file reference against the spec's directory."""
     p = pathlib.Path(ref)
@@ -156,27 +146,16 @@ def resolve_ref(ref: str, base_dir: Optional[str]) -> pathlib.Path:
     return p
 
 
-def _read_json(path: pathlib.Path, what: str) -> Any:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise SpecError(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
 @dataclass(frozen=True)
-class ObjectiveRef:
+class ObjectiveRef(RecordSpec, schema=_OBJECTIVE_SCHEMA):
     """Declarative objective: kind + parameters + optional model source."""
 
-    kind: str = "tradeoff"
-    deadline_s: Optional[float] = None
-    power_w: Optional[float] = None
-    model_registry: Optional[str] = None
-    model_name: Optional[str] = None
-    model_version: Optional[int] = None
+    kind: str = record_field("kind", "tradeoff")
+    deadline_s: Optional[float] = record_field("deadline_s", None)
+    power_w: Optional[float] = record_field("power_w", None)
+    model_registry: Optional[str] = record_field("model.registry", None, key=True)
+    model_name: Optional[str] = record_field("model.name", None)
+    model_version: Optional[int] = record_field("model.version", None)
 
     def to_objective(self):
         """The executable :class:`repro.serving.Objective` this names."""
@@ -186,66 +165,25 @@ class ObjectiveRef:
             self.kind, deadline_s=self.deadline_s, power_w=self.power_w
         )
 
-    def as_record(self) -> Dict[str, Any]:
-        """Canonical plain-dict form."""
-        model = None
-        if self.model_registry is not None:
-            model = {
-                "registry": self.model_registry,
-                "name": self.model_name,
-                "version": self.model_version,
-            }
-        return {
-            "kind": self.kind,
-            "deadline_s": self.deadline_s,
-            "power_w": self.power_w,
-            "model": model,
-        }
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    """One validated, runnable scenario (campaign + chaos + objective)."""
+class ScenarioSpec(RecordSpec, schema=SCENARIO_SCHEMA):
+    """One validated, runnable scenario (campaign + chaos + objective).
 
-    name: str
-    campaign: CampaignSpec
-    fault_plan: Optional[FaultPlan] = None
-    objective: Optional[ObjectiveRef] = None
-    dataset_output: Optional[str] = None
+    The canonical record has the campaign and fault plan *inlined*: a
+    scenario referencing ``campaign.json`` and the same scenario with
+    the campaign pasted inline produce identical records — identity
+    follows content, not file layout.
+    """
+
+    name: str = record_field("name")
+    campaign: CampaignSpec = record_field("campaign")
+    fault_plan: Optional[FaultPlan] = record_field("fault_plan", None)
+    objective: Optional[ObjectiveRef] = record_field("objective", None, of=ObjectiveRef)
+    dataset_output: Optional[str] = record_field("outputs.dataset", None, key=True)
     #: Directory for resolving relative output / registry paths at run
     #: time; excluded from equality (see :class:`CampaignSpec.base_dir`).
     base_dir: Optional[str] = field(default=None, compare=False)
-
-    def as_record(self) -> Dict[str, Any]:
-        """Canonical record with campaign and fault plan *inlined*.
-
-        A scenario referencing ``campaign.json`` and the same scenario
-        with the campaign pasted inline produce identical records —
-        identity follows content, not file layout.
-        """
-        return {
-            "format": SCENARIO_FORMAT,
-            "schema_version": SCENARIO_VERSION,
-            "name": self.name,
-            "campaign": self.campaign.as_record(),
-            "fault_plan": (
-                None if self.fault_plan is None else self.fault_plan.as_record()
-            ),
-            "objective": (
-                None if self.objective is None else self.objective.as_record()
-            ),
-            "outputs": (
-                None
-                if self.dataset_output is None
-                else {"dataset": self.dataset_output}
-            ),
-        }
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the canonical (fully inlined) record."""
-        from repro.runtime.seeding import stable_digest
-
-        return stable_digest(self.as_record())
 
     @classmethod
     def from_record(
@@ -254,66 +192,25 @@ class ScenarioSpec:
         file: str = "<scenario spec>",
         base_dir: Optional[str] = None,
     ) -> "ScenarioSpec":
-        """Validate + resolve references + build.
+        """Validate, inline the referenced campaign and fault plan, and build.
 
         Raises :class:`SpecValidationError` with the full diagnostic list
         on schema violations and :class:`SpecError` on unresolvable
         references.
         """
-        clean, diags = SCENARIO_SCHEMA.validate(record, file=file)
-        if clean is None:
-            raise SpecValidationError("scenario spec", diags)
-
-        campaign_ref = clean["campaign"]
-        if isinstance(campaign_ref, str):
-            path = resolve_ref(campaign_ref, base_dir)
-            campaign = CampaignSpec.from_record(
-                _read_json(path, "campaign spec"),
-                file=str(path),
-                base_dir=str(path.parent),
-            )
+        clean = load_clean(SCENARIO_SCHEMA, record, file=file)
+        campaign, plan = clean["campaign"], clean["fault_plan"]
+        if isinstance(campaign, str):
+            campaign = CampaignSpec.load(resolve_ref(campaign, base_dir))
         else:
             campaign = CampaignSpec.from_record(
-                campaign_ref, file=f"{file}#campaign", base_dir=base_dir
+                campaign, file=f"{file}#campaign", base_dir=base_dir
             )
-
-        plan_ref = clean["fault_plan"]
-        if plan_ref is None:
-            fault_plan = None
-        elif isinstance(plan_ref, str):
-            fault_plan = FaultPlan.load(resolve_ref(plan_ref, base_dir))
-        else:
-            fault_plan = FaultPlan.from_record(plan_ref)
-
-        objective = None
-        obj = clean["objective"]
-        if obj is not None:
-            model = obj["model"] or {}
-            objective = ObjectiveRef(
-                kind=obj["kind"],
-                deadline_s=obj["deadline_s"],
-                power_w=obj["power_w"],
-                model_registry=model.get("registry"),
-                model_name=model.get("name"),
-                model_version=model.get("version"),
-            )
-
-        outputs = clean["outputs"] or {}
-        return cls(
-            name=clean["name"],
-            campaign=campaign,
-            fault_plan=fault_plan,
-            objective=objective,
-            dataset_output=outputs.get("dataset"),
-            base_dir=base_dir,
-        )
-
-    @classmethod
-    def load(cls, path: PathLike) -> "ScenarioSpec":
-        """Read + validate a scenario spec file (resolving references)."""
-        p = pathlib.Path(path)
-        record = _read_json(p, "scenario spec")
-        return cls.from_record(record, file=str(p), base_dir=str(p.parent))
+        if isinstance(plan, str):
+            plan = FaultPlan.load(resolve_ref(plan, base_dir))
+        elif plan is not None:
+            plan = FaultPlan.from_record(plan)
+        return cls.from_clean(clean, base_dir, campaign=campaign, fault_plan=plan)
 
     def describe(self) -> str:
         """One-line human summary for run logs."""

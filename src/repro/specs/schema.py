@@ -30,7 +30,11 @@ table may freely say ``{"value": 1.107, "unit": "GHz"}``.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
 import math
+import pathlib
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -39,13 +43,13 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
+    Union,
 )
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.dimensional import DimensionError, quantity
-from repro.errors import SpecValidationError
+from repro.errors import SpecError, SpecValidationError
 
 __all__ = [
     "SPEC_FIELDS",
@@ -57,7 +61,12 @@ __all__ = [
     "Reporter",
     "FieldSpec",
     "RecordSchema",
+    "RecordSpec",
+    "record_field",
+    "as_plain",
+    "as_frozen",
     "load_clean",
+    "read_spec_file",
 ]
 
 #: Unknown / missing / extra fields, wrong format tag.
@@ -399,6 +408,10 @@ class RecordSchema:
         """Declared field names, in declaration order."""
         return tuple(f.name for f in self.fields)
 
+    def defaults(self) -> Dict[str, Any]:
+        """``{name: default}`` for every field: the clean form of an omitted group."""
+        return {f.name: f.default for f in self.fields}
+
     # ------------------------------------------------------------------
     def validate(
         self, record: Any, file: str = "<spec>"
@@ -556,3 +569,196 @@ def load_clean(
     if clean is None:
         raise SpecValidationError(schema.kind, diags)
     return clean
+
+
+def read_spec_file(path: Union[str, pathlib.Path], what: str = "spec") -> Any:
+    """Read and parse one spec JSON file: the one place spec files are read.
+
+    Raises :class:`SpecError` naming ``what`` and the path, with the
+    original error chained as ``__cause__``: an ``OSError`` when the file
+    cannot be read, a ``ValueError`` when its bytes are not UTF-8 or not
+    JSON, or when the path holds a NUL byte (no file is named so; a spec
+    reference can be).
+    """
+    p = pathlib.Path(path)
+    try:
+        data = p.read_bytes()
+    except (OSError, ValueError) as exc:
+        raise SpecError(f"cannot read {what} {p}: {exc}") from exc
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise SpecError(f"{what} {p} is not valid JSON: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# spec dataclasses laid out by their schema
+# ---------------------------------------------------------------------------
+def record_field(
+    path: str,
+    default: Any = dataclasses.MISSING,
+    *,
+    key: bool = False,
+    optional: bool = False,
+    of: Optional[type] = None,
+) -> Any:
+    """A :class:`RecordSpec` dataclass field stored at dotted ``path``.
+
+    ``key`` marks the field that says whether its enclosing group is
+    there: the group is written as ``null``, and read back as absent,
+    exactly when this field holds its default. ``optional`` leaves the
+    key out of the record while the field holds its default. ``of`` is
+    the :class:`RecordSpec` class a nested record, or each element of a
+    list of them, is read into.
+    """
+    return field(
+        default=default,
+        metadata={"path": path, "key": key, "optional": optional, "of": of},
+    )
+
+
+def as_plain(value: Any) -> Any:
+    """Record form of a field value: tuples become lists, specs their records."""
+    if isinstance(value, (tuple, list)):
+        return [as_plain(v) for v in value]
+    if hasattr(value, "as_record"):
+        return value.as_record()
+    return value
+
+
+def as_frozen(value: Any, of: Optional[type] = None) -> Any:
+    """Field form of a cleaned record value: lists become tuples, and
+    records become instances of the :class:`RecordSpec` class ``of``."""
+    if isinstance(value, list):
+        return tuple(as_frozen(v, of) for v in value)
+    if of is not None and value is not None:
+        return of.from_clean(value)
+    return value
+
+
+def _parent(path: str) -> str:
+    return path.rpartition(".")[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(cls: type) -> Tuple[Dict[str, Any], frozenset, Dict[str, Any]]:
+    """``({path: field}, group paths, {keyed group: its key field})``."""
+    by_path = {
+        f.metadata["path"]: f for f in dataclasses.fields(cls) if "path" in f.metadata
+    }
+    groups = {path.rsplit(".", i)[0] for path in by_path for i in range(1, path.count(".") + 1)}
+    keys = {_parent(path): f for path, f in by_path.items() if f.metadata["key"]}
+    return by_path, frozenset(groups), keys
+
+
+class RecordSpec:
+    """Base of the frozen spec dataclasses whose record layout is their schema.
+
+    A subclass names its schema as a class argument
+    (``class FleetSpec(RecordSpec, schema=FLEET_SCHEMA)``) and declares
+    each dataclass field with :func:`record_field` and its dotted record
+    path. From that the base derives the canonical record (keys in
+    schema order, envelope included when the schema has a ``format``),
+    the build from a cleaned record, validation, file loading and the
+    fingerprint. A subclass overrides :meth:`as_record` or
+    :meth:`from_clean` only for a record key whose shape is not a field
+    path; the base writes such keys as ``None`` for it to fill in.
+    """
+
+    schema: RecordSchema
+
+    def __init_subclass__(cls, schema: Optional[RecordSchema] = None, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if schema is not None:
+            cls.schema = schema
+
+    # ------------------------------------------------------------------
+    def as_record(self) -> Dict[str, Any]:
+        """Canonical plain-dict form (inverse of :meth:`from_record`)."""
+        record: Dict[str, Any] = {}
+        if self.schema.format is not None:
+            record["format"] = self.schema.format
+            record["schema_version"] = self.schema.version
+        record.update(self._group_record(self.schema, ""))
+        return record
+
+    def _group_record(self, schema: RecordSchema, prefix: str) -> Dict[str, Any]:
+        by_path, groups, keys = _layout(type(self))
+        out: Dict[str, Any] = {}
+        for fs in schema.fields:
+            path = prefix + fs.name
+            f = by_path.get(path)
+            key = keys.get(path)
+            if f is not None:
+                value = getattr(self, f.name)
+                if not (f.metadata["optional"] and value == f.default):
+                    out[fs.name] = as_plain(value)
+            elif path in groups and (key is None or getattr(self, key.name) != key.default):
+                out[fs.name] = self._group_record(fs.schema, path + ".")
+            else:
+                out[fs.name] = None
+        return out
+
+    def fingerprint(self) -> str:
+        """Stable content hash of the canonical record."""
+        from repro.runtime.seeding import stable_digest
+
+        return stable_digest(self.as_record())
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_clean(
+        cls, clean: Mapping[str, Any], base_dir: Optional[str] = None, **custom: Any
+    ) -> Any:
+        """Build from a record cleaned by :attr:`schema`.
+
+        ``custom`` gives the fields whose record shape is not a path. A
+        group that is ``null``, or whose key field holds its default,
+        leaves all of its fields at their defaults.
+        """
+        by_path, _, keys = _layout(cls)
+        absent = [
+            group
+            for group, key in keys.items()
+            if _lookup(clean, key.metadata["path"]) == key.default
+        ]
+        kwargs = dict(custom)
+        for path, f in by_path.items():
+            value = _lookup(clean, path)
+            if not (
+                f.name in custom
+                or value is _MISSING
+                or any(path.startswith(group + ".") for group in absent)
+            ):
+                kwargs[f.name] = as_frozen(value, f.metadata["of"])
+        if base_dir is not None:
+            kwargs["base_dir"] = base_dir
+        return cls(**kwargs)
+
+    @classmethod
+    def from_record(
+        cls, record: Any, file: Optional[str] = None, base_dir: Optional[str] = None
+    ) -> Any:
+        """Validate + build; raises :class:`SpecValidationError` with *all* errors."""
+        clean = load_clean(cls.schema, record, file=file or f"<{cls.schema.kind}>")
+        return cls.from_clean(clean, base_dir=base_dir)
+
+    @classmethod
+    def load(cls, path: Union[str, pathlib.Path]) -> Any:
+        """Read + validate a spec file; references resolve against its directory."""
+        p = pathlib.Path(path)
+        record = read_spec_file(p, cls.schema.kind)
+        return cls.from_record(record, file=str(p), base_dir=str(p.parent))
+
+
+_MISSING = object()
+
+
+def _lookup(clean: Mapping[str, Any], path: str) -> Any:
+    """The value at dotted ``path``; ``_MISSING`` below a ``null`` group."""
+    node: Any = clean
+    for part in path.split("."):
+        if node is None:
+            return _MISSING
+        node = node[part]
+    return node

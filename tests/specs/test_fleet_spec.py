@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.diagnostics import Severity
 from repro.errors import SpecValidationError
-from repro.specs import check_json_file, check_record, validate_fleet_record
+from repro.specs import FLEET_SCHEMA, check_json_file, check_record
 from repro.specs.fleet import FleetJobType, FleetSpec
 
 
@@ -28,7 +28,7 @@ def good_record():
 
 class TestValidation:
     def test_good_record_is_clean(self):
-        clean, diags = validate_fleet_record(good_record())
+        clean, diags = FLEET_SCHEMA.validate(good_record())
         assert diags == []
         assert clean["gpus"] == 8
         # omitted sections are filled with defaults
@@ -41,7 +41,7 @@ class TestValidation:
         record = good_record()
         del record["name"]
         del record["arrivals"]
-        clean, diags = validate_fleet_record(record)
+        clean, diags = FLEET_SCHEMA.validate(record)
         assert clean is None
         messages = " ".join(d.message for d in diags)
         assert "name" in messages
@@ -50,21 +50,21 @@ class TestValidation:
     def test_static_policy_requires_a_clock(self):
         record = good_record()
         record["policy"] = "static"
-        clean, diags = validate_fleet_record(record)
+        clean, diags = FLEET_SCHEMA.validate(record)
         assert clean is None
         assert any("static_freq_mhz" in d.message for d in diags)
 
     def test_inverted_frequency_range_rejected(self):
         record = good_record()
         record["advisor"] = {"freq_min_mhz": 1500.0, "freq_max_mhz": 400.0}
-        clean, diags = validate_fleet_record(record)
+        clean, diags = FLEET_SCHEMA.validate(record)
         assert clean is None
         assert any("freq_min_mhz" in d.message for d in diags)
 
     def test_mixed_feature_arity_rejected(self):
         record = good_record()
         record["job_types"][1]["features"] = [4.0, 1.0]
-        clean, diags = validate_fleet_record(record)
+        clean, diags = FLEET_SCHEMA.validate(record)
         assert clean is None
         assert any("arity" in d.message for d in diags)
 

@@ -91,6 +91,61 @@ class TestRunCommand:
         assert rc == 0
 
 
+def _manifest_file(tmp_path):
+    from repro.runtime.seeding import stable_digest
+
+    payload = {
+        "name": "m", "version": 1, "app": "ligen", "feature_names": ["ligands"],
+        "baseline_freq_mhz": 1380.0, "artifact_sha256": "0" * 64, "artifact_bytes": 1,
+        "device_signature_digest": None, "train_fingerprint": None,
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(
+        json.dumps(
+            {"format": "repro.model_manifest", "schema_version": 1,
+             "manifest": payload, "digest": stable_digest(payload)}
+        )
+    )
+    return path
+
+
+CHECK_ONLY_SPECS = {
+    "repro.device_spec": lambda tmp_path: EXAMPLES / "device_v100.json",
+    "repro.fault_plan": lambda tmp_path: VALID / "fault_plan.json",
+    "repro.model_manifest": _manifest_file,
+}
+
+
+class TestRunWhatCannotRun:
+    @pytest.mark.parametrize("fmt", sorted(CHECK_ONLY_SPECS))
+    def test_check_only_format_is_a_clean_error(self, tmp_path, capsys, fmt):
+        from repro.specs import RUNNABLE_SPEC_FORMATS
+
+        rc = main(["run", str(CHECK_ONLY_SPECS[fmt](tmp_path))])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert repr(fmt) in err
+        assert all(runnable in err for runnable in RUNNABLE_SPEC_FORMATS)
+
+    @pytest.mark.parametrize("fmt", sorted(CHECK_ONLY_SPECS))
+    def test_check_only_format_still_checks(self, tmp_path, capsys, fmt):
+        rc = main(["run", str(CHECK_ONLY_SPECS[fmt](tmp_path)), "--check"])
+        assert rc == 0
+        assert "spec is valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["fleet_smoke.json", "lifecycle_smoke.json"])
+    def test_dataset_output_is_rejected_for_fleet_and_lifecycle(
+        self, tmp_path, capsys, name
+    ):
+        out = tmp_path / "ds.json"
+        rc = main(["run", str(EXAMPLES / name), "--dataset-output", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: --dataset-output")
+        assert not out.exists()
+
+
 class TestLintJsonSpecs:
     def test_directory_walk_reports_all_seeded_errors(self, capsys):
         rc = main(["lint", "--no-self-check", "--select", "SPEC", str(INVALID)])
