@@ -59,41 +59,31 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+#: ``repro characterize --grid`` default of each grid-based kind.
+_DEFAULT_GRIDS = {"cronos": "160x64x64", "mhd": "24x48x32"}
+
+
 def _make_app(args):
-    if args.app == "ligen":
-        from repro.ligen.app import LigenApplication
+    """The one input the ``characterize`` flags describe, built by the catalog."""
+    from repro.experiments.workloads import workload_kind
 
-        return LigenApplication(
-            n_ligands=args.ligands, n_atoms=args.atoms, n_fragments=args.fragments
+    grid = args.grid or _DEFAULT_GRIDS.get(args.app)
+    (app,) = workload_kind(args.app).apps(
+        dict(
+            ligand_counts=(args.ligands,),
+            atom_counts=(args.atoms,),
+            fragment_counts=(args.fragments,),
+            grids=None if grid is None else (tuple(int(v) for v in grid.split("x")),),
+            steps=args.steps,
         )
-    if args.app == "mhd":
-        from repro.mhd.app import MhdApplication
-
-        grid = args.grid or "24x48x32"
-        nr, ntheta, nz = (int(v) for v in grid.split("x"))
-        return MhdApplication.from_size(nr, ntheta, nz, n_steps=args.steps)
-    from repro.cronos.app import CronosApplication
-
-    gx, gy, gz = (int(v) for v in (args.grid or "160x64x64").split("x"))
-    return CronosApplication.from_size(gx, gy, gz, n_steps=args.steps)
-
-
-#: Devices the CLI can name; v100/mi100 come from the paper's default
-#: platform, the rest from ``repro.hw.device.create_device`` (matching
-#: the spec executor's device resolution in ``repro.specs.run``).
-DEVICE_CHOICES = ("v100", "mi100", "max1100", "a100", "h100", "mi250")
+    )
+    return app
 
 
 def _device(args):
-    from repro.synergy import Platform
+    from repro.synergy.api import builtin_device
 
-    name = args.device.strip().lower()
-    if name in ("v100", "mi100"):
-        return Platform.default(seed=args.seed).get_device(name)
-    from repro.hw.device import create_device
-    from repro.synergy.api import SynergyDevice
-
-    return SynergyDevice(create_device(name), seed=args.seed)
+    return builtin_device(args.device, seed=args.seed)
 
 
 def _mem_freq_list(args):
@@ -108,19 +98,6 @@ def _freq_list(device, count: Optional[int]):
     from repro.experiments.datasets import default_training_freqs
 
     return default_training_freqs(device, count)
-
-
-def _add_app_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--app", choices=("ligen", "cronos", "mhd"), required=True)
-    p.add_argument("--ligands", type=int, default=10000, help="LiGen: ligand count")
-    p.add_argument("--atoms", type=int, default=89, help="LiGen: atoms per ligand")
-    p.add_argument("--fragments", type=int, default=20, help="LiGen: fragments per ligand")
-    p.add_argument(
-        "--grid", default=None,
-        help="Cronos: grid as NXxNYxNZ (default 160x64x64); "
-        "MHD: grid as NRxNTHETAxNZ (default 24x48x32)",
-    )
-    p.add_argument("--steps", type=int, default=25, help="Cronos/MHD: time steps")
 
 
 # ---------------------------------------------------------------------------
@@ -144,49 +121,27 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from repro.experiments.datasets import build_campaign, training_baseline_mhz
     from repro.io import save_dataset, save_domain_model
     from repro.ml import RandomForestRegressor
     from repro.modeling import DomainSpecificModel
 
     device = _device(args)
-    baseline_mhz = 1282.0  # the paper's V100 default application clock
-    if args.app == "ligen":
-        from repro.experiments.datasets import build_ligen_campaign
-        from repro.ligen.app import LIGEN_FEATURE_NAMES as names
-
-        campaign = build_ligen_campaign(
-            device, freq_count=args.freqs, repetitions=args.reps
-        )
-    elif args.app == "mhd":
-        from repro.experiments.datasets import build_mhd_campaign
-
-        campaign = build_mhd_campaign(
-            device,
-            freq_count=args.freqs,
-            repetitions=args.reps,
-            mem_freqs_mhz=_mem_freq_list(args),
-        )
-        # 2-D sweeps append the memory-clock feature column; the dataset
-        # carries the authoritative name list either way, and the
-        # campaign its true baseline clock (not the V100 default).
-        names = tuple(campaign.dataset.feature_names)
-        result = next(iter(campaign.characterizations.values()))
-        if result.baseline_freq_mhz is not None:
-            baseline_mhz = float(result.baseline_freq_mhz)
-    else:
-        from repro.experiments.datasets import build_cronos_campaign
-        from repro.cronos.app import CRONOS_FEATURE_NAMES as names
-
-        campaign = build_cronos_campaign(
-            device, freq_count=args.freqs, repetitions=args.reps
-        )
-
+    campaign = build_campaign(
+        device,
+        args.app,
+        freq_count=args.freqs,
+        repetitions=args.reps,
+        mem_freqs_mhz=_mem_freq_list(args),
+    )
+    # A 2-D sweep appends the memory-clock feature column; the dataset
+    # carries the authoritative name list either way.
     model = DomainSpecificModel(
-        names,
+        campaign.dataset.feature_names,
         regressor_factory=lambda: RandomForestRegressor(
             n_estimators=args.trees, random_state=args.seed
         ),
-        baseline_freq_mhz=baseline_mhz,
+        baseline_freq_mhz=training_baseline_mhz(device, campaign.freqs_mhz),
     ).fit(campaign.dataset)
     save_domain_model(model, args.output)
     print(
@@ -916,6 +871,9 @@ def cmd_lint(args) -> int:
 # ---------------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from repro.experiments.workloads import APP_KINDS
+    from repro.synergy.api import BUILTIN_DEVICES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Domain-specific GPU energy modeling (SC-W 2023 reproduction)",
@@ -924,8 +882,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("characterize", help="DVFS-sweep an application")
-    _add_app_options(p)
-    p.add_argument("--device", choices=DEVICE_CHOICES, default="v100")
+    p.add_argument("--app", choices=APP_KINDS, required=True)
+    p.add_argument("--ligands", type=int, default=10000, help="LiGen: ligand count")
+    p.add_argument("--atoms", type=int, default=89, help="LiGen: atoms per ligand")
+    p.add_argument("--fragments", type=int, default=20, help="LiGen: fragments per ligand")
+    p.add_argument(
+        "--grid", default=None,
+        help="Cronos: grid as NXxNYxNZ (default 160x64x64); "
+        "MHD: grid as NRxNTHETAxNZ (default 24x48x32)",
+    )
+    p.add_argument("--steps", type=int, default=25, help="Cronos/MHD: time steps")
+    p.add_argument("--device", choices=BUILTIN_DEVICES, default="v100")
     p.add_argument("--freqs", type=int, default=16, help="frequency bins to sweep (default 16; omit for all with 0)")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=42)
@@ -934,8 +901,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("train", help="build a campaign and train a domain model")
-    p.add_argument("--app", choices=("ligen", "cronos", "mhd"), required=True)
-    p.add_argument("--device", choices=DEVICE_CHOICES, default="v100")
+    p.add_argument("--app", choices=APP_KINDS, required=True)
+    p.add_argument("--device", choices=BUILTIN_DEVICES, default="v100")
     p.add_argument("--freqs", type=int, default=16)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--trees", type=int, default=30)
@@ -953,8 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="run a characterization campaign through the parallel, cached engine",
     )
-    p.add_argument("--app", choices=("ligen", "cronos", "mhd"), required=True)
-    p.add_argument("--device", choices=DEVICE_CHOICES, default="v100")
+    p.add_argument("--app", choices=APP_KINDS, required=True)
+    p.add_argument("--device", choices=BUILTIN_DEVICES, default="v100")
     p.add_argument("--freqs", type=int, default=16, help="frequency bins to sweep (0 = all)")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=42, help="campaign seed (per-task seeds derive from it)")
@@ -1017,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--experiment", choices=("fig13-cronos", "fig13-ligen"), required=True
     )
-    p.add_argument("--device", choices=DEVICE_CHOICES, default="v100")
+    p.add_argument("--device", choices=BUILTIN_DEVICES, default="v100")
     p.add_argument("--freqs", type=int, default=16)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--trees", type=int, default=20)
@@ -1039,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--name", required=True, help="model name (letters/digits/._-)")
     pr.add_argument("--app", default="unknown", help="application the model covers")
     pr.add_argument(
-        "--device", choices=DEVICE_CHOICES,
+        "--device", choices=BUILTIN_DEVICES,
         help="record this device's spec signature in the manifest",
     )
     pr.add_argument(

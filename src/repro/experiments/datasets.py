@@ -1,10 +1,13 @@
 """Dataset builders: run the paper's characterization campaigns.
 
-Each builder sweeps the configured workload grid over a frequency
-subsample on one device, returning both the flat
+:func:`build_campaign` sweeps one workload kind of the catalog
+(:mod:`repro.experiments.workloads`) over a frequency subsample on one
+device, returning both the flat
 :class:`repro.modeling.dataset.EnergyDataset` (for model training) and
 the per-input :class:`repro.synergy.runner.CharacterizationResult`
-objects (the measured ground truth used for validation).
+objects (the measured ground truth used for validation). The
+per-application ``build_*_campaign`` functions are keyword spellings of
+it.
 
 Builders accept an optional :class:`repro.runtime.engine.CampaignEngine`
 that fans the (input x frequency) grid out over a process pool with
@@ -16,12 +19,11 @@ sensor-noise stream of historical runs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cronos.app import CRONOS_FEATURE_NAMES, CronosApplication
+from repro.errors import SpecError
 from repro.experiments import configs
-from repro.ligen.app import LIGEN_FEATURE_NAMES, LigenApplication
-from repro.mhd.app import MHD_FEATURE_NAMES, MhdApplication
+from repro.experiments.workloads import workload_kind
 from repro.modeling.dataset import EnergyDataset
 from repro.runtime.engine import CampaignEngine, CampaignStats, ProgressFn
 from repro.synergy.api import SynergyDevice
@@ -30,11 +32,14 @@ from repro.synergy.runner import Application, CharacterizationResult, characteri
 __all__ = [
     "CampaignData",
     "MEM_FEATURE_NAME",
+    "build_campaign",
     "build_cronos_campaign",
     "build_ligen_campaign",
     "build_mhd_campaign",
+    "characterize_apps",
     "default_training_freqs",
     "resolve_training_freqs",
+    "training_baseline_mhz",
 ]
 
 #: Feature-column name appended to a workload's domain features when a
@@ -92,10 +97,6 @@ def default_training_freqs(device: SynergyDevice, count: Optional[int]) -> List[
     return sorted(set(freqs))
 
 
-# Backwards-compatible private alias (pre-engine internal name).
-_default_freqs = default_training_freqs
-
-
 def resolve_training_freqs(
     device: SynergyDevice,
     freq_count: Optional[int],
@@ -127,64 +128,123 @@ def resolve_training_freqs(
     return sorted(snapped)
 
 
-def _characterize_all(
-    apps: Sequence[Application],
-    device: SynergyDevice,
-    freqs: Sequence[float],
-    repetitions: int,
-    engine: Optional[CampaignEngine],
-    progress: Optional[ProgressFn],
-    method: Optional[str],
-) -> List[CharacterizationResult]:
-    """Sweep every app: engine fan-out when available, else in-process.
+def training_baseline_mhz(device: SynergyDevice, freqs_mhz: Sequence[float]) -> float:
+    """The clock a domain model trained on ``freqs_mhz`` normalizes against.
 
-    ``method`` picks the measurement path (``"serial"`` or the batched
-    ``"replay"`` fast path — bit-identical results either way); ``None``
-    keeps the engine's configured default (serial without an engine).
+    The device's default application clock, snapped onto its frequency
+    table (the bin :func:`default_training_freqs` always sweeps);
+    auto-governed devices with no default clock use the top training bin.
     """
-    if engine is None:
-        return [
-            characterize(
-                app,
-                device,
-                freqs_mhz=freqs,
-                repetitions=repetitions,
-                method=method or "serial",
-            )
-            for app in apps
-        ]
-    return engine.characterize_many(
-        apps,
-        device.gpu.spec,
-        freqs_mhz=freqs,
-        repetitions=repetitions,
-        progress=progress,
-        method=method,
-    )
+    table = device.gpu.spec.core_freqs
+    if table.default_mhz is not None:
+        return float(table.snap(table.default_mhz))
+    return float(max(freqs_mhz))
 
 
-def _assemble(
+def characterize_apps(
+    device: SynergyDevice,
     apps: Sequence[Application],
-    results: Sequence[Optional[CharacterizationResult]],
     feature_names: Sequence[str],
-    freqs: List[float],
-    engine: Optional[CampaignEngine],
+    freqs_mhz: List[float],
+    *,
+    mem_freqs_mhz: Optional[Sequence[float]] = None,
+    repetitions: int = configs.DEFAULT_REPETITIONS,
+    engine: Optional[CampaignEngine] = None,
+    progress: Optional[ProgressFn] = None,
+    method: Optional[str] = None,
 ) -> CampaignData:
+    """Sweep ``apps`` over the resolved ``freqs_mhz``; assemble the campaign.
+
+    A core-only sweep is the single ``[None]`` memory column of the 2-D
+    ``(f_core, f_mem)`` sweep, so one loop builds the dataset and the
+    characterization keys; 2-D rows key on ``domain_features +
+    (mem_freq_mhz,)`` under a trailing :data:`MEM_FEATURE_NAME` column.
+    Without an engine a core-only sweep runs serially on ``device``
+    (keeping its sensor-noise stream) and a 2-D one on a fresh serial
+    engine. ``method`` picks ``"serial"`` or the bit-identical
+    ``"replay"`` path (``None``: the engine's default, else serial). An
+    app whose baseline was quarantined is dropped; ``stats`` says so.
+    """
+    if mem_freqs_mhz is None:
+        if engine is None:
+            results = [
+                characterize(
+                    app, device, freqs_mhz=freqs_mhz, repetitions=repetitions,
+                    method=method or "serial",
+                )
+                for app in apps
+            ]
+        else:
+            results = engine.characterize_many(
+                apps, device.gpu.spec, freqs_mhz=freqs_mhz, repetitions=repetitions,
+                progress=progress, method=method,
+            )
+        grid = [None if result is None else [result] for result in results]
+    else:
+        engine = engine if engine is not None else CampaignEngine(jobs=1)
+        grid = engine.characterize_grid(
+            apps, device.gpu.spec, freqs_mhz=freqs_mhz, mem_freqs_mhz=mem_freqs_mhz,
+            repetitions=repetitions, progress=progress, method=method,
+        )
+        feature_names = tuple(feature_names) + (MEM_FEATURE_NAME,)
+
     dataset = EnergyDataset(feature_names=tuple(feature_names))
     chars: Dict[FeatureKey, CharacterizationResult] = {}
-    for app, result in zip(apps, results):
-        if result is None:
-            # Baseline quarantined under a fault plan: the app's sweep is
-            # dropped; engine.stats reports the loss (completeness()).
-            continue
-        features = app.domain_features
-        dataset.add_characterization(features, result)
-        chars[features] = result
+    for app, rows in zip(apps, grid):
+        for row in rows or ():
+            features = app.domain_features
+            if row.mem_freq_mhz is not None:
+                features += (float(row.mem_freq_mhz),)
+            dataset.add_characterization(features, row)
+            chars[features] = row
     return CampaignData(
         dataset=dataset,
         characterizations=chars,
-        freqs_mhz=freqs,
+        freqs_mhz=freqs_mhz,
         stats=None if engine is None else engine.stats,
+        mem_freqs_mhz=None if mem_freqs_mhz is None else sorted({key[-1] for key in chars}),
+    )
+
+
+def build_campaign(
+    device: SynergyDevice,
+    kind: str,
+    params: Optional[Mapping[str, Any]] = None,
+    *,
+    freq_count: Optional[int] = configs.DEFAULT_TRAIN_FREQ_COUNT,
+    freqs_mhz: Optional[Sequence[float]] = None,
+    mem_freqs_mhz: Optional[Sequence[float]] = None,
+    repetitions: int = configs.DEFAULT_REPETITIONS,
+    engine: Optional[CampaignEngine] = None,
+    progress: Optional[ProgressFn] = None,
+    method: Optional[str] = None,
+) -> CampaignData:
+    """Characterize one catalog workload kind (paper §5.1 protocol).
+
+    ``params`` are the kind's spec-style params (``None``: the paper
+    grid). The sweep is ``freqs_mhz`` snapped onto the device table,
+    else a ``freq_count``-point subsample that keeps the baseline bin.
+    ``mem_freqs_mhz`` (e.g. ``device.gpu.supported_memory_frequencies()``)
+    makes it the 2-D ``(f_core, f_mem)`` grid, for kinds with a memory
+    axis only; points at the reference memory clock keep the task
+    identities of a core-only campaign, so both share caches and noise.
+    """
+    workload = workload_kind(kind)
+    if mem_freqs_mhz is not None and not workload.memory_axis:
+        raise SpecError(
+            "sweep.mem_freqs_mhz (2-D DVFS) is only wired up for the 'mhd' "
+            f"application, not {kind!r}"
+        )
+    return characterize_apps(
+        device,
+        workload.apps(params),
+        workload.feature_names,
+        resolve_training_freqs(device, freq_count, freqs_mhz),
+        mem_freqs_mhz=mem_freqs_mhz,
+        repetitions=repetitions,
+        engine=engine,
+        progress=progress,
+        method=method,
     )
 
 
@@ -200,10 +260,11 @@ def build_cronos_campaign(
     freqs_mhz: Optional[Sequence[float]] = None,
 ) -> CampaignData:
     """Characterize Cronos over the grid sweep (paper §5.1 protocol)."""
-    freqs = resolve_training_freqs(device, freq_count, freqs_mhz)
-    apps = [CronosApplication.from_size(nx, ny, nz, n_steps=n_steps) for nx, ny, nz in grids]
-    results = _characterize_all(apps, device, freqs, repetitions, engine, progress, method)
-    return _assemble(apps, results, CRONOS_FEATURE_NAMES, freqs, engine)
+    return build_campaign(
+        device, "cronos", dict(grids=grids, steps=n_steps), freq_count=freq_count,
+        freqs_mhz=freqs_mhz, repetitions=repetitions, engine=engine, progress=progress,
+        method=method,
+    )
 
 
 def build_ligen_campaign(
@@ -219,15 +280,13 @@ def build_ligen_campaign(
     freqs_mhz: Optional[Sequence[float]] = None,
 ) -> CampaignData:
     """Characterize LiGen over the full ``(l, a, f)`` input grid."""
-    freqs = resolve_training_freqs(device, freq_count, freqs_mhz)
-    apps = [
-        LigenApplication(n_ligands=ligands, n_atoms=atoms, n_fragments=fragments)
-        for ligands in ligand_counts
-        for atoms in atom_counts
-        for fragments in fragment_counts
-    ]
-    results = _characterize_all(apps, device, freqs, repetitions, engine, progress, method)
-    return _assemble(apps, results, LIGEN_FEATURE_NAMES, freqs, engine)
+    params = dict(
+        ligand_counts=ligand_counts, atom_counts=atom_counts, fragment_counts=fragment_counts
+    )
+    return build_campaign(
+        device, "ligen", params, freq_count=freq_count, freqs_mhz=freqs_mhz,
+        repetitions=repetitions, engine=engine, progress=progress, method=method,
+    )
 
 
 def build_mhd_campaign(
@@ -242,56 +301,9 @@ def build_mhd_campaign(
     freqs_mhz: Optional[Sequence[float]] = None,
     mem_freqs_mhz: Optional[Sequence[float]] = None,
 ) -> CampaignData:
-    """Characterize the MHD workload over its grid sweep.
-
-    With ``mem_freqs_mhz`` left ``None`` this is the same core-only
-    protocol as the other builders (and bit-identical to it). Passing
-    memory clocks (e.g. ``device.gpu.supported_memory_frequencies()``)
-    switches to the 2-D ``(f_core, f_mem)`` grid: every app is swept at
-    every (core, mem) pair, the dataset grows a trailing
-    :data:`MEM_FEATURE_NAME` column, and ``characterizations`` is keyed
-    by ``domain_features + (mem_freq_mhz,)``. Points measured at the
-    device's reference memory clock reuse the exact task identities of a
-    core-only campaign, so the two paths share caches and noise streams.
-    """
-    freqs = resolve_training_freqs(device, freq_count, freqs_mhz)
-    apps = [
-        MhdApplication.from_size(nr, ntheta, nz, n_steps=n_steps)
-        for nr, ntheta, nz in grids
-    ]
-    if mem_freqs_mhz is None:
-        results = _characterize_all(apps, device, freqs, repetitions, engine, progress, method)
-        return _assemble(apps, results, MHD_FEATURE_NAMES, freqs, engine)
-
-    # 2-D sweep: always runs through an engine (the (app x core x mem)
-    # fan-out and the shared-baseline bookkeeping live there).
-    grid_engine = engine if engine is not None else CampaignEngine(jobs=1)
-    grid_results = grid_engine.characterize_grid(
-        apps,
-        device.gpu.spec,
-        freqs_mhz=freqs,
-        mem_freqs_mhz=mem_freqs_mhz,
-        repetitions=repetitions,
-        progress=progress,
-        method=method,
-    )
-    dataset = EnergyDataset(feature_names=MHD_FEATURE_NAMES + (MEM_FEATURE_NAME,))
-    chars: Dict[FeatureKey, CharacterizationResult] = {}
-    mem_clocks: List[float] = []
-    for app, rows in zip(apps, grid_results):
-        if rows is None:
-            continue
-        for row in rows:
-            mem = float(row.mem_freq_mhz)
-            features = app.domain_features + (mem,)
-            dataset.add_characterization(features, row)
-            chars[features] = row
-            if mem not in mem_clocks:
-                mem_clocks.append(mem)
-    return CampaignData(
-        dataset=dataset,
-        characterizations=chars,
-        freqs_mhz=freqs,
-        stats=grid_engine.stats,
-        mem_freqs_mhz=sorted(mem_clocks),
+    """Characterize MHD over its grid sweep; ``mem_freqs_mhz`` makes it 2-D."""
+    return build_campaign(
+        device, "mhd", dict(grids=grids, steps=n_steps), freq_count=freq_count,
+        freqs_mhz=freqs_mhz, mem_freqs_mhz=mem_freqs_mhz, repetitions=repetitions,
+        engine=engine, progress=progress, method=method,
     )

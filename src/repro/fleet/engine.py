@@ -302,23 +302,21 @@ def resolve_fleet_model(spec) -> Tuple[Any, Optional[Any]]:
 
 def _quick_ligen_model(seed: int):
     """Small seeded LiGen domain model for registry-less fleet specs."""
-    from repro.experiments.datasets import build_ligen_campaign
-    from repro.ligen.app import LIGEN_FEATURE_NAMES
+    from repro.experiments.datasets import build_campaign
+    from repro.experiments.workloads import WORKLOADS
     from repro.ml import RandomForestRegressor
     from repro.modeling import DomainSpecificModel
-    from repro.synergy import Platform
+    from repro.synergy.api import builtin_device
 
-    device = Platform.default(seed=seed).get_device("v100")
-    campaign = build_ligen_campaign(
-        device,
+    campaign = build_campaign(
+        builtin_device("v100", seed=seed),
+        "ligen",
+        WORKLOADS["ligen"].quick_params,
         freq_count=6,
         repetitions=1,
-        ligand_counts=(2, 256, 10000),
-        atom_counts=(31, 89),
-        fragment_counts=(4, 20),
     )
     return DomainSpecificModel(
-        LIGEN_FEATURE_NAMES,
+        campaign.dataset.feature_names,
         regressor_factory=lambda: RandomForestRegressor(
             n_estimators=12, random_state=seed
         ),

@@ -10,6 +10,7 @@ down-clocking profitable and over-clocking expensive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
@@ -49,6 +50,9 @@ class VoltageCurve:
             raise ValueError("v_max must be >= v_min")
         if not (self.f_min_mhz <= self.f_knee_mhz <= self.f_max_mhz):
             raise ValueError("require f_min <= f_knee <= f_max")
+        if not math.isfinite(self.v_max * self.v_max * self.f_max_mhz):
+            # normalized_v2f divides by V(f_max)^2 * f_max.
+            raise ValueError(f"v_max^2 * f_max overflows ({self.v_max:g} V)")
 
     def voltage_at(self, freq_mhz) -> np.ndarray | float:
         """Core voltage (volts) at ``freq_mhz`` (scalar or array)."""

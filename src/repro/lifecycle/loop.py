@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import LifecycleError
 from repro.lifecycle.canary import CanaryController, PromotionDecision
 from repro.lifecycle.drift import DriftMonitor
 from repro.lifecycle.outcome_log import OutcomeLog
@@ -90,37 +89,14 @@ class LifecycleResult:
 def build_workload(spec) -> List[object]:
     """The spec's base (un-drifted) application population.
 
-    The cross product of the workload axes, in a deterministic order —
-    the same population both training campaigns and the serving traffic
-    stream draw from.
+    The catalog's cross product of the workload axes, in a deterministic
+    order — the same population both training campaigns and the serving
+    traffic stream draw from.
     """
-    if spec.app_kind == "ligen":
-        from repro.ligen.app import LigenApplication
+    from repro.experiments.workloads import workload_kind
 
-        return [
-            LigenApplication(n_ligands=n, n_atoms=a, n_fragments=f)
-            for n in spec.ligand_counts
-            for a in spec.atom_counts
-            for f in spec.fragment_counts
-        ]
-    if spec.app_kind == "cronos":
-        from repro.cronos.app import CronosApplication
-
-        return [
-            CronosApplication.from_size(nx, ny, nz, n_steps=spec.steps)
-            for nx, ny, nz in spec.grids
-        ]
-    raise LifecycleError(f"unknown workload app kind {spec.app_kind!r}")
-
-
-def _feature_names(spec) -> Tuple[str, ...]:
-    if spec.app_kind == "ligen":
-        from repro.ligen.app import LIGEN_FEATURE_NAMES
-
-        return tuple(LIGEN_FEATURE_NAMES)
-    from repro.cronos.app import CRONOS_FEATURE_NAMES
-
-    return tuple(CRONOS_FEATURE_NAMES)
+    kind = workload_kind(spec.app_kind)
+    return kind.apps({name: getattr(spec, name) for name in kind.param_names})
 
 
 def build_retrainer(spec, registry) -> Retrainer:
@@ -131,22 +107,18 @@ def build_retrainer(spec, registry) -> Retrainer:
     it); auto-governed devices with no default clock train against the
     top bin instead.
     """
-    from repro.experiments.datasets import default_training_freqs
-    from repro.synergy import Platform
+    from repro.experiments.datasets import default_training_freqs, training_baseline_mhz
+    from repro.experiments.workloads import workload_kind
+    from repro.synergy.api import builtin_device
 
-    device = Platform.default(seed=spec.seed).get_device(spec.device_name)
+    device = builtin_device(spec.device_name, seed=spec.seed)
     freqs = default_training_freqs(device, spec.freq_count)
-    table = device.gpu.spec.core_freqs
-    if table.default_mhz is not None:
-        baseline = float(table.snap(table.default_mhz))
-    else:
-        baseline = float(max(freqs))
     return Retrainer(
         registry=registry,
         name=spec.model_name,
-        feature_names=_feature_names(spec),
+        feature_names=workload_kind(spec.app_kind).feature_names,
         freqs_mhz=tuple(freqs),
-        baseline_freq_mhz=baseline,
+        baseline_freq_mhz=training_baseline_mhz(device, freqs),
         seed=spec.seed,
         repetitions=spec.repetitions,
         n_trees=spec.trees,
@@ -171,11 +143,11 @@ def _measure_outcome(spec, app, freq_mhz: float, epoch: int, request: int):
     identical noise streams and differ only in what their models
     predicted.
     """
-    from repro.synergy import Platform
+    from repro.synergy.api import builtin_device
     from repro.synergy.runner import measure
 
     seed = derive_task_seed(spec.seed, "lifecycle-outcome", epoch, request)
-    device = Platform.default(seed=seed).get_device(spec.device_name)
+    device = builtin_device(spec.device_name, seed=seed)
     device.set_core_frequency(freq_mhz)
     time_s, energy_j, _times, _energies = measure(app, device, 1)
     return time_s, energy_j

@@ -99,32 +99,27 @@ class Retrainer:
         """
         if not apps:
             raise LifecycleError("retraining needs at least one workload application")
+        from repro.experiments.datasets import characterize_apps
         from repro.io.serialization import save_domain_model
         from repro.ml import RandomForestRegressor
         from repro.modeling import DomainSpecificModel
-        from repro.modeling.dataset import EnergyDataset
         from repro.runtime.engine import CampaignEngine
-        from repro.synergy import Platform
+        from repro.synergy.api import builtin_device
 
-        device = Platform.default(seed=self.campaign_seed(generation)).get_device(
-            self.device_name
-        )
+        device = builtin_device(self.device_name, seed=self.campaign_seed(generation))
         engine = CampaignEngine(
             jobs=self.jobs,
             campaign_seed=self.campaign_seed(generation),
             method="replay",
         )
-        results = engine.characterize_many(
+        dataset = characterize_apps(
+            device,
             apps,
-            device.gpu.spec,
-            freqs_mhz=list(self.freqs_mhz),
+            self.feature_names,
+            list(self.freqs_mhz),
             repetitions=self.repetitions,
-        )
-        dataset = EnergyDataset(feature_names=tuple(self.feature_names))
-        for app, result in zip(apps, results):
-            if result is None:
-                continue
-            dataset.add_characterization(app.domain_features, result)
+            engine=engine,
+        ).dataset
         if len(dataset) == 0:
             raise LifecycleError(
                 f"generation {generation}: characterization produced no samples"

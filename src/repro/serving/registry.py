@@ -262,7 +262,11 @@ class ModelRegistry:
                 f"(this build reads {REGISTRY_SCHEMA_VERSION})"
             )
         payload = record.get("manifest")
-        if record.get("digest") != stable_digest(payload):
+        try:
+            intact = record.get("digest") == stable_digest(payload)
+        except ValueError:  # non-finite floats: never a digested payload
+            intact = False
+        if not intact:
             raise ModelIntegrityError(
                 f"{name}:v{version}: manifest digest mismatch (tampered or corrupt)"
             )

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import SpecError
 from repro.experiments import configs
+from repro.experiments.workloads import APP_KINDS, WORKLOADS, workload_kind
 from repro.specs.schema import (
     SPEC_VALUE,
     SPEC_XREF,
@@ -28,6 +28,7 @@ from repro.specs.schema import (
     as_plain,
     record_field,
 )
+from repro.synergy.api import BUILTIN_DEVICES
 
 __all__ = [
     "CAMPAIGN_FORMAT",
@@ -44,90 +45,35 @@ __all__ = [
 CAMPAIGN_FORMAT = "repro.campaign"
 CAMPAIGN_VERSION = 1
 
-#: Application kinds a campaign can sweep (mirrors the CLI ``--app`` choices).
-APP_KINDS = ("ligen", "cronos", "mhd")
-
-#: Device short names resolvable without a device table.
-BUILTIN_DEVICES = ("v100", "mi100", "max1100", "a100", "h100", "mi250")
-
 
 # ---------------------------------------------------------------------------
 # nested schemas
 # ---------------------------------------------------------------------------
-_LIGEN_APP_SCHEMA = RecordSchema(
-    kind="ligen app grid",
-    fields=(
-        FieldSpec("kind", "str", required=True, choices=APP_KINDS, choices_rule=SPEC_XREF),
-        FieldSpec(
-            "ligand_counts",
-            "list",
-            default=list(configs.LIGEN_LIGAND_COUNTS),
-            min_len=1,
-            element=FieldSpec("ligand count", "int", minimum=1),
-        ),
-        FieldSpec(
-            "atom_counts",
-            "list",
-            default=list(configs.LIGEN_ATOM_COUNTS),
-            min_len=1,
-            element=FieldSpec("atom count", "int", minimum=1),
-        ),
-        FieldSpec(
-            "fragment_counts",
-            "list",
-            default=list(configs.LIGEN_FRAGMENT_COUNTS),
-            min_len=1,
-            element=FieldSpec("fragment count", "int", minimum=1),
-        ),
-    ),
-)
+def _param_field(name: str, default: Any) -> FieldSpec:
+    """The spec field of one catalog param, by its spec-style name."""
+    positive_int = dict(kind="int", minimum=1)
+    if name == "steps":
+        return FieldSpec(name, default=default, **positive_int)
+    if name == "grids":
+        dim = FieldSpec("grid dim", **positive_int)
+        grid = FieldSpec("grid", "list", min_len=3, max_len=3, element=dim)
+        return FieldSpec(name, "list", default=[list(g) for g in default], min_len=1, element=grid)
+    # ``ligand_counts`` -> a non-empty list of positive "ligand count"s.
+    count = FieldSpec(name[: -len("s")].replace("_", " "), **positive_int)
+    return FieldSpec(name, "list", default=list(default), min_len=1, element=count)
 
-_CRONOS_APP_SCHEMA = RecordSchema(
-    kind="cronos app grid",
-    fields=(
-        FieldSpec("kind", "str", required=True, choices=APP_KINDS, choices_rule=SPEC_XREF),
-        FieldSpec(
-            "grids",
-            "list",
-            default=[list(g) for g in configs.CRONOS_GRID_SIZES],
-            min_len=1,
-            element=FieldSpec(
-                "grid",
-                "list",
-                min_len=3,
-                max_len=3,
-                element=FieldSpec("grid dim", "int", minimum=1),
-            ),
-        ),
-        FieldSpec("steps", "int", default=configs.CRONOS_STEPS, minimum=1),
-    ),
-)
 
-_MHD_APP_SCHEMA = RecordSchema(
-    kind="mhd app grid",
-    fields=(
-        FieldSpec("kind", "str", required=True, choices=APP_KINDS, choices_rule=SPEC_XREF),
-        FieldSpec(
-            "grids",
-            "list",
-            default=[list(g) for g in configs.MHD_GRID_SIZES],
-            min_len=1,
-            element=FieldSpec(
-                "grid",
-                "list",
-                min_len=3,
-                max_len=3,
-                element=FieldSpec("grid dim", "int", minimum=1),
-            ),
-        ),
-        FieldSpec("steps", "int", default=configs.MHD_STEPS, minimum=1),
-    ),
-)
-
+#: Each application kind's ``app`` object: its ``kind`` tag plus the
+#: catalog params, defaulting to the kind's paper grid.
 _APP_SCHEMAS = {
-    "ligen": _LIGEN_APP_SCHEMA,
-    "cronos": _CRONOS_APP_SCHEMA,
-    "mhd": _MHD_APP_SCHEMA,
+    kind: RecordSchema(
+        kind=f"{kind} app grid",
+        fields=(
+            FieldSpec("kind", "str", required=True, choices=APP_KINDS, choices_rule=SPEC_XREF),
+            *(_param_field(name, value) for name, value in workload.paper_params.items()),
+        ),
+    )
+    for kind, workload in WORKLOADS.items()
 }
 
 
@@ -368,38 +314,14 @@ def campaign_spec_from_cli(
 ) -> CampaignSpec:
     """Build the spec equivalent of one ``repro campaign`` invocation.
 
-    The quick grids are spelled out explicitly so the resulting spec is
-    self-contained: running it later reproduces the quick run even if
-    the CLI's notion of ``--quick`` changes. ``mem_freqs_mhz`` turns the
-    sweep into a 2-D (core x memory) grid — mhd only, like the spec
-    field it populates.
+    The kind's catalog grid is spelled out explicitly so the resulting
+    spec is self-contained: running it later reproduces the quick run
+    even if the catalog's quick grid changes. ``mem_freqs_mhz`` turns
+    the sweep into a 2-D (core x memory) grid — for kinds with a memory
+    axis only, like the spec field it populates.
     """
-    if app == "ligen":
-        params: Dict[str, Any] = (
-            dict(
-                ligand_counts=(2, 256, 10000),
-                atom_counts=(31, 89),
-                fragment_counts=(4, 20),
-            )
-            if quick
-            else dict(
-                ligand_counts=tuple(configs.LIGEN_LIGAND_COUNTS),
-                atom_counts=tuple(configs.LIGEN_ATOM_COUNTS),
-                fragment_counts=tuple(configs.LIGEN_FRAGMENT_COUNTS),
-            )
-        )
-    elif app == "cronos":
-        grids = configs.CRONOS_GRID_SIZES[:3] if quick else configs.CRONOS_GRID_SIZES
-        params = dict(
-            grids=tuple(tuple(g) for g in grids), steps=configs.CRONOS_STEPS
-        )
-    elif app == "mhd":
-        grids = configs.MHD_GRID_SIZES[:2] if quick else configs.MHD_GRID_SIZES
-        params = dict(
-            grids=tuple(tuple(g) for g in grids), steps=configs.MHD_STEPS
-        )
-    else:
-        raise SpecError(f"unknown application {app!r}; expected one of {APP_KINDS}")
+    workload = workload_kind(app)
+    params = dict(workload.quick_params if quick else workload.paper_params)
     return CampaignSpec(
         app_kind=app,
         app_params=params,

@@ -39,6 +39,7 @@ from repro.specs.scenario import (
 )
 from repro.specs.schema import (
     SPEC_FIELDS,
+    SPEC_VERSION,
     SPEC_XREF,
     FieldSpec,
     RecordSchema,
@@ -123,6 +124,10 @@ def _check_manifest(
     clean, diags = MANIFEST_SCHEMA.validate(record, file=file)
     if clean is None:
         return diags
+    if record.get("schema_version", record.get("schema")) is None:
+        # Registries write every manifest versioned and read no other.
+        message = "manifest has no 'schema_version'; registries cannot read it"
+        diags.append(_error(SPEC_VERSION, message, file))
     from repro.runtime.seeding import stable_digest
 
     payload = record.get("manifest")

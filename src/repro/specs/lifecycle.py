@@ -19,6 +19,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.experiments.workloads import WORKLOADS
 from repro.specs.schema import (
     SPEC_VALUE,
     FieldSpec,
@@ -171,20 +172,14 @@ def _lifecycle_extra(clean: Dict[str, Any], rep: Reporter, path: str) -> None:
                 f"({drift['exit_mape']} > {drift['enter_mape']})",
             )
     workload = clean.get("workload")
-    if isinstance(workload, dict):
-        kind = workload.get("app")
-        if kind == "ligen":
-            for fname in ("ligand_counts", "atom_counts", "fragment_counts"):
-                if workload.get(fname) is None:
-                    rep.error(
-                        SPEC_VALUE,
-                        f"{prefix}workload.{fname}: required for app 'ligen'",
-                    )
-        elif kind == "cronos" and workload.get("grids") is None:
-            rep.error(
-                SPEC_VALUE,
-                f"{prefix}workload.grids: required for app 'cronos'",
-            )
+    if isinstance(workload, dict) and workload.get("app") in WORKLOADS:
+        kind = workload["app"]
+        for name in WORKLOADS[kind].param_names:
+            if workload.get(name) is None:
+                rep.error(
+                    SPEC_VALUE,
+                    f"{prefix}workload.{name}: required for app {kind!r}",
+                )
 
 
 LIFECYCLE_SCHEMA = RecordSchema(

@@ -1,11 +1,12 @@
 """Execute validated specs: the engine behind ``repro run``.
 
 :func:`run_campaign` turns a :class:`~repro.specs.campaign.CampaignSpec`
-into exactly the objects the hand-wired ``repro campaign`` CLI path
-builds — same device construction (built-in devices come from
-``Platform.default`` seeded with the campaign seed), same engine
-arguments, same dataset builders — so a spec-driven run is bit-identical
-to the equivalent CLI invocation (the acceptance test pins this).
+into a seeded device (built-in names resolve through
+:func:`~repro.synergy.api.builtin_device`), an engine, and one
+:func:`~repro.experiments.datasets.build_campaign` call. ``repro
+campaign`` builds its spec from flags and runs through here too, so a
+spec-driven run is bit-identical to the equivalent CLI invocation (the
+acceptance test pins this).
 
 :func:`run_scenario` layers the scenario extras on top: the optional
 fault plan rides into the engine, and the optional objective is
@@ -41,23 +42,19 @@ __all__ = [
 def build_device(spec: CampaignSpec):
     """Construct the :class:`SynergyDevice` a campaign spec names.
 
-    Built-in ``v100``/``mi100`` devices come from ``Platform.default``
-    seeded with the campaign seed — the exact objects ``repro campaign``
-    uses — so cached results and sensor streams line up bit-for-bit.
+    A built-in name resolves through
+    :func:`~repro.synergy.api.builtin_device` seeded with the campaign
+    seed — the exact objects ``repro campaign`` uses — so cached results
+    and sensor streams line up bit-for-bit.
     """
-    from repro.synergy.api import Platform, SynergyDevice
+    from repro.synergy.api import SynergyDevice, builtin_device
 
     if spec.device_table is not None:
         from repro.hw.device import SimulatedGPU
 
         dev_spec = load_device_table(resolve_ref(spec.device_table, spec.base_dir))
         return SynergyDevice(SimulatedGPU(dev_spec), seed=spec.engine.seed)
-    name = spec.device_name or "v100"
-    if name in ("v100", "mi100"):
-        return Platform.default(seed=spec.engine.seed).get_device(name)
-    from repro.hw.device import create_device
-
-    return SynergyDevice(create_device(name), seed=spec.engine.seed)
+    return builtin_device(spec.device_name or "v100", seed=spec.engine.seed)
 
 
 def build_engine(spec: CampaignSpec, fault_plan=None):
@@ -79,54 +76,21 @@ def build_engine(spec: CampaignSpec, fault_plan=None):
 
 def run_campaign(spec: CampaignSpec, fault_plan=None, progress=None):
     """Run one campaign spec; returns ``(CampaignData, CampaignEngine)``."""
+    from repro.experiments.datasets import build_campaign
+
     device = build_device(spec)
     engine = build_engine(spec, fault_plan=fault_plan)
-    if spec.sweep.mem_freqs_mhz is not None and spec.app_kind != "mhd":
-        raise SpecError(
-            "sweep.mem_freqs_mhz (2-D DVFS) is only wired up for the 'mhd' "
-            f"application, not {spec.app_kind!r}"
-        )
-    if spec.app_kind == "ligen":
-        from repro.experiments.datasets import build_ligen_campaign
-
-        campaign = build_ligen_campaign(
-            device,
-            ligand_counts=spec.app_params["ligand_counts"],
-            atom_counts=spec.app_params["atom_counts"],
-            fragment_counts=spec.app_params["fragment_counts"],
-            freq_count=spec.sweep.freq_count,
-            freqs_mhz=spec.sweep.freqs_mhz,
-            repetitions=spec.sweep.repetitions,
-            engine=engine,
-            progress=progress,
-        )
-    elif spec.app_kind == "mhd":
-        from repro.experiments.datasets import build_mhd_campaign
-
-        campaign = build_mhd_campaign(
-            device,
-            grids=spec.app_params["grids"],
-            n_steps=spec.app_params["steps"],
-            freq_count=spec.sweep.freq_count,
-            freqs_mhz=spec.sweep.freqs_mhz,
-            mem_freqs_mhz=spec.sweep.mem_freqs_mhz,
-            repetitions=spec.sweep.repetitions,
-            engine=engine,
-            progress=progress,
-        )
-    else:
-        from repro.experiments.datasets import build_cronos_campaign
-
-        campaign = build_cronos_campaign(
-            device,
-            grids=spec.app_params["grids"],
-            n_steps=spec.app_params["steps"],
-            freq_count=spec.sweep.freq_count,
-            freqs_mhz=spec.sweep.freqs_mhz,
-            repetitions=spec.sweep.repetitions,
-            engine=engine,
-            progress=progress,
-        )
+    campaign = build_campaign(
+        device,
+        spec.app_kind,
+        spec.app_params,
+        freq_count=spec.sweep.freq_count,
+        freqs_mhz=spec.sweep.freqs_mhz,
+        mem_freqs_mhz=spec.sweep.mem_freqs_mhz,
+        repetitions=spec.sweep.repetitions,
+        engine=engine,
+        progress=progress,
+    )
     return campaign, engine
 
 

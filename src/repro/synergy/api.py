@@ -28,7 +28,10 @@ from repro.hw.device import SimulatedGPU, create_device
 from repro.hw.sensors import EnergySensor, TimeSensor
 from repro.utils.rng import RandomState, as_generator, spawn_child
 
-__all__ = ["ProfileRegion", "SynergyDevice", "Platform"]
+__all__ = ["BUILTIN_DEVICES", "ProfileRegion", "SynergyDevice", "Platform", "builtin_device"]
+
+#: Device short names resolvable without a device table.
+BUILTIN_DEVICES = ("v100", "mi100", "max1100", "a100", "h100", "mi250")
 
 
 class ProfileRegion:
@@ -185,3 +188,16 @@ class Platform:
         if key not in self._devices:
             raise DeviceError(f"no device {name!r}; available: {self.device_names()}")
         return self._devices[key]
+
+
+def builtin_device(name: str, seed: RandomState = None) -> SynergyDevice:
+    """The seeded device handle for one of :data:`BUILTIN_DEVICES`.
+
+    The paper's V100 and MI100 come from ``Platform.default(seed)``, so
+    their sensor streams are those of the default platform; every other
+    built-in device gets a handle seeded with ``seed`` directly.
+    """
+    key = name.strip().lower()
+    if key in ("v100", "mi100"):
+        return Platform.default(seed=seed).get_device(key)
+    return SynergyDevice(create_device(key), seed=seed)

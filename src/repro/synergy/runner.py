@@ -212,10 +212,6 @@ def measure(
     return float(np.median(times)), float(np.median(energies)), times, energies
 
 
-# Backwards-compatible private alias (pre-engine internal name).
-_measure = measure
-
-
 def measure_baseline(
     app: Application, device: SynergyDevice, repetitions: int
 ) -> tuple[float, float, np.ndarray, np.ndarray]:

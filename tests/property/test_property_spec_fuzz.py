@@ -1,23 +1,27 @@
 """Hypothesis fuzzing of the spec seam: malformed records, round trips.
 
-Each case starts from a real spec record (the examples and the valid
-fixtures) and applies one to three mutations: a dropped key or list
-element, an extra key, a value swapped for ``null``, a bool, NaN, a
-list or an object, or a ``format`` tag that is not a string. The
+Each case starts from a real spec record (the examples, the valid
+fixtures, and a registry manifest built here) and applies one to three
+mutations: a dropped key or list element, an extra key, a value swapped
+for ``null``, a bool, NaN, a finite extreme (``±1e300``, ``0``), a list
+or an object, or a ``format`` tag that is not a string. The
 collect-then-raise contract says what may happen next:
 
-- ``from_record`` either loads or raises its typed error —
-  ``SpecError`` (``SpecValidationError`` included), or
-  ``ConfigurationError`` for fault plans;
+- the format's loader either loads or raises its typed error —
+  ``SpecError`` (``SpecValidationError`` included) for spec records and
+  device tables (``load_device_table``), ``ConfigurationError`` for
+  fault plans, ``RegistryError`` for manifests a registry reads;
 - ``check_record`` returns diagnostics and never raises, and it reports
-  an error for every record ``from_record`` rejects;
+  an error for every record the loader rejects;
 - every record that loads round-trips: ``from_record(s.as_record())``
-  equals ``s`` and keeps its fingerprint.
+  equals ``s`` and keeps its fingerprint (device tables: the rebuilt
+  table keeps the spec's signature; manifests: ``as_dict`` round-trips).
 """
 
 import copy
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,47 +29,138 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import has_errors
-from repro.errors import ConfigurationError, SpecError
+from repro.errors import ConfigurationError, RegistryError, SpecError
 from repro.faults.plan import FaultPlan
+from repro.runtime.seeding import stable_digest
+from repro.serving.registry import ModelManifest, ModelRegistry
 from repro.specs import CampaignSpec, FleetSpec, LifecycleSpec, ScenarioSpec, check_record
+from repro.specs.device_table import device_table_record, load_device_table
 
 REPO = Path(__file__).resolve().parent.parent.parent
 EXAMPLES = REPO / "examples" / "specs"
 VALID = REPO / "tests" / "specs" / "fixtures" / "valid"
 
-#: format -> (loader, the error family its loader may raise, seed spec files)
+MIGRATION = REPO / "tests" / "specs" / "fixtures" / "migration"
+#: Stand-in path naming the generated manifest seed (test ids only).
+MANIFEST_SEED = Path("generated") / "model_manifest"
+MANIFEST = ModelManifest(
+    name="adv",
+    version=1,
+    app="ligen",
+    feature_names=("f_ligands", "f_fragments", "f_atoms"),
+    baseline_freq_mhz=1282.1076923076923,
+    artifact_sha256="0" * 64,
+    artifact_bytes=4096,
+    device_signature_digest="1" * 64,
+    train_fingerprint="2" * 64,
+)
+
+
+def _manifest_record(manifest):
+    """The envelope ``ModelRegistry.register`` writes for ``manifest``."""
+    payload = manifest.as_dict()
+    return {
+        "format": "repro.model_manifest",
+        "schema_version": 1,
+        "manifest": payload,
+        "digest": stable_digest(payload),
+    }
+
+
+def _write_json(record, path):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record), encoding="utf-8")
+
+
+def _load_device_table(record, base_dir):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "device.json"
+        _write_json(record, path)
+        return load_device_table(path)
+
+
+def _load_manifest(record, base_dir):
+    """Read ``record`` back the way a registry reads a stored manifest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        registry = ModelRegistry(tmp)
+        _write_json(record, registry.manifest_path(MANIFEST.name, MANIFEST.version))
+        return registry.manifest(MANIFEST.name, MANIFEST.version)
+
+
+def _spec_round_trip(spec):
+    again = type(spec).from_record(spec.as_record())
+    assert again == spec
+    assert again.fingerprint() == spec.fingerprint()
+
+
+def _device_round_trip(spec):
+    again = _load_device_table(device_table_record(spec), None)
+    assert again.signature() == spec.signature()
+
+
+def _manifest_round_trip(manifest):
+    assert ModelManifest.from_dict(manifest.as_dict()) == manifest
+
+
+#: format -> (loader(record, base_dir), the error family its loader may
+#: raise, round-trip check, seed spec files)
 FORMATS = {
     "repro.campaign": (
         CampaignSpec.from_record,
         SpecError,
+        _spec_round_trip,
         [EXAMPLES / "campaign_cronos_quick.json", EXAMPLES / "campaign_mhd_quick.json",
          VALID / "campaign_quick.json"],
     ),
     "repro.scenario": (
         ScenarioSpec.from_record,
         SpecError,
+        _spec_round_trip,
         [EXAMPLES / "scenario_chaos.json", EXAMPLES / "scenario_serving.json",
          VALID / "scenario.json"],
     ),
-    "repro.fleet": (FleetSpec.from_record, SpecError, [EXAMPLES / "fleet_smoke.json"]),
+    "repro.fleet": (
+        FleetSpec.from_record, SpecError, _spec_round_trip, [EXAMPLES / "fleet_smoke.json"]
+    ),
     "repro.lifecycle": (
-        LifecycleSpec.from_record, SpecError, [EXAMPLES / "lifecycle_smoke.json"]
+        LifecycleSpec.from_record,
+        SpecError,
+        _spec_round_trip,
+        [EXAMPLES / "lifecycle_smoke.json"],
     ),
     "repro.fault_plan": (
-        FaultPlan.from_record,
+        lambda record, base_dir: FaultPlan.from_record(record),
         ConfigurationError,
+        _spec_round_trip,
         [VALID / "fault_plan.json", REPO / "benchmarks" / "output" / "chaos_plan.json"],
     ),
+    "repro.device_spec": (
+        _load_device_table,
+        SpecError,
+        _device_round_trip,
+        [EXAMPLES / "device_v100.json", EXAMPLES / "device_a100.json",
+         EXAMPLES / "device_mi250.json", MIGRATION / "device_v100_v1.json"],
+    ),
+    "repro.model_manifest": (_load_manifest, RegistryError, _manifest_round_trip, [MANIFEST_SEED]),
 }
 
+
+def _seed_record(path):
+    if path == MANIFEST_SEED:
+        return _manifest_record(MANIFEST)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 SEEDS = [
-    (fmt, path, json.loads(path.read_text(encoding="utf-8")))
-    for fmt, (_, _, paths) in FORMATS.items()
+    (fmt, path, _seed_record(path))
+    for fmt, (_, _, _, paths) in FORMATS.items()
     for path in paths
 ]
 
 # Drawn values are copied: a later mutation may edit one in place.
-JUNK = st.sampled_from([None, True, False, math.nan, [], [1.0], {}, {"x": 1}]).map(copy.deepcopy)
+JUNK = st.sampled_from(
+    [None, True, False, math.nan, 1e300, -1e300, 0, [], [1.0], {}, {"x": 1}]
+).map(copy.deepcopy)
 NON_STRING_FORMAT = st.sampled_from(
     [None, 1, True, ["repro.fleet"], {"format": "repro.fleet"}]
 ).map(copy.deepcopy)
@@ -109,16 +204,11 @@ def _mutate(data, record):
 
 
 def _load(fmt, record, base_dir):
-    loader = FORMATS[fmt][0]
-    if fmt == "repro.fault_plan":
-        return loader(record)
-    return loader(record, base_dir=base_dir)
+    return FORMATS[fmt][0](record, base_dir=base_dir)
 
 
 def _assert_round_trips(fmt, spec):
-    again = _load(fmt, spec.as_record(), None)
-    assert again == spec
-    assert again.fingerprint() == spec.fingerprint()
+    FORMATS[fmt][2](spec)
 
 
 @pytest.mark.parametrize(
