@@ -160,8 +160,7 @@ def _load_model_and_profile(args):
 
     model = load_domain_model(args.model)
     features = [float(v) for v in args.features.split(",")]
-    freqs = np.linspace(args.freq_min, args.freq_max, args.freq_points)
-    prediction = model.predict_tradeoff(features, freqs)
+    prediction = model.predict_tradeoff(features, _serving_freqs(args))
     return model, features, prediction
 
 
@@ -458,7 +457,9 @@ def cmd_tune(args) -> int:
 
 
 def _serving_freqs(args) -> np.ndarray:
-    return np.linspace(args.freq_min, args.freq_max, args.freq_points)
+    from repro.serving.service import grid_axis
+
+    return grid_axis(np.linspace(args.freq_min, args.freq_max, args.freq_points), "frequency")
 
 
 def _objective_from_args(args):

@@ -19,13 +19,13 @@ profiler, mirroring where noise enters on real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import DeviceError, FrequencyError
 from repro.hw.governor import AutoGovernor
-from repro.hw.perf import KernelTiming, RooflineTimingModel
+from repro.hw.perf import BatchTiming, KernelTiming, RooflineTimingModel
 from repro.hw.power import PowerModel
 from repro.hw.specs import (
     DeviceSpec,
@@ -39,7 +39,15 @@ from repro.hw.specs import (
 from repro.kernels.batch import KernelLaunchBatch
 from repro.kernels.ir import KernelLaunch
 
-__all__ = ["LaunchResult", "SimulatedGPU", "create_device"]
+__all__ = [
+    "BatchColumn",
+    "BatchColumns",
+    "BatchPoint",
+    "LaunchResult",
+    "SimulatedGPU",
+    "counter_after",
+    "create_device",
+]
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,46 @@ class LaunchResult:
     def power_w(self) -> float:
         """Average power over the launch."""
         return self.energy_j / self.time_s
+
+
+class BatchColumn(NamedTuple):
+    """A launch batch evaluated at one ``(core, mem)`` clock pair: column
+    ``index`` of the ``timing`` pass, and the energy (J) per unique launch."""
+
+    timing: BatchTiming
+    index: int
+    energy_j: np.ndarray
+
+
+#: ``(core_mhz, pinned mem_mhz or None) -> BatchColumn``; keying on the
+#: memory clock keeps a 2-D sweep's columns apart.
+BatchColumns = Dict[Tuple[float, Optional[float]], BatchColumn]
+
+
+class BatchPoint(NamedTuple):
+    """One run of a launch batch, per unique launch: its resolved clock,
+    that clock's column, time and energy. ``throttled`` counts the
+    cap-throttled launch occurrences, duplicates included."""
+
+    core_mhz: List[float]
+    columns: List[BatchColumn]
+    time_s: np.ndarray
+    energy_j: np.ndarray
+    throttled: int
+
+
+def counter_after(start: float, per_launch: np.ndarray) -> float:
+    """A free-running counter after the serial ``counter += value`` loop.
+
+    Float addition is not associative: the counter after N launches
+    depends on the running value each addition starts from. A cumulative
+    sum seeded with the current counter performs the identical sequence
+    of additions, so the final counter (and so every profiled delta)
+    matches the serial loop to the last bit.
+    """
+    if per_launch.size == 0:
+        return start
+    return float(np.cumsum(np.concatenate(([start], per_launch)))[-1])
 
 
 class SimulatedGPU:
@@ -243,16 +291,15 @@ class SimulatedGPU:
     def _busy_power_w(self, launch: KernelLaunch, core_mhz: float) -> float:
         mem_mhz = self._pinned_mem_mhz
         timing = self.timing_model.time(launch, core_mhz, mem_mhz)
-        floor = self.spec.active_idle_frac
-        u_comp_eff = timing.u_comp * (floor + (1.0 - floor) * timing.width_util)
+        u_comp_eff = timing.effective_u_comp(self.spec.active_idle_frac)
         return self.power_model.power_w(core_mhz, u_comp_eff, timing.u_mem, mem_mhz)
 
     def _capped_frequency(self, launch: KernelLaunch, core_mhz: float) -> tuple[float, bool]:
         """``(frequency, throttled)`` honouring the cap, without counter effects.
 
-        Pure with respect to device state, so the batched paths can
-        resolve clocks per *unique* launch and account throttle counts
-        per occurrence separately.
+        Pure with respect to device state, so :meth:`evaluate_batch` can
+        resolve clocks per *unique* launch and count throttles per
+        occurrence separately.
         """
         cap = self._power_cap_w
         if cap is None or self._busy_power_w(launch, core_mhz) <= cap:
@@ -287,15 +334,9 @@ class SimulatedGPU:
         core_mhz = self._cap_frequency(launch, self.frequency_for(launch))
         mem_mhz = self._pinned_mem_mhz
         timing = self.timing_model.time(launch, core_mhz, mem_mhz)
-        # Effective compute utilization for power: while the compute pipes
-        # are busy (time fraction u_comp), the occupied width draws full
-        # dynamic power and even idle SMs draw the fetch/scheduler floor;
-        # while the kernel stalls, the whole compute domain is quiescent.
-        floor = self.spec.active_idle_frac
-        u_comp_eff = timing.u_comp * (floor + (1.0 - floor) * timing.width_util)
         energy = self.power_model.energy_j(
             core_mhz,
-            u_comp_eff,
+            timing.effective_u_comp(self.spec.active_idle_frac),
             timing.u_mem,
             timing.exec_s,
             idle_s=timing.overhead_s,
@@ -322,75 +363,85 @@ class SimulatedGPU:
         Semantically identical to :meth:`launch_many` — same per-launch
         results, same counter values bit-for-bit, same governor and
         power-cap behaviour — but the timing/power models run once per
-        *unique* launch via :meth:`RooflineTimingModel.time_batch`
-        instead of once per occurrence. The counters are advanced with
-        the exact floating-point accumulation order of the serial loop
-        (a cumulative sum seeded with the current counter value), so
-        downstream profiling reads cannot tell the two paths apart.
+        *unique* launch through :meth:`evaluate_batch`, the evaluator the
+        replay engine uses, instead of once per occurrence.
         """
         self._check_open()
         batch = KernelLaunchBatch.from_launches(launches)
         if batch.n_unique == 0:
             return []
+        point = self.evaluate_batch(batch, {})
+        results_u = [
+            LaunchResult(
+                kernel_name=launch.spec.name,
+                core_mhz=point.core_mhz[i],
+                time_s=float(point.time_s[i]),
+                energy_j=float(point.energy_j[i]),
+                timing=column.timing.timing_at(i, column.index),
+            )
+            for i, (launch, column) in enumerate(zip(batch.unique, point.columns))
+        ]
+        self._time_counter_s = counter_after(self._time_counter_s, point.time_s[batch.inverse])
+        self._energy_counter_j = counter_after(
+            self._energy_counter_j, point.energy_j[batch.inverse]
+        )
+        self._launch_count += batch.n_launches
+        self._throttle_count += point.throttled
+        return [results_u[j] for j in batch.inverse]
 
-        # Resolve the clock per unique launch: pinned clock or governor
-        # decision, then the power-cap bisect. Throttles are counted per
-        # occurrence, exactly like the serial loop.
-        resolved: List[float] = []
+    def evaluate_batch(self, batch: KernelLaunchBatch, columns: BatchColumns) -> BatchPoint:
+        """Evaluate one run of ``batch`` at the current clock state.
+
+        Each unique launch's clock is resolved as :meth:`launch` resolves
+        it: the pinned clock or the governor's pick, then the power cap.
+        Missing clocks are added to ``columns`` by
+        :meth:`fill_batch_columns`, so a caller that keeps ``columns``
+        (a replay plan) evaluates each clock once. Device state is
+        untouched; the caller accounts the throttles.
+        """
+        clocks: List[float] = []
+        throttled = 0
         for i, launch in enumerate(batch.unique):
-            freq, throttled = self._capped_frequency(launch, self.frequency_for(launch))
-            resolved.append(freq)
-            if throttled:
-                self._throttle_count += int(batch.counts[i])
-
-        # One batched evaluation over the distinct resolved clocks (one
-        # for a pinned sweep point, at most a handful under governor/cap).
-        freq_list = sorted(set(resolved))
-        col = {f: j for j, f in enumerate(freq_list)}
+            freq, hit = self._capped_frequency(launch, self.frequency_for(launch))
+            clocks.append(freq)
+            if hit:
+                throttled += int(batch.counts[i])
+        self.fill_batch_columns(batch, columns, sorted(set(clocks)))
         mem_mhz = self._pinned_mem_mhz
-        bt = self.timing_model.time_batch(batch, freq_list, mem_mhz)
+        picked = [columns[(f, mem_mhz)] for f in clocks]
+        return BatchPoint(
+            core_mhz=clocks,
+            columns=picked,
+            time_s=np.array(
+                [c.timing.time_s[i, c.index] for i, c in enumerate(picked)], dtype=float
+            ),
+            energy_j=np.array([c.energy_j[i] for i, c in enumerate(picked)], dtype=float),
+            throttled=throttled,
+        )
 
-        sel = np.array([col[f] for f in resolved], dtype=np.intp)
-        rows = np.arange(batch.n_unique)
-        resolved_arr = np.asarray(resolved, dtype=float)
-        # Effective compute utilization for power (see launch()).
-        floor = self.spec.active_idle_frac
-        u_comp_eff = bt.u_comp[rows, sel] * (floor + (1.0 - floor) * bt.width_util)
+    def fill_batch_columns(
+        self, batch: KernelLaunchBatch, columns: BatchColumns, freqs_mhz: Sequence[float]
+    ) -> None:
+        """Add the core clocks ``columns`` lacks, at the current memory clock.
+
+        One ``time_batch`` and one ``energy_batch`` call cover every
+        missing clock; each element is bit-identical to :meth:`launch`.
+        """
+        mem_mhz = self._pinned_mem_mhz
+        missing = [f for f in freqs_mhz if (f, mem_mhz) not in columns]
+        if not missing or batch.n_unique == 0:
+            return
+        bt = self.timing_model.time_batch(batch, missing, mem_mhz)
         energies = self.power_model.energy_batch(
-            resolved_arr,
-            u_comp_eff,
-            bt.u_mem[rows, sel],
-            bt.exec_s[rows, sel],
+            bt.freqs_mhz[None, :],
+            bt.effective_u_comp(self.spec.active_idle_frac),
+            bt.u_mem,
+            bt.exec_s,
             idle_s=bt.overhead_s,
             mem_mhz=mem_mhz,
         )
-        times = bt.time_s[rows, sel]
-
-        results_u = [
-            LaunchResult(
-                kernel_name=batch.unique[i].spec.name,
-                core_mhz=resolved[i],
-                time_s=float(times[i]),
-                energy_j=float(energies[i]),
-                timing=bt.timing_at(i, int(sel[i])),
-            )
-            for i in range(batch.n_unique)
-        ]
-
-        # Counter trajectories: a cumulative sum seeded with the current
-        # counter reproduces the serial `+=` loop bit-for-bit (float
-        # addition is not associative, so summing the deltas first and
-        # adding once would drift by ulps).
-        time_vals = times[batch.inverse]
-        energy_vals = energies[batch.inverse]
-        self._time_counter_s = float(
-            np.cumsum(np.concatenate(([self._time_counter_s], time_vals)))[-1]
-        )
-        self._energy_counter_j = float(
-            np.cumsum(np.concatenate(([self._energy_counter_j], energy_vals)))[-1]
-        )
-        self._launch_count += batch.n_launches
-        return [results_u[j] for j in batch.inverse]
+        for j, f in enumerate(missing):
+            columns[(f, mem_mhz)] = BatchColumn(bt, j, energies[:, j])
 
     def idle(self, duration_s: float) -> float:
         """Account ``duration_s`` of host-side idle time at the current clock.

@@ -118,6 +118,17 @@ class KernelTiming:
     occupancy: float
     regime: str
 
+    def effective_u_comp(self, active_idle_frac: float) -> float:
+        """Compute utilization the power model sees.
+
+        While the compute pipes are busy (time fraction ``u_comp``), the
+        occupied width draws full dynamic power and even idle SMs draw the
+        fetch/scheduler floor ``active_idle_frac``; while the kernel
+        stalls, the whole compute domain is quiescent.
+        """
+        floor = active_idle_frac
+        return self.u_comp * (floor + (1.0 - floor) * self.width_util)
+
 
 @dataclass(frozen=True)
 class BatchTiming:
@@ -152,6 +163,11 @@ class BatchTiming:
     def n_freqs(self) -> int:
         """Number of frequencies on the second axis."""
         return int(self.time_s.shape[1])
+
+    def effective_u_comp(self, active_idle_frac: float) -> np.ndarray:
+        """Array twin of :meth:`KernelTiming.effective_u_comp`, element-wise bit-identical."""
+        floor = active_idle_frac
+        return self.u_comp * (floor + (1.0 - floor) * self.width_util[:, None])
 
     def timing_at(self, i: int, j: int) -> KernelTiming:
         """The scalar :class:`KernelTiming` view of element ``(i, j)``."""

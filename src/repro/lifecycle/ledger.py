@@ -119,7 +119,7 @@ class PromotionLedger:
         line = canonical_json(entry) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # Rewrite-free append; a torn final line is detected (and
-        # rejected) by the chain verification on the next read.
+        # rejected, naming the truncation that repairs it) on the next read.
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line)
         return entry
@@ -132,19 +132,31 @@ class PromotionLedger:
         if not self.path.exists():
             return []
         try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError as exc:
+            raw = self.path.read_bytes()
+            text = raw.decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise LedgerError(f"cannot read ledger {self.path}: {exc}") from exc
+        lines = text.splitlines()
         out: List[Dict[str, Any]] = []
         prev: Optional[str] = None
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             where = f"{self.path}:{lineno}"
             try:
                 entry = json.loads(line)
             except ValueError as exc:
-                raise LedgerError(f"{where}: entry is not valid JSON ({exc})") from exc
+                message = f"{where}: entry is not valid JSON ({exc})"
+                if lineno == len(lines) and not raw.endswith(b"\n"):
+                    # append() writes whole newline-terminated lines, so an
+                    # unterminated final line is an interrupted append.
+                    end = raw.rfind(b"\n") + 1
+                    message += (
+                        f"; the final line is torn by an interrupted append — "
+                        f"truncate the file to byte offset {end}, where the "
+                        f"last complete entry ends, to recover"
+                    )
+                raise LedgerError(message) from exc
             if not isinstance(entry, dict) or entry.get("format") != LEDGER_FORMAT:
                 raise LedgerError(f"{where}: not a lifecycle-ledger entry")
             if entry.get("schema_version") != LEDGER_VERSION:

@@ -44,6 +44,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,8 +70,10 @@ from repro.synergy.runner import (
     CharacterizationResult,
     DEFAULT_REPETITIONS,
     FrequencySample,
+    baseline_descriptor,
+    check_method,
     measure,
-    measure_baseline,
+    measure_point,
     resolve_sweep,
 )
 from repro.utils.validation import check_positive_int
@@ -281,8 +284,12 @@ def execute_task(task: MeasurementTask) -> PointMeasurement:
 
 
 def _measure_on(task: MeasurementTask, device: SynergyDevice) -> PointMeasurement:
-    """One measurement attempt at ``task`` on an already-built device."""
-    gpu = device.gpu
+    """One measurement attempt at ``task`` on an already-built device.
+
+    The point is measured by :func:`repro.synergy.runner.measure_point`,
+    the primitive ``characterize`` loops over. A replay task records its
+    app and evaluates only its own point.
+    """
     actual_mem: Optional[float] = None
     if task.mem_freq_mhz is not None:
         # Pin the memory clock for the whole point. Legacy tasks (mem is
@@ -290,26 +297,13 @@ def _measure_on(task: MeasurementTask, device: SynergyDevice) -> PointMeasuremen
         # for every pre-v2 campaign.
         actual_mem = device.set_memory_frequency(task.mem_freq_mhz)
     if task.method == "replay":
-        plan = ReplayPlan(gpu, record_launches(task.app, gpu))
-        if task.freq_mhz is None:
-            device.reset_frequency()
-            t, e, times, energies = replay_measure(plan, device, task.repetitions)
-            if e <= 0 or t <= 0:
-                raise ConfigurationError(
-                    f"{task.app.name}: baseline measurement is below the sensor "
-                    "resolution; run a larger workload (more steps/iterations) "
-                    "so energy is measurable"
-                )
-            actual: Optional[float] = None
-        else:
-            actual = device.set_core_frequency(task.freq_mhz)
-            t, e, times, energies = replay_measure(plan, device, task.repetitions)
-    elif task.freq_mhz is None:
-        t, e, times, energies = measure_baseline(task.app, device, task.repetitions)
-        actual = None
+        plan = ReplayPlan(device.gpu, record_launches(task.app, device.gpu))
+        run = partial(replay_measure, plan)
     else:
-        actual = device.set_core_frequency(task.freq_mhz)
-        t, e, times, energies = measure(task.app, device, task.repetitions)
+        run = partial(measure, task.app)
+    actual, (t, e, times, energies) = measure_point(
+        task.app, device, task.freq_mhz, task.repetitions, run
+    )
     return PointMeasurement(
         freq_mhz=actual,
         time_s=t,
@@ -481,16 +475,8 @@ class CampaignEngine:
         self.cache = cache
         self.campaign_seed = int(campaign_seed)
         self.ideal_sensors = bool(ideal_sensors)
-        self.method = self._check_method(method)
+        self.method = check_method(method)
         self.stats = CampaignStats()
-
-    @staticmethod
-    def _check_method(method: str) -> str:
-        if method not in ("serial", "replay"):
-            raise ConfigurationError(
-                f"unknown measurement method {method!r}; expected 'serial' or 'replay'"
-            )
-        return method
 
     # ------------------------------------------------------------------
     # task construction
@@ -640,7 +626,7 @@ class CampaignEngine:
             raise ConfigurationError("a sweep needs at least one application")
         repetitions = check_positive_int(repetitions, "repetitions")
         sweep = resolve_sweep(spec.core_freqs, freqs_mhz)
-        method = self.method if method is None else self._check_method(method)
+        method = self.method if method is None else check_method(method)
         reference_mem = float(spec.mem_freq_mhz)
         points = [(None, None)] + [
             (f, None if m == reference_mem else m) for m in mem_sweep for f in sweep
@@ -673,7 +659,7 @@ class CampaignEngine:
 
         # Merge per-point measurements back into one row per memory column.
         results: List[Optional[List[CharacterizationResult]]] = []
-        baseline_label, baseline_freq = self._baseline_descriptor(spec)
+        baseline_label, baseline_freq = baseline_descriptor(spec)
         for i, app in enumerate(apps):
             chunk = measurements[i * len(points) : (i + 1) * len(points)]
             baseline = chunk[0]
@@ -722,12 +708,6 @@ class CampaignEngine:
             self.stats.launch_evals_serial_equivalent += (
                 batch.n_launches * points * repetitions
             )
-
-    @staticmethod
-    def _baseline_descriptor(spec: DeviceSpec) -> Tuple[str, Optional[float]]:
-        if spec.has_default_frequency:
-            return "default configuration", spec.core_freqs.default_mhz
-        return "AMD auto freq", None
 
     def _run_tasks(
         self,

@@ -46,10 +46,10 @@ from repro.serving.registry import ModelManifest, ModelRegistry
 from repro.serving.stats import ServiceStats, now_s
 from repro.utils.validation import ensure_1d
 
-__all__ = ["AdvisorService"]
+__all__ = ["AdvisorService", "grid_axis"]
 
 
-def _grid_axis(freqs_mhz: Sequence[float], name: str) -> np.ndarray:
+def grid_axis(freqs_mhz: Sequence[float], name: str) -> np.ndarray:
     """One serving-grid axis: a non-empty 1-D array of finite clocks > 0 MHz."""
     axis = ensure_1d(freqs_mhz, name)
     if axis.size == 0:
@@ -120,9 +120,9 @@ class AdvisorService:
         mem_freqs_mhz: Optional[Sequence[float]] = None,
     ) -> None:
         self.model = model
-        self.freqs_mhz = _grid_axis(freqs_mhz, "frequency")
+        self.freqs_mhz = grid_axis(freqs_mhz, "frequency")
         self.mem_freqs_mhz = (
-            None if mem_freqs_mhz is None else _grid_axis(mem_freqs_mhz, "memory-frequency")
+            None if mem_freqs_mhz is None else grid_axis(mem_freqs_mhz, "memory-frequency")
         )
         self.model_digest = str(model_digest)
         if max_batch < 1:

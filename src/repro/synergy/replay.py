@@ -13,14 +13,17 @@ The replay engine removes the redundancy in three steps:
    :class:`LaunchRecorder` (a minimal stand-in for the GPU's launch
    interface) to capture the launch sequence.
 2. **Evaluate**: deduplicate the sequence into a
-   :class:`repro.kernels.batch.KernelLaunchBatch` and evaluate every
-   (unique launch x frequency) cell in one
+   :class:`repro.kernels.batch.KernelLaunchBatch` and evaluate it through
+   the device's batched evaluator
+   (:meth:`repro.hw.device.SimulatedGPU.evaluate_batch`, the one
+   ``launch_batch`` uses): every (unique launch x frequency) cell in one
    :meth:`~repro.hw.perf.RooflineTimingModel.time_batch` /
    :meth:`~repro.hw.power.PowerModel.energy_batch` pass.
 3. **Replay**: for each sweep point and repetition, rebuild the device's
-   counter trajectory with a cumulative sum (bit-identical to the serial
-   ``+=`` loop) and feed the exact counter deltas to the *same* sensors
-   in the *same* order as the serial protocol.
+   counter trajectory with :func:`repro.hw.device.counter_after`
+   (bit-identical to the serial ``+=`` loop) and feed the exact counter
+   deltas to the *same* sensors in the *same* order as the serial
+   protocol.
 
 Because the true values and the sensor-noise stream both match the
 serial path bit-for-bit, ``characterize(..., method="replay")`` returns
@@ -36,7 +39,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hw.device import SimulatedGPU
+from repro.hw.device import BatchColumns, SimulatedGPU, counter_after
 from repro.kernels.batch import KernelLaunchBatch
 from repro.kernels.ir import KernelLaunch
 from repro.synergy.api import SynergyDevice
@@ -97,10 +100,11 @@ def record_launches(app, gpu: SimulatedGPU) -> List[KernelLaunch]:
 
 
 class ReplayPlan:
-    """A recorded launch sequence plus cached per-frequency evaluations.
+    """A recorded launch sequence plus its device's evaluated clock columns.
 
-    The plan owns the deduplicated batch and a cache mapping a core
-    frequency to the per-unique-launch ``(time_s, energy_j)`` columns.
+    The plan owns the deduplicated batch and the column cache of
+    :meth:`repro.hw.device.SimulatedGPU.evaluate_batch`, which maps a
+    ``(core, mem)`` clock pair to the per-unique-launch evaluation.
     :meth:`prime` fills the cache for a whole sweep in a single batched
     model evaluation; :meth:`point_values` resolves the device's
     *current* clock state (pinned clock, auto governor, power cap) into
@@ -110,14 +114,7 @@ class ReplayPlan:
     def __init__(self, gpu: SimulatedGPU, launches: List[KernelLaunch]) -> None:
         self.gpu = gpu
         self.batch = KernelLaunchBatch.from_launches(launches)
-        #: (core_mhz, pinned mem_mhz or None) -> (time_s, energy_j) per unique.
-        #: Keying on the memory clock keeps a 2-D sweep's columns separate;
-        #: legacy 1-D sweeps only ever see (f, None) keys.
-        self._columns: dict[
-            Tuple[float, float | None], Tuple[np.ndarray, np.ndarray]
-        ] = {}
-        #: Batched (unique x frequency) model evaluations performed.
-        self.model_evals = 0
+        self._columns: BatchColumns = {}
 
     @property
     def n_launches(self) -> int:
@@ -129,27 +126,10 @@ class ReplayPlan:
         """Distinct launches after dedup."""
         return self.batch.n_unique
 
-    def _evaluate(self, freqs: List[float]) -> None:
-        """Fill the column cache for ``freqs`` at the current memory clock."""
-        mem = self.gpu.pinned_memory_frequency_mhz
-        missing = [f for f in freqs if (f, mem) not in self._columns]
-        if not missing or self.batch.n_unique == 0:
-            return
-        gpu = self.gpu
-        bt = gpu.timing_model.time_batch(self.batch, missing, mem)
-        floor = gpu.spec.active_idle_frac
-        u_comp_eff = bt.u_comp * (floor + (1.0 - floor) * bt.width_util[:, None])
-        energies = gpu.power_model.energy_batch(
-            bt.freqs_mhz[None, :],
-            u_comp_eff,
-            bt.u_mem,
-            bt.exec_s,
-            idle_s=bt.overhead_s,
-            mem_mhz=mem,
-        )
-        for j, f in enumerate(missing):
-            self._columns[(f, mem)] = (bt.time_s[:, j], energies[:, j])
-        self.model_evals += self.batch.n_unique * len(missing)
+    @property
+    def model_evals(self) -> int:
+        """Batched (unique x frequency) model evaluations performed."""
+        return self.batch.n_unique * len(self._columns)
 
     def prime(self, freqs_mhz) -> None:
         """Pre-evaluate a pinned-clock sweep in one batched model pass.
@@ -160,7 +140,7 @@ class ReplayPlan:
         :meth:`point_values` (at most a few extra bins).
         """
         if self.gpu.power_cap_w is None:
-            self._evaluate([float(f) for f in freqs_mhz])
+            self.gpu.fill_batch_columns(self.batch, self._columns, [float(f) for f in freqs_mhz])
 
     def point_values(self) -> Tuple[np.ndarray, np.ndarray, int]:
         """Per-launch values for one run at the device's current clock state.
@@ -170,37 +150,9 @@ class ReplayPlan:
         ``throttled_launches`` counts cap-throttled launch occurrences,
         mirroring the serial per-launch throttle accounting.
         """
-        gpu, batch = self.gpu, self.batch
-        mem = gpu.pinned_memory_frequency_mhz
-        resolved: List[float] = []
-        throttled_occurrences = 0
-        for i, launch in enumerate(batch.unique):
-            freq, throttled = gpu._capped_frequency(launch, gpu.frequency_for(launch))
-            resolved.append(freq)
-            if throttled:
-                throttled_occurrences += int(batch.counts[i])
-        self._evaluate(sorted(set(resolved)))
-        times_u = np.array(
-            [self._columns[(f, mem)][0][i] for i, f in enumerate(resolved)], dtype=float
-        )
-        energies_u = np.array(
-            [self._columns[(f, mem)][1][i] for i, f in enumerate(resolved)], dtype=float
-        )
-        return times_u[batch.inverse], energies_u[batch.inverse], throttled_occurrences
-
-
-def _trajectory_end(start: float, per_launch: np.ndarray) -> float:
-    """End point of the serial ``counter += value`` loop, bit-identically.
-
-    Float addition is not associative: the counter after N launches
-    depends on the running value each addition starts from. A cumulative
-    sum seeded with the current counter performs the identical sequence
-    of additions, so the final counter (and therefore the profiled
-    delta) matches the serial loop to the last bit.
-    """
-    if per_launch.size == 0:
-        return start
-    return float(np.cumsum(np.concatenate(([start], per_launch)))[-1])
+        point = self.gpu.evaluate_batch(self.batch, self._columns)
+        inverse = self.batch.inverse
+        return point.time_s[inverse], point.energy_j[inverse], point.throttled
 
 
 def replay_measure(
@@ -218,8 +170,8 @@ def replay_measure(
     t_launch, e_launch, n_throttled = plan.point_values()
     for r in range(repetitions):
         t0, e0 = gpu.time_counter_s, gpu.energy_counter_j
-        t1 = _trajectory_end(t0, t_launch)
-        e1 = _trajectory_end(e0, e_launch)
+        t1 = counter_after(t0, t_launch)
+        e1 = counter_after(e0, e_launch)
         gpu.fast_forward(
             time_counter_s=t1,
             energy_counter_j=e1,

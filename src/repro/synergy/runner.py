@@ -16,13 +16,15 @@ launches on a :class:`repro.hw.device.SimulatedGPU`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, runtime_checkable
+from functools import partial
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hw.device import SimulatedGPU
 from repro.hw.dvfs import FrequencyTable
+from repro.hw.specs import DeviceSpec
 from repro.synergy.api import SynergyDevice
 from repro.utils.validation import check_positive_int
 
@@ -31,9 +33,9 @@ __all__ = [
     "FrequencySample",
     "CharacterizationResult",
     "characterize",
+    "check_method",
     "measure",
-    "measure_baseline",
-    "measure_frequency",
+    "measure_point",
     "resolve_sweep",
     "baseline_descriptor",
 ]
@@ -195,15 +197,23 @@ def _run_once(app: Application, device: SynergyDevice) -> tuple[float, float]:
     return region.time_s, region.energy_j
 
 
+#: ``(median_time_s, median_energy_j, rep_times, rep_energies)`` of one sweep point.
+Measured = Tuple[float, float, np.ndarray, np.ndarray]
+
+#: A method's measure function bound to what it runs: ``partial(measure,
+#: app)`` re-runs the app, ``partial(replay_measure, plan)`` replays its
+#: recorded launches. Called as ``run(device, repetitions)``.
+MeasureFn = Callable[[SynergyDevice, int], Measured]
+
+
 def measure(
     app: Application, device: SynergyDevice, repetitions: int
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Run ``app`` ``repetitions`` times at the device's current clock.
 
     Returns ``(median_time_s, median_energy_j, rep_times, rep_energies)``.
-    This is the single measurement primitive every sweep point — serial
-    or fanned out by :class:`repro.runtime.engine.CampaignEngine` — goes
-    through.
+    This is the serial measure function of every sweep point (see
+    :func:`measure_point`) and the oracle the replay path must match.
     """
     times = np.empty(repetitions)
     energies = np.empty(repetitions)
@@ -212,37 +222,47 @@ def measure(
     return float(np.median(times)), float(np.median(energies)), times, energies
 
 
-def measure_baseline(
-    app: Application, device: SynergyDevice, repetitions: int
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Measure the baseline point (default clock / AMD auto governor).
+def measure_point(
+    app: Application,
+    device: SynergyDevice,
+    freq_mhz: Optional[float],
+    repetitions: int,
+    run: MeasureFn,
+) -> Tuple[Optional[float], Measured]:
+    """Measure one sweep point of the paper §5.1 protocol.
 
-    Raises :class:`ConfigurationError` when the workload is too small for
-    the sensor resolution, exactly like :func:`characterize`.
+    ``freq_mhz`` pins the core clock (snapped to the table); ``None`` is
+    the baseline, which resets the clock to the boot behaviour (default
+    clock, or the AMD auto governor). ``run`` measures the repetitions
+    at that clock. Every sweep point — :func:`characterize`'s, serial or
+    replayed, and every campaign-engine task — goes through here.
+
+    Returns ``(actual_freq_mhz or None, measured)``. Raises
+    :class:`ConfigurationError` when the baseline is too small for the
+    sensor resolution.
     """
-    device.reset_frequency()
-    base_time, base_energy, times, energies = measure(app, device, repetitions)
-    if base_energy <= 0 or base_time <= 0:
+    if freq_mhz is None:
+        device.reset_frequency()
+        actual = None
+    else:
+        actual = device.set_core_frequency(freq_mhz)
+    measured = run(device, repetitions)
+    time_s, energy_j = measured[0], measured[1]
+    if actual is None and (energy_j <= 0 or time_s <= 0):
         raise ConfigurationError(
             f"{app.name}: baseline measurement is below the sensor resolution; "
             "run a larger workload (more steps/iterations) so energy is measurable"
         )
-    return base_time, base_energy, times, energies
+    return actual, measured
 
 
-def measure_frequency(
-    app: Application, device: SynergyDevice, freq_mhz: float, repetitions: int
-) -> FrequencySample:
-    """Measure one pinned-clock sweep point as a :class:`FrequencySample`."""
-    actual = device.set_core_frequency(freq_mhz)
-    t, e, times, energies = measure(app, device, repetitions)
-    return FrequencySample(
-        freq_mhz=actual,
-        time_s=t,
-        energy_j=e,
-        rep_times_s=times,
-        rep_energies_j=energies,
-    )
+def check_method(method: str) -> str:
+    """Validate a measurement method: ``"serial"`` or ``"replay"``."""
+    if method not in ("serial", "replay"):
+        raise ConfigurationError(
+            f"unknown measurement method {method!r}; expected 'serial' or 'replay'"
+        )
+    return method
 
 
 def resolve_sweep(
@@ -265,10 +285,16 @@ def resolve_sweep(
     return sweep
 
 
-def baseline_descriptor(device: SynergyDevice) -> tuple[str, Optional[float]]:
-    """``(baseline_label, baseline_freq_mhz)`` for a device handle."""
-    if device.default_frequency_mhz is not None:
-        return "default configuration", float(device.default_frequency_mhz)
+def baseline_descriptor(spec: DeviceSpec) -> Tuple[str, Optional[float]]:
+    """``(baseline_label, baseline_freq_mhz)`` of the clock a baseline runs at.
+
+    Keyed on :attr:`DeviceSpec.has_default_frequency`, the predicate
+    :meth:`SimulatedGPU.reset_frequency` follows: such devices reset to
+    their default clock, every other one to the automatic governor (even
+    when its table declares a default clock).
+    """
+    if spec.has_default_frequency:
+        return "default configuration", spec.core_freqs.default_mhz
     return "AMD auto freq", None
 
 
@@ -303,19 +329,20 @@ def characterize(
     CharacterizationResult
         Baseline plus one :class:`FrequencySample` per swept frequency.
     """
-    if method not in ("serial", "replay"):
-        raise ConfigurationError(
-            f"unknown characterization method {method!r}; expected 'serial' or 'replay'"
-        )
+    check_method(method)
     repetitions = check_positive_int(repetitions, "repetitions")
-    sweep = resolve_sweep(device.gpu.spec.core_freqs, freqs_mhz)
+    spec = device.gpu.spec
+    sweep = resolve_sweep(spec.core_freqs, freqs_mhz)
+    run: MeasureFn = partial(measure, app)
     if method == "replay":
-        return _characterize_replay(app, device, sweep, repetitions)
+        from repro.synergy.replay import ReplayPlan, record_launches, replay_measure
 
-    # Baseline: default clock (NVIDIA) or automatic governor (AMD).
-    base_time, base_energy, _, _ = measure_baseline(app, device, repetitions)
-    baseline_label, baseline_freq = baseline_descriptor(device)
+        plan = ReplayPlan(device.gpu, record_launches(app, device.gpu))
+        plan.prime(sweep)
+        run = partial(replay_measure, plan)
 
+    _, (base_time, base_energy, _, _) = measure_point(app, device, None, repetitions, run)
+    baseline_label, baseline_freq = baseline_descriptor(spec)
     result = CharacterizationResult(
         app_name=app.name,
         device_name=device.name,
@@ -325,50 +352,7 @@ def characterize(
         baseline_energy_j=base_energy,
     )
     for freq in sweep:
-        result.samples.append(measure_frequency(app, device, freq, repetitions))
-    device.reset_frequency()
-    return result
-
-
-def _characterize_replay(
-    app: Application,
-    device: SynergyDevice,
-    sweep: Sequence[float],
-    repetitions: int,
-) -> CharacterizationResult:
-    """Replay-based sweep: record once, evaluate the grid in one pass.
-
-    Step-for-step mirror of the serial protocol — same clock changes in
-    the same order, same sensor reads per repetition, same counter
-    evolution on the device — with the per-launch model evaluations
-    replaced by one batched pass over (unique launch x frequency).
-    """
-    from repro.synergy.replay import ReplayPlan, record_launches, replay_measure
-
-    gpu = device.gpu
-    plan = ReplayPlan(gpu, record_launches(app, gpu))
-    plan.prime(sweep)
-
-    device.reset_frequency()
-    base_time, base_energy, _, _ = replay_measure(plan, device, repetitions)
-    if base_energy <= 0 or base_time <= 0:
-        raise ConfigurationError(
-            f"{app.name}: baseline measurement is below the sensor resolution; "
-            "run a larger workload (more steps/iterations) so energy is measurable"
-        )
-    baseline_label, baseline_freq = baseline_descriptor(device)
-
-    result = CharacterizationResult(
-        app_name=app.name,
-        device_name=device.name,
-        baseline_label=baseline_label,
-        baseline_freq_mhz=baseline_freq,
-        baseline_time_s=base_time,
-        baseline_energy_j=base_energy,
-    )
-    for freq in sweep:
-        actual = device.set_core_frequency(freq)
-        t, e, times, energies = replay_measure(plan, device, repetitions)
+        actual, (t, e, times, energies) = measure_point(app, device, freq, repetitions, run)
         result.samples.append(
             FrequencySample(
                 freq_mhz=actual,

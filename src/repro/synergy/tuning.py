@@ -165,10 +165,9 @@ def _kernel_profile(
     energies = np.empty(freqs.size)
     for i, f in enumerate(freqs):
         t = timing.time(launch, float(f))
-        u_comp_eff = t.u_comp * (active_idle_frac + (1 - active_idle_frac) * t.width_util)
         times[i] = t.time_s
         energies[i] = power.energy_j(
-            float(f), u_comp_eff, t.u_mem, t.exec_s, idle_s=t.overhead_s
+            float(f), t.effective_u_comp(active_idle_frac), t.u_mem, t.exec_s, idle_s=t.overhead_s
         )
     base_idx = int(np.argmin(np.abs(freqs - baseline_mhz)))
     return times[base_idx] / times, energies / energies[base_idx]
