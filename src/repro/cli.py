@@ -1,53 +1,15 @@
-"""Command-line interface.
+"""The ``repro`` command line.
 
-Twelve workflows, mirroring how a user adopts the library:
-
-- ``repro characterize`` — DVFS-sweep an application on a simulated
-  device, print the speedup/energy table, optionally save the sweep;
-- ``repro campaign`` — run a full characterization campaign through the
-  parallel, cached execution engine (``--jobs``, ``--cache-dir``; see
-  ``docs/campaign-engine.md``), optionally under a deterministic
-  fault-injection plan (``--inject``, ``--max-retries``; see
-  ``docs/fault-injection.md``);
-- ``repro run`` — validate a declarative scenario/campaign spec file
-  (the ``SPEC0xx`` static pass) and execute it end to end: campaign,
-  optional fault plan, optional serving objective (see
-  ``docs/scenario-specs.md``);
-- ``repro train`` — build a characterization campaign and train a
-  domain-specific model, saving it as ``.npz``;
-- ``repro predict`` — load a model and predict the trade-off profile
-  (plus the Pareto-optimal frequencies) for an input tuple;
-- ``repro tune`` — load a model and pick a frequency under a tuning
-  metric (minimum energy within a slowdown budget, EDP, ED2P, or
-  SYnergy's energy target);
-- ``repro registry`` — manage the versioned, digest-validated model
-  registry (``add``, ``list``, ``verify``; see ``docs/serving.md``);
-- ``repro advise`` — answer one frequency-advice request from a
-  registered model under an objective (trade-off, deadline, power cap);
-- ``repro serve`` — drive the online advisor with a synthetic request
-  load across worker threads and print the service stats report;
-- ``repro fleet`` — simulate a GPU fleet under deadline-aware DVFS
-  through the vectorized SoA tick engine, optionally against the
-  static-clock baseline or the naive reference engine (see
-  ``docs/fleet.md``);
-- ``repro lifecycle`` — the model lifecycle around serving: inspect the
-  promotion-ledger state (``status``), train + register candidate
-  versions (``retrain``), and move the active pointer (``promote``,
-  ``rollback``); the full closed drift→retrain→canary loop runs via
-  ``repro run`` on a ``repro.lifecycle`` spec (see ``docs/lifecycle.md``);
-- ``repro lint`` — statically verify the repo's invariants: AST lint
-  rules over the source tree, ``SPEC0xx`` schema checks over JSON spec
-  artifacts, plus the built-in hardware-spec / kernel-IR self-check
-  (see ``docs/static-analysis.md``).
-
-Run ``python -m repro.cli <command> --help`` for per-command options.
+``repro --help`` lists the commands and ``repro <command> --help`` their
+options. Each workflow is documented under ``docs/``; the spec files
+``repro run`` executes are described in ``docs/scenario-specs.md``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +23,11 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 #: ``repro characterize --grid`` default of each grid-based kind.
 _DEFAULT_GRIDS = {"cronos": "160x64x64", "mhd": "24x48x32"}
+
+
+def _floats(text):
+    """A comma-separated flag value as a list of floats."""
+    return [float(v) for v in text.split(",")]
 
 
 def _make_app(args):
@@ -87,29 +54,31 @@ def _device(args):
 
 
 def _mem_freq_list(args):
-    if not getattr(args, "mem_freqs", None):
-        return None
-    return tuple(float(v) for v in args.mem_freqs.split(","))
+    return tuple(_floats(args.mem_freqs)) if args.mem_freqs else None
 
 
-def _freq_list(device, count: Optional[int]):
-    # Shared with the campaign builders: snap-and-compare baseline
-    # membership, never float identity.
-    from repro.experiments.datasets import default_training_freqs
-
-    return default_training_freqs(device, count)
+def _advice_line(advice, extra: str = "") -> str:
+    """``run at <clock> (predicted speedup ..., normalized energy ...)``."""
+    clock = f"{advice.freq_mhz:.0f} MHz"
+    if advice.mem_freq_mhz is not None:
+        clock += f" core / {advice.mem_freq_mhz:.0f} MHz mem"
+    return (
+        f"run at {clock} (predicted speedup {advice.predicted_speedup:.3f}, "
+        f"normalized energy {advice.predicted_normalized_energy:.3f}{extra})"
+    )
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 def cmd_characterize(args) -> int:
+    from repro.experiments.datasets import default_training_freqs
     from repro.experiments.figures import characterization_series
     from repro.experiments.report import render_characterization
 
     device = _device(args)
     app = _make_app(args)
-    freqs = _freq_list(device, args.freqs)
+    freqs = default_training_freqs(device, args.freqs)
     series = characterization_series(app, device, freqs_mhz=freqs, repetitions=args.reps)
     print(render_characterization(series, f"characterization", max_rows=args.max_rows))
     if args.output:
@@ -159,7 +128,7 @@ def _load_model_and_profile(args):
     from repro.io import load_domain_model
 
     model = load_domain_model(args.model)
-    features = [float(v) for v in args.features.split(",")]
+    features = _floats(args.features)
     prediction = model.predict_tradeoff(features, _serving_freqs(args))
     return model, features, prediction
 
@@ -187,6 +156,14 @@ def cmd_predict(args) -> int:
 
 def cmd_reproduce(args) -> int:
     from repro.experiments import evaluate_fig13, render_accuracy_rows
+    from repro.experiments.configs import (
+        FIG13_CRONOS_VALIDATION,
+        FIG13_LIGEN_VALIDATION,
+        cronos_label,
+        ligen_label,
+    )
+    from repro.experiments.datasets import build_campaign, default_training_freqs
+    from repro.experiments.workloads import workload_kind
     from repro.kernels.microbench import generate_microbenchmarks
     from repro.ml import RandomForestRegressor
     from repro.modeling import GeneralPurposeModel, cronos_static_spec, ligen_static_spec
@@ -199,7 +176,7 @@ def cmd_reproduce(args) -> int:
     suite = generate_microbenchmarks()
     if args.quick:
         suite = suite[::4]
-    freqs = _freq_list(device, args.freqs)
+    freqs = default_training_freqs(device, args.freqs)
     print(
         f"training the general-purpose model on {len(suite)} micro-benchmarks "
         f"x {len(freqs)} frequencies ..."
@@ -208,50 +185,29 @@ def cmd_reproduce(args) -> int:
     gp.train(device, freqs_mhz=freqs, microbenchmarks=suite)
 
     if args.experiment == "fig13-cronos":
-        from repro.cronos.app import CRONOS_FEATURE_NAMES
-        from repro.experiments import build_cronos_campaign
-        from repro.experiments.configs import FIG13_CRONOS_VALIDATION, cronos_label
-
-        campaign = build_cronos_campaign(
-            device, freq_count=args.freqs, repetitions=args.reps,
-            n_steps=10 if args.quick else 25,
-        )
-        rows = evaluate_fig13(
-            campaign, gp, cronos_static_spec(), CRONOS_FEATURE_NAMES,
-            validation_features=[tuple(map(float, g)) for g in FIG13_CRONOS_VALIDATION],
-            labels=[cronos_label(*g) for g in FIG13_CRONOS_VALIDATION],
-            regressor_factory=forest,
-        )
-        print(render_accuracy_rows(rows, "Fig 13a/b: Cronos model accuracy"))
+        kind, static, title = "cronos", cronos_static_spec(), "Fig 13a/b: Cronos model accuracy"
+        quick = dict(steps=10)
+        validation = [tuple(map(float, g)) for g in FIG13_CRONOS_VALIDATION]
+        labels = [cronos_label(*g) for g in FIG13_CRONOS_VALIDATION]
     else:
-        from repro.experiments import build_ligen_campaign
-        from repro.experiments.configs import FIG13_LIGEN_VALIDATION, ligen_label
-        from repro.ligen.app import LIGEN_FEATURE_NAMES
-
-        kwargs = {}
-        if args.quick:
-            kwargs = dict(
-                ligand_counts=(2, 256, 4096, 10000),
-                atom_counts=(31, 89),
-                fragment_counts=(4, 20),
-            )
-        campaign = build_ligen_campaign(
-            device, freq_count=args.freqs, repetitions=args.reps, **kwargs
-        )
-        validation = [
-            (float(l), float(f), float(a))
-            for (a, f, l) in FIG13_LIGEN_VALIDATION
-            if not args.quick or (a in (31, 89) and f in (4, 20) and l in (256, 10000))
+        kind, static, title = "ligen", ligen_static_spec(), "Fig 13c/d: LiGen model accuracy"
+        quick = dict(ligand_counts=(2, 256, 4096, 10000), atom_counts=(31, 89), fragment_counts=(4, 20))
+        inputs = [
+            (a, f, l) for (a, f, l) in FIG13_LIGEN_VALIDATION
+            if not args.quick or l in (256, 10000)
         ]
-        labels = [
-            ligen_label(int(a), int(f), int(l)) for (l, f, a) in validation
-        ]
-        rows = evaluate_fig13(
-            campaign, gp, ligen_static_spec(), LIGEN_FEATURE_NAMES,
-            validation_features=validation, labels=labels,
-            regressor_factory=forest,
-        )
-        print(render_accuracy_rows(rows, "Fig 13c/d: LiGen model accuracy"))
+        validation = [(float(l), float(f), float(a)) for (a, f, l) in inputs]
+        labels = [ligen_label(a, f, l) for (a, f, l) in inputs]
+    workload = workload_kind(kind)
+    campaign = build_campaign(
+        device, kind, {**workload.paper_params, **(quick if args.quick else {})},
+        freq_count=args.freqs, repetitions=args.reps,
+    )
+    rows = evaluate_fig13(
+        campaign, gp, static, workload.feature_names,
+        validation_features=validation, labels=labels, regressor_factory=forest,
+    )
+    print(render_accuracy_rows(rows, title))
     return 0
 
 
@@ -265,24 +221,51 @@ def _campaign_progress(jobs: int):
     return progress
 
 
-def _print_quarantine_warning(engine) -> None:
-    stats = engine.stats
+def _run_scenario(scenario) -> int:
+    """Run a scenario, then print its summary, dataset path and advice.
+
+    ``repro campaign`` and ``repro run`` both report through here.
+    """
+    import time
+
+    from repro.experiments.report import render_campaign_summary
+    from repro.specs.run import run_scenario
+    from repro.specs.scenario import resolve_ref
+
+    # Harness wall-clock for the run summary only — simulated measurements
+    # always derive time from the timing model, never from the host clock.
+    t0 = time.perf_counter()  # repro-lint: ignore[TIM001]
+    outcome = run_scenario(
+        scenario, progress=_campaign_progress(scenario.campaign.engine.jobs)
+    )
+    elapsed = time.perf_counter() - t0  # repro-lint: ignore[TIM001]
+
+    print(render_campaign_summary(outcome.campaign, elapsed_s=elapsed))
+    stats = outcome.engine.stats
     if stats.quarantined:
         print(
             f"warning: {stats.quarantined} sweep point(s) quarantined after "
-            f"{engine.retry.max_attempts} attempts each "
+            f"{outcome.engine.retry.max_attempts} attempts each "
             f"({', '.join(stats.quarantined_points)}); campaign is "
             f"{stats.completeness():.1%} complete",
             file=sys.stderr,
         )
+    if scenario.dataset_output is not None:
+        # A flag-built scenario has no spec directory: echo its path as given.
+        path = scenario.dataset_output
+        if scenario.base_dir is not None:
+            path = resolve_ref(path, scenario.base_dir)
+        print(f"dataset saved to {path}")
+    for row in outcome.advice:
+        if row.error is not None:
+            print(f"{row.label} {row.features}: objective infeasible — {row.error}")
+        else:
+            print(f"{row.label} {row.features}: {_advice_line(row.advice)}")
+    return 0
 
 
 def cmd_campaign(args) -> int:
-    import time
-
-    from repro.experiments.report import render_campaign_summary
-    from repro.specs import campaign_spec_from_cli
-    from repro.specs.run import run_campaign
+    from repro.specs import ScenarioSpec, campaign_spec_from_cli
 
     fault_plan = None
     if args.inject:
@@ -290,38 +273,20 @@ def cmd_campaign(args) -> int:
 
         fault_plan = FaultPlan.load(args.inject)
         print(f"fault injection: {fault_plan.describe()}")
-    # The flag soup becomes a declarative CampaignSpec and runs through
-    # the same executor as `repro run` — one code path, two spellings.
-    spec = campaign_spec_from_cli(
-        args.app,
-        device=args.device,
-        quick=args.quick,
-        freq_count=args.freqs,
-        repetitions=args.reps,
-        seed=args.seed,
-        jobs=args.jobs,
+    # The flags become the scenario a spec file would declare, and run
+    # through the same executor and report as `repro run`.
+    campaign = campaign_spec_from_cli(
+        args.app, device=args.device, quick=args.quick, freq_count=args.freqs,
+        repetitions=args.reps, seed=args.seed, jobs=args.jobs,
         method="replay" if args.replay else "serial",
         cache_dir=None if args.no_cache else args.cache_dir,
-        max_retries=args.max_retries,
-        mem_freqs_mhz=_mem_freq_list(args),
+        max_retries=args.max_retries, mem_freqs_mhz=_mem_freq_list(args),
     )
-
-    # Harness wall-clock for the run summary only — simulated measurements
-    # always derive time from the timing model, never from the host clock.
-    t0 = time.perf_counter()  # repro-lint: ignore[TIM001]
-    campaign, engine = run_campaign(
-        spec, fault_plan=fault_plan, progress=_campaign_progress(spec.engine.jobs)
+    scenario = ScenarioSpec(
+        name=args.app, campaign=campaign, fault_plan=fault_plan,
+        dataset_output=args.dataset_output,
     )
-    elapsed = time.perf_counter() - t0  # repro-lint: ignore[TIM001]
-
-    print(render_campaign_summary(campaign, elapsed_s=elapsed))
-    _print_quarantine_warning(engine)
-    if args.dataset_output:
-        from repro.io import save_dataset
-
-        save_dataset(campaign.dataset, args.dataset_output)
-        print(f"dataset saved to {args.dataset_output}")
-    return 0
+    return _run_scenario(scenario)
 
 
 def _lint_spec_file(path):
@@ -342,7 +307,6 @@ def _lint_spec_file(path):
 def cmd_run(args) -> int:
     import dataclasses
     import pathlib
-    import time
 
     from repro.errors import SpecError
     from repro.specs import (
@@ -382,18 +346,7 @@ def cmd_run(args) -> int:
         print(_render_lifecycle_result(result))
         return 0
     if isinstance(spec, FleetSpec):
-        # Fleet specs run through the SoA tick engine, not the campaign
-        # executor — same lint-then-run discipline, different runtime.
-        from repro.fleet import resolve_fleet_model, simulate_fleet
-
-        print(spec.describe())
-        model, _manifest = resolve_fleet_model(spec)
-        result = simulate_fleet(spec, model)
-        print(_render_fleet_summary(result.summary(), "fleet summary (vectorized)"))
-        return 0
-
-    from repro.experiments.report import render_campaign_summary
-    from repro.specs.run import run_scenario
+        return _run_fleet(spec)
 
     scenario = spec
     if isinstance(spec, CampaignSpec):
@@ -406,33 +359,7 @@ def cmd_run(args) -> int:
             scenario, dataset_output=str(pathlib.Path(args.dataset_output).absolute())
         )
     print(scenario.describe())
-
-    t0 = time.perf_counter()  # repro-lint: ignore[TIM001]
-    outcome = run_scenario(
-        scenario, progress=_campaign_progress(scenario.campaign.engine.jobs)
-    )
-    elapsed = time.perf_counter() - t0  # repro-lint: ignore[TIM001]
-
-    print(render_campaign_summary(outcome.campaign, elapsed_s=elapsed))
-    _print_quarantine_warning(outcome.engine)
-    if scenario.dataset_output is not None:
-        from repro.specs.scenario import resolve_ref
-
-        print(f"dataset saved to {resolve_ref(scenario.dataset_output, scenario.base_dir)}")
-    for row in outcome.advice:
-        if row.error is not None:
-            print(f"{row.label} {row.features}: objective infeasible — {row.error}")
-        else:
-            advice = row.advice
-            clock = f"{advice.freq_mhz:.0f} MHz"
-            if advice.mem_freq_mhz is not None:
-                clock += f" core / {advice.mem_freq_mhz:.0f} MHz mem"
-            print(
-                f"{row.label} {row.features}: run at {clock} "
-                f"(predicted speedup {advice.predicted_speedup:.3f}, "
-                f"normalized energy {advice.predicted_normalized_energy:.3f})"
-            )
-    return 0
+    return _run_scenario(scenario)
 
 
 def cmd_tune(args) -> int:
@@ -462,16 +389,6 @@ def _serving_freqs(args) -> np.ndarray:
     return grid_axis(np.linspace(args.freq_min, args.freq_max, args.freq_points), "frequency")
 
 
-def _objective_from_args(args):
-    from repro.serving import Objective
-
-    return Objective.from_kind(
-        args.objective,
-        deadline_s=getattr(args, "deadline_s", None),
-        power_w=getattr(args, "power_w", None),
-    )
-
-
 def cmd_registry(args) -> int:
     import json
 
@@ -481,7 +398,9 @@ def cmd_registry(args) -> int:
     if args.registry_command == "add":
         device_signature = None
         if args.device:
-            device_signature = _device_signature(args.device)
+            from repro.hw.device import create_device
+
+            device_signature = create_device(args.device).spec.signature()
         manifest = registry.register(
             args.model,
             args.name,
@@ -533,27 +452,19 @@ def cmd_registry(args) -> int:
     return 0
 
 
-def _device_signature(device_name: str):
-    from repro.hw.device import create_device
-
-    return create_device(device_name).spec.signature()
-
-
 def cmd_advise(args) -> int:
     import json
 
-    from repro.serving import AdvisorService, ModelRegistry
+    from repro.serving import AdvisorService, ModelRegistry, Objective
 
-    registry = ModelRegistry(args.registry)
     service = AdvisorService.from_registry(
-        registry,
-        args.name,
-        _serving_freqs(args),
-        version=args.version,
-        mem_freqs_mhz=_mem_freq_list(args),
+        ModelRegistry(args.registry), args.name, _serving_freqs(args),
+        version=args.version, mem_freqs_mhz=_mem_freq_list(args),
     )
-    objective = _objective_from_args(args)
-    features = [float(v) for v in args.features.split(",")]
+    objective = Objective.from_kind(
+        args.objective, deadline_s=args.deadline_s, power_w=args.power_w
+    )
+    features = _floats(args.features)
     advice = service.advise(features, objective)
     manifest = service.manifest
     if args.format == "json":
@@ -570,15 +481,8 @@ def cmd_advise(args) -> int:
         )
         return 0
     print(f"model: {manifest.ref} ({manifest.app}), objective: {objective.describe()}")
-    clock = f"{advice.freq_mhz:.0f} MHz"
-    if advice.mem_freq_mhz is not None:
-        clock += f" core / {advice.mem_freq_mhz:.0f} MHz mem"
-    print(
-        f"advice: run at {clock} "
-        f"(predicted speedup {advice.predicted_speedup:.3f}, "
-        f"normalized energy {advice.predicted_normalized_energy:.3f}, "
-        f"{'on' if advice.on_pareto_front else 'off'} the Pareto front)"
-    )
+    front = "on" if advice.on_pareto_front else "off"
+    print(f"advice: {_advice_line(advice, f', {front} the Pareto front')}")
     return 0
 
 
@@ -599,11 +503,48 @@ def _render_fleet_summary(summary, title: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_fleet(args) -> int:
+def _run_fleet(spec, mode: str = "vectorized", baseline: bool = False, fmt: str = "text") -> int:
+    """Simulate a fleet spec and print the result (``repro fleet`` and ``repro run``)."""
     import json
-    import pathlib
 
     from repro.fleet import compare_to_static, resolve_fleet_model, simulate_fleet
+
+    if fmt == "text":
+        print(spec.describe())
+    model, _manifest = resolve_fleet_model(spec)
+    result = simulate_fleet(spec, model, mode=mode)
+    summary = result.summary()
+    comparison = compare_to_static(spec, model, advised_result=result) if baseline else None
+    if fmt == "json":
+        payload = {
+            "spec": spec.as_record(),
+            "fingerprint": spec.fingerprint(),
+            "mode": mode,
+            "summary": summary,
+        }
+        if comparison is not None:
+            payload["baseline"] = comparison
+        print(json.dumps(payload, indent=2))
+        return 0
+    print(_render_fleet_summary(summary, f"fleet summary ({mode})"))
+    if comparison is not None:
+        print(
+            _render_fleet_summary(
+                comparison["static"],
+                f"static-clock baseline ({comparison['static_freq_mhz']:.0f} MHz)",
+            )
+        )
+        print(
+            f"advice saves {comparison['energy_saved_j'] / 1e3:.3f} kJ "
+            f"({comparison['energy_saved_pct']:.1f}%) at SLA delta "
+            f"{comparison['sla_delta']:+.4f}"
+        )
+    return 0
+
+
+def cmd_fleet(args) -> int:
+    import pathlib
+
     from repro.specs import FleetSpec
 
     path = pathlib.Path(args.spec)
@@ -628,39 +569,7 @@ def cmd_fleet(args) -> int:
         spec = FleetSpec.from_record(
             {**spec.as_record(), **overrides}, file=str(path), base_dir=spec.base_dir
         )
-    if args.format == "text":
-        print(spec.describe())
-    model, _manifest = resolve_fleet_model(spec)
-    result = simulate_fleet(spec, model, mode=args.mode)
-    summary = result.summary()
-    comparison = None
-    if args.baseline:
-        comparison = compare_to_static(spec, model, advised_result=result)
-    if args.format == "json":
-        payload = {
-            "spec": spec.as_record(),
-            "fingerprint": spec.fingerprint(),
-            "mode": args.mode,
-            "summary": summary,
-        }
-        if comparison is not None:
-            payload["baseline"] = comparison
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(_render_fleet_summary(summary, f"fleet summary ({args.mode})"))
-    if comparison is not None:
-        print(
-            _render_fleet_summary(
-                comparison["static"],
-                f"static-clock baseline ({comparison['static_freq_mhz']:.0f} MHz)",
-            )
-        )
-        print(
-            f"advice saves {comparison['energy_saved_j'] / 1e3:.3f} kJ "
-            f"({comparison['energy_saved_pct']:.1f}%) at SLA delta "
-            f"{comparison['sla_delta']:+.4f}"
-        )
-    return 0
+    return _run_fleet(spec, args.mode, args.baseline, args.format)
 
 
 def cmd_serve(args) -> int:
@@ -673,56 +582,38 @@ def cmd_serve(args) -> int:
         synthetic_requests,
     )
 
-    registry = ModelRegistry(args.registry)
     freqs = _serving_freqs(args)
+    # One set of service options for the in-process and the worker advisors.
+    options = dict(
+        version=args.version, max_batch=args.batch_size,
+        cache_size=args.cache_size, cache_shards=args.cache_shards,
+    )
     service = AdvisorService.from_registry(
-        registry,
-        args.name,
-        freqs,
-        version=args.version,
-        max_batch=args.batch_size,
-        cache_size=args.cache_size,
-        cache_shards=args.cache_shards,
+        ModelRegistry(args.registry), args.name, freqs, **options
     )
     manifest = service.manifest
     if args.features:
-        base = [float(v) for v in args.features.split(",")]
+        base = _floats(args.features)
     else:
         base = [64.0] * len(manifest.feature_names)
-    objectives = [Objective.tradeoff()]
     requests = synthetic_requests(
-        base,
-        args.requests,
-        pool_size=args.pool,
-        objectives=objectives,
+        base, args.requests, pool_size=args.pool, objectives=[Objective.tradeoff()],
         seed=args.seed,
     )
+    workers = f"{args.workers} worker(s)"
     if args.processes > 1:
-        print(
-            f"serving {len(requests)} requests to {manifest.ref} "
-            f"with {args.processes} process(es) x {args.workers} worker(s) ..."
-        )
+        workers = f"{args.processes} process(es) x {workers}"
+    print(f"serving {len(requests)} requests to {manifest.ref} with {workers} ...")
+    if args.processes > 1:
         run_load_multiprocess(
-            args.registry,
-            args.name,
-            requests,
-            freqs,
-            processes=args.processes,
-            workers_per_process=args.workers,
-            version=args.version,
-            max_batch=args.batch_size,
-            cache_size=args.cache_size,
-            cache_shards=args.cache_shards,
+            args.registry, args.name, requests, freqs,
+            processes=args.processes, workers_per_process=args.workers, **options,
         )
         print(
             f"served {len(requests)} requests across {args.processes} processes "
             "(per-process stats stay in the workers)"
         )
         return 0
-    print(
-        f"serving {len(requests)} requests to {manifest.ref} "
-        f"with {args.workers} worker(s) ..."
-    )
     run_load(service, requests, workers=args.workers)
     print(service.report())
     return 0
@@ -768,21 +659,17 @@ def cmd_lifecycle(args) -> int:
     from repro.serving import ModelRegistry
 
     if args.lifecycle_command == "retrain":
-        from repro.lifecycle import build_retrainer, build_workload
+        from repro.lifecycle import build_retrainer, build_workload, retrain_candidate
         from repro.specs import LifecycleSpec
+        from repro.specs.scenario import resolve_ref
 
         spec = LifecycleSpec.load(args.spec)
         print(spec.describe())
-        from repro.specs.scenario import resolve_ref
-
         registry = ModelRegistry(resolve_ref(spec.registry, spec.base_dir))
-        retrainer = build_retrainer(spec, registry)
-        controller = CanaryController(registry, spec.model_name)
-        generation = len(registry._versions(spec.model_name))
-        apps = build_workload(spec)
-        manifest = retrainer.retrain(apps, generation=generation)
-        controller.record_register(
-            manifest, retrainer.train_fingerprint(generation)
+        generation, manifest = retrain_candidate(
+            build_retrainer(spec, registry),
+            CanaryController(registry, spec.model_name),
+            build_workload(spec),
         )
         print(
             f"registered {manifest.ref} "
@@ -874,6 +761,32 @@ def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     from repro.experiments.workloads import APP_KINDS
     from repro.synergy.api import BUILTIN_DEVICES
+    from repro.synergy.tuning import TuningMetric
+
+    def sweep_flags(p, reps, trees=None, freqs_help=None, seed_help=None):
+        """``--device/--freqs/--reps/--seed``: the sweep a command runs.
+
+        A training command's ``--trees`` goes before ``--seed``, where its
+        ``--help`` has always listed it.
+        """
+        p.add_argument("--device", choices=BUILTIN_DEVICES, default="v100")
+        p.add_argument("--freqs", type=int, default=16, help=freqs_help)
+        p.add_argument("--reps", type=int, default=reps)
+        if trees is not None:
+            p.add_argument("--trees", type=int, default=trees)
+        p.add_argument("--seed", type=int, default=42, help=seed_help)
+
+    def serving_grid_flags(p):
+        """``--freq-min/--freq-max/--freq-points``: the advised frequency grid."""
+        p.add_argument("--freq-min", type=float, default=135.0)
+        p.add_argument("--freq-max", type=float, default=1597.0)
+        p.add_argument("--freq-points", type=int, default=25)
+
+    def served_model_flags(p):
+        """``--registry/--name/--version``: the registered model to serve."""
+        p.add_argument("--registry", required=True, help="registry directory")
+        p.add_argument("--name", required=True, help="registered model name")
+        p.add_argument("--version", type=int, help="model version (default: latest)")
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -893,21 +806,16 @@ def build_parser() -> argparse.ArgumentParser:
         "MHD: grid as NRxNTHETAxNZ (default 24x48x32)",
     )
     p.add_argument("--steps", type=int, default=25, help="Cronos/MHD: time steps")
-    p.add_argument("--device", choices=BUILTIN_DEVICES, default="v100")
-    p.add_argument("--freqs", type=int, default=16, help="frequency bins to sweep (default 16; omit for all with 0)")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
+    sweep_flags(
+        p, reps=5, freqs_help="frequency bins to sweep (default 16; omit for all with 0)"
+    )
     p.add_argument("--max-rows", type=int, default=40)
     p.add_argument("--output", help="save the sweep as JSON")
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("train", help="build a campaign and train a domain model")
     p.add_argument("--app", choices=APP_KINDS, required=True)
-    p.add_argument("--device", choices=BUILTIN_DEVICES, default="v100")
-    p.add_argument("--freqs", type=int, default=16)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--trees", type=int, default=30)
-    p.add_argument("--seed", type=int, default=42)
+    sweep_flags(p, reps=3, trees=30)
     p.add_argument("--output", required=True, help="model .npz path")
     p.add_argument(
         "--mem-freqs",
@@ -922,10 +830,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a characterization campaign through the parallel, cached engine",
     )
     p.add_argument("--app", choices=APP_KINDS, required=True)
-    p.add_argument("--device", choices=BUILTIN_DEVICES, default="v100")
-    p.add_argument("--freqs", type=int, default=16, help="frequency bins to sweep (0 = all)")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42, help="campaign seed (per-task seeds derive from it)")
+    sweep_flags(
+        p, reps=5, freqs_help="frequency bins to sweep (0 = all)",
+        seed_help="campaign seed (per-task seeds derive from it)",
+    )
     p.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (results are identical for any value)",
@@ -985,11 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--experiment", choices=("fig13-cronos", "fig13-ligen"), required=True
     )
-    p.add_argument("--device", choices=BUILTIN_DEVICES, default="v100")
-    p.add_argument("--freqs", type=int, default=16)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--trees", type=int, default=20)
-    p.add_argument("--seed", type=int, default=42)
+    sweep_flags(p, reps=3, trees=20)
     p.add_argument(
         "--quick", action="store_true",
         help="reduced micro-benchmark suite and input grid (~1 min)",
@@ -999,6 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "registry", help="manage the versioned, digest-validated model registry"
     )
+    p.set_defaults(func=cmd_registry)
     reg_sub = p.add_subparsers(dest="registry_command", required=True)
 
     pr = reg_sub.add_parser("add", help="register a trained model as a new version")
@@ -1013,23 +918,18 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument(
         "--train-fingerprint", help="opaque training-campaign fingerprint to record"
     )
-    pr.set_defaults(func=cmd_registry)
 
     pr = reg_sub.add_parser("list", help="list registered model versions")
     pr.add_argument("--root", required=True, help="registry directory")
     pr.add_argument("--format", choices=("text", "json"), default="text")
-    pr.set_defaults(func=cmd_registry)
 
     pr = reg_sub.add_parser("verify", help="integrity-check registered artifacts")
     pr.add_argument("--root", required=True, help="registry directory")
     pr.add_argument("--name", help="verify only this model (default: all)")
     pr.add_argument("--version", type=int, help="verify only this version")
-    pr.set_defaults(func=cmd_registry)
 
     p = sub.add_parser("advise", help="one frequency-advice request from a registered model")
-    p.add_argument("--registry", required=True, help="registry directory")
-    p.add_argument("--name", required=True, help="registered model name")
-    p.add_argument("--version", type=int, help="model version (default: latest)")
+    served_model_flags(p)
     p.add_argument(
         "--features", required=True,
         help="comma-separated input features (model order)",
@@ -1047,9 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
         "last feature must be f_mem_mhz and the advice becomes a "
         "(core, memory) frequency pair",
     )
-    p.add_argument("--freq-min", type=float, default=135.0)
-    p.add_argument("--freq-max", type=float, default=1597.0)
-    p.add_argument("--freq-points", type=int, default=25)
+    serving_grid_flags(p)
     p.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="json emits the manifest, objective, and advice machine-readably",
@@ -1088,9 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="drive the advisor with a synthetic load and print stats"
     )
-    p.add_argument("--registry", required=True, help="registry directory")
-    p.add_argument("--name", required=True, help="registered model name")
-    p.add_argument("--version", type=int, help="model version (default: latest)")
+    served_model_flags(p)
     p.add_argument("--requests", type=int, default=200, help="request count")
     p.add_argument("--workers", type=int, default=4, help="client threads (per process)")
     p.add_argument(
@@ -1113,15 +1009,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--features",
         help="base feature tuple for the synthetic pool (default: 64.0 per feature)",
     )
-    p.add_argument("--freq-min", type=float, default=135.0)
-    p.add_argument("--freq-max", type=float, default=1597.0)
-    p.add_argument("--freq-points", type=int, default=25)
+    serving_grid_flags(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
         "lifecycle",
         help="drift detection, shadow retraining and canary rollout",
     )
+    p.set_defaults(func=cmd_lifecycle)
     life_sub = p.add_subparsers(dest="lifecycle_command", required=True)
 
     pl = life_sub.add_parser(
@@ -1130,13 +1025,11 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--root", required=True, help="registry directory")
     pl.add_argument("--name", required=True, help="registered model name")
     pl.add_argument("--format", choices=("text", "json"), default="text")
-    pl.set_defaults(func=cmd_lifecycle)
 
     pl = life_sub.add_parser(
         "retrain", help="train + register one candidate from a lifecycle spec"
     )
     pl.add_argument("spec", help="lifecycle spec JSON (format repro.lifecycle)")
-    pl.set_defaults(func=cmd_lifecycle)
 
     pl = life_sub.add_parser(
         "promote", help="manually promote a version (records null evidence)"
@@ -1146,7 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument(
         "--to-version", type=int, required=True, help="version to promote"
     )
-    pl.set_defaults(func=cmd_lifecycle)
 
     pl = life_sub.add_parser(
         "rollback", help="restore a prior version as the active pointer"
@@ -1158,7 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="target version (default: the ledger's recorded previous)",
     )
-    pl.set_defaults(func=cmd_lifecycle)
 
     p = sub.add_parser("lint", help="statically verify repo invariants")
     p.add_argument(
@@ -1188,14 +1079,10 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             help="comma-separated input features (model order, e.g. LiGen: ligands,fragments,atoms)",
         )
-        p.add_argument("--freq-min", type=float, default=135.0)
-        p.add_argument("--freq-max", type=float, default=1597.0)
-        p.add_argument("--freq-points", type=int, default=25)
+        serving_grid_flags(p)
         if extra:
             p.add_argument(
-                "--metric",
-                choices=[m.value for m in __import__("repro.synergy.tuning", fromlist=["TuningMetric"]).TuningMetric],
-                default="min_energy",
+                "--metric", choices=[m.value for m in TuningMetric], default="min_energy"
             )
             p.add_argument("--max-slowdown", type=float, default=0.10)
             p.add_argument("--energy-target", type=float, default=None)

@@ -73,7 +73,8 @@ class CampaignData:
 def default_training_freqs(device: SynergyDevice, count: Optional[int]) -> List[float]:
     """Frequency subsample for training sweeps.
 
-    Always includes the device's baseline clock: the domain-specific
+    Always includes the device's default clock
+    (:attr:`~repro.hw.specs.DeviceSpec.default_clock_mhz`): the domain-specific
     model normalizes its predictions by the predicted values *at the
     baseline frequency* (§4.2.3), so the baseline bin must be in the
     training set or every normalized prediction inherits a systematic
@@ -89,8 +90,9 @@ def default_training_freqs(device: SynergyDevice, count: Optional[int]) -> List[
     if count is None:
         return [float(f) for f in table.freqs_mhz]
     freqs = [float(table.snap(f)) for f in table.subsample(count)]
-    if table.default_mhz is not None:
-        default = float(table.snap(table.default_mhz))
+    default = device.gpu.spec.default_clock_mhz
+    if default is not None:
+        default = float(table.snap(default))
         tol = max(table.step_mhz() / 2.0, 1e-9)
         if not any(abs(f - default) <= tol for f in freqs):
             freqs.append(default)
@@ -131,13 +133,14 @@ def resolve_training_freqs(
 def training_baseline_mhz(device: SynergyDevice, freqs_mhz: Sequence[float]) -> float:
     """The clock a domain model trained on ``freqs_mhz`` normalizes against.
 
-    The device's default application clock, snapped onto its frequency
-    table (the bin :func:`default_training_freqs` always sweeps);
-    auto-governed devices with no default clock use the top training bin.
+    The device's default clock, snapped onto its frequency table (the
+    bin :func:`default_training_freqs` always sweeps); auto-governed
+    devices use the top training bin, even when their table declares a
+    default clock.
     """
-    table = device.gpu.spec.core_freqs
-    if table.default_mhz is not None:
-        return float(table.snap(table.default_mhz))
+    spec = device.gpu.spec
+    if spec.default_clock_mhz is not None:
+        return float(spec.core_freqs.snap(spec.default_clock_mhz))
     return float(max(freqs_mhz))
 
 

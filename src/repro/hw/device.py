@@ -170,7 +170,7 @@ class SimulatedGPU:
     @property
     def default_frequency_mhz(self) -> Optional[float]:
         """NVIDIA default application clock, or ``None`` for auto-governed devices."""
-        return self.spec.core_freqs.default_mhz
+        return self.spec.default_clock_mhz
 
     @property
     def is_auto_mode(self) -> bool:

@@ -189,6 +189,17 @@ class DeviceSpec:
         return self.vendor in ("nvidia", "intel")
 
     @property
+    def default_clock_mhz(self) -> Optional[float]:
+        """The core clock :meth:`SimulatedGPU.reset_frequency` pins, if any.
+
+        The table's declared default on devices with
+        :attr:`has_default_frequency`; ``None`` on auto-governed devices,
+        whose baseline is the governor even when their table declares a
+        default clock. Every baseline-clock choice keys on this.
+        """
+        return self.core_freqs.default_mhz if self.has_default_frequency else None
+
+    @property
     def tdp_w(self) -> float:
         """Approximate board power at full load and peak frequency."""
         return self.p_static_w + self.p_clock_w + self.p_core_dyn_w + self.p_mem_dyn_w

@@ -37,6 +37,7 @@ from repro.lifecycle.loop import (
     LifecycleResult,
     build_retrainer,
     build_workload,
+    retrain_candidate,
     run_lifecycle,
 )
 from repro.lifecycle.outcome_log import OutcomeLog, OutcomeRecord
@@ -59,6 +60,7 @@ __all__ = [
     "ShadowReport",
     "build_retrainer",
     "build_workload",
+    "retrain_candidate",
     "run_lifecycle",
     "shadow_evaluate",
 ]

@@ -29,6 +29,7 @@ byte-identical ledgers.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
@@ -116,11 +117,17 @@ class PromotionLedger:
         }
         entry = dict(body)
         entry["digest"] = stable_digest(body)
-        line = canonical_json(entry) + "\n"
+        line = (canonical_json(entry) + "\n").encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # Rewrite-free append; a torn final line is detected (and
         # rejected, naming the truncation that repairs it) on the next read.
-        with open(self.path, "a", encoding="utf-8") as handle:
+        with open(self.path, "a+b") as handle:
+            if handle.tell() > 0:
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    # entries() verified the final line, so only its newline
+                    # is missing: terminate it instead of extending it.
+                    line = b"\n" + line
             handle.write(line)
         return entry
 

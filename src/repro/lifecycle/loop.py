@@ -39,7 +39,13 @@ from repro.lifecycle.outcome_log import OutcomeLog
 from repro.lifecycle.retrain import Retrainer
 from repro.runtime.seeding import derive_task_seed
 
-__all__ = ["LifecycleResult", "build_workload", "build_retrainer", "run_lifecycle"]
+__all__ = [
+    "LifecycleResult",
+    "build_workload",
+    "build_retrainer",
+    "retrain_candidate",
+    "run_lifecycle",
+]
 
 ProgressFn = Callable[[str], None]
 
@@ -127,6 +133,18 @@ def build_retrainer(spec, registry) -> Retrainer:
     )
 
 
+def retrain_candidate(retrainer: Retrainer, controller: CanaryController, apps):
+    """Retrain the served name's next generation, register it and ledger it.
+
+    Generation *g* is the name's *g*-th registered version, so it is the
+    count of versions already there. Returns ``(generation, manifest)``.
+    """
+    generation = sum(m.name == retrainer.name for m in retrainer.registry.list())
+    manifest = retrainer.retrain(apps, generation=generation)
+    controller.record_register(manifest, retrainer.train_fingerprint(generation))
+    return generation, manifest
+
+
 def _registry_for(spec):
     from repro.serving.registry import ModelRegistry
     from repro.specs.scenario import resolve_ref
@@ -180,14 +198,12 @@ def run_lifecycle(
     base_apps = build_workload(spec)
 
     # -- bootstrap ----------------------------------------------------------
-    generation = len(registry._versions(spec.model_name))
-    if generation == 0:
-        say(f"bootstrap: training {spec.model_name} v1 on {len(base_apps)} app(s)")
-        manifest = retrainer.retrain(base_apps, generation=0)
-        controller.record_register(manifest, retrainer.train_fingerprint(0))
-        generation = 1
-
     active = controller.active_version()
+    if active is None:
+        say(f"bootstrap: training {spec.model_name} v1 on {len(base_apps)} app(s)")
+        retrain_candidate(retrainer, controller, base_apps)
+        active = controller.active_version()
+
     service = AdvisorService.from_registry(
         registry, spec.model_name, spec.freq_grid(), version=active
     )
@@ -285,12 +301,8 @@ def run_lifecycle(
 
         # -- retrain on drift (closed loop only) ---------------------------
         elif closed_loop and event is not None and event.kind == "drift":
+            generation, manifest = retrain_candidate(retrainer, controller, apps)
             say(f"epoch {epoch}: drift — retraining generation {generation}")
-            manifest = retrainer.retrain(apps, generation=generation)
-            controller.record_register(
-                manifest, retrainer.train_fingerprint(generation)
-            )
-            generation += 1
             pending_candidate = int(manifest.version)
             # Fresh evidence era: the canary must be judged on traffic
             # observed under the regime that triggered the drift, not on

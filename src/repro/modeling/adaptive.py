@@ -91,7 +91,8 @@ def adaptive_characterize(
         pool = [float(f) for f in table.freqs_mhz]
     else:
         pool = sorted({float(table.snap(f)) for f in candidate_freqs})
-    baseline = table.default_mhz if table.default_mhz is not None else pool[-1]
+    default = device.gpu.spec.default_clock_mhz
+    baseline = default if default is not None else pool[-1]
     seeds = sorted({pool[0], pool[-1], float(baseline)})
     budget = min(budget, len(pool))
 

@@ -318,29 +318,31 @@ def campaign_spec_from_cli(
     spec is self-contained: running it later reproduces the quick run
     even if the catalog's quick grid changes. ``mem_freqs_mhz`` turns
     the sweep into a 2-D (core x memory) grid — for kinds with a memory
-    axis only, like the spec field it populates.
+    axis only, like the spec field it populates. The values pass through
+    :data:`CAMPAIGN_SCHEMA` like a spec file's, so a bad one raises
+    :class:`~repro.errors.SpecValidationError` naming its field.
     """
     workload = workload_kind(app)
-    params = dict(workload.quick_params if quick else workload.paper_params)
-    return CampaignSpec(
-        app_kind=app,
-        app_params=params,
-        sweep=SweepSpec(
-            freq_count=freq_count,
-            repetitions=repetitions,
-            mem_freqs_mhz=(
-                None
-                if mem_freqs_mhz is None
-                else tuple(float(f) for f in mem_freqs_mhz)
-            ),
-        ),
-        engine=EngineSpec(
-            seed=seed,
-            jobs=jobs,
-            method=method,
-            cache_dir=cache_dir,
-            max_retries=max_retries,
-        ),
-        device_name=device.strip().lower(),
-        device_table=None,
+    params = workload.quick_params if quick else workload.paper_params
+    return CampaignSpec.from_record(
+        {
+            "format": CAMPAIGN_FORMAT,
+            "schema_version": CAMPAIGN_VERSION,
+            "app": {"kind": app, **params},
+            "device": device,
+            "sweep": {
+                "freq_count": freq_count,
+                "repetitions": repetitions,
+                "mem_freqs_mhz": (
+                    None if mem_freqs_mhz is None else [float(f) for f in mem_freqs_mhz]
+                ),
+            },
+            "engine": {
+                "seed": seed,
+                "jobs": jobs,
+                "method": method,
+                "cache_dir": cache_dir,
+                "max_retries": max_retries,
+            },
+        }
     )

@@ -190,8 +190,8 @@ def plan_per_kernel_frequencies(
     """
     spec = gpu.spec
     baseline = (
-        spec.core_freqs.default_mhz
-        if spec.core_freqs.default_mhz is not None
+        spec.default_clock_mhz
+        if spec.default_clock_mhz is not None
         else gpu.governor.baseline_mhz()  # type: ignore[union-attr]
     )
     freqs = np.asarray(spec.core_freqs.subsample(freq_count))
@@ -234,8 +234,8 @@ class PerKernelDVFS:
         self.plan = dict(plan)
         if fallback_mhz is None:
             fallback_mhz = (
-                gpu.spec.core_freqs.default_mhz
-                if gpu.spec.core_freqs.default_mhz is not None
+                gpu.spec.default_clock_mhz
+                if gpu.spec.default_clock_mhz is not None
                 else gpu.spec.core_freqs.max_mhz
             )
         self.fallback_mhz = gpu.spec.core_freqs.snap(fallback_mhz)
