@@ -573,6 +573,7 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from repro.errors import ServingError
     from repro.serving import (
         AdvisorService,
         ModelRegistry,
@@ -582,6 +583,9 @@ def cmd_serve(args) -> int:
         synthetic_requests,
     )
 
+    for flag, value in (("--workers", args.workers), ("--processes", args.processes)):
+        if value < 1:
+            raise ServingError(f"{flag} must be >= 1, got {value}")
     freqs = _serving_freqs(args)
     # One set of service options for the in-process and the worker advisors.
     options = dict(

@@ -25,7 +25,6 @@ from repro.hw.specs import (
     make_v100_spec,
     scale_spec,
 )
-from repro.hw.trace import PowerSegment, PowerTrace, TracingGPU
 
 __all__ = [
     "AutoGovernor",
@@ -37,12 +36,9 @@ __all__ = [
     "LaunchResult",
     "PowerBreakdown",
     "PowerModel",
-    "PowerSegment",
-    "PowerTrace",
     "RooflineTimingModel",
     "SimulatedGPU",
     "TimeSensor",
-    "TracingGPU",
     "VoltageCurve",
     "create_device",
     "make_intel_max_spec",

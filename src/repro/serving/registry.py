@@ -177,12 +177,15 @@ class ModelRegistry:
         return self._version_dir(name, version) / _MANIFEST_FILENAME
 
     def _versions(self, name: str) -> List[int]:
+        # The manifest, written last, commits a version: a directory a
+        # crash left with only its artifact does not count, so the next
+        # register reuses its number.
         model_dir = self.root / name
         if not model_dir.is_dir():
             return []
         out = []
         for entry in model_dir.iterdir():
-            if entry.is_dir() and re.fullmatch(r"v\d+", entry.name):
+            if re.fullmatch(r"v\d+", entry.name) and (entry / _MANIFEST_FILENAME).is_file():
                 out.append(int(entry.name[1:]))
         return sorted(out)
 
@@ -203,7 +206,8 @@ class ModelRegistry:
         the registry — truncated/foreign files raise
         :class:`repro.errors.ArtifactError` here, not at serving time),
         then its exact bytes are stored with their SHA-256 in the
-        manifest. Versions auto-increment per name.
+        manifest. Versions auto-increment per name; the manifest is
+        written last and commits the version.
         """
         self._check_name(name)
         src = pathlib.Path(model_path)

@@ -63,12 +63,20 @@ def grid_axis(freqs_mhz: Sequence[float], name: str) -> np.ndarray:
 
 
 class _Slot:
-    """One in-flight request waiting for its micro-batch to complete."""
+    """One in-flight request waiting for its micro-batch to complete.
 
-    __slots__ = ("key", "features", "objective", "result", "error", "done")
+    ``keys`` is the key maker that made ``key``: a slot keyed before a
+    :meth:`AdvisorService.swap_model` is evaluated by the new model, so
+    its advice must not be cached under the old model's key.
+    """
 
-    def __init__(self, key: str, features: Tuple[float, ...], objective: Objective):
+    __slots__ = ("key", "keys", "features", "objective", "result", "error", "done")
+
+    def __init__(
+        self, key: str, keys: AdviceKeyMaker, features: Tuple[float, ...], objective: Objective
+    ):
         self.key = key
+        self.keys = keys
         self.features = features
         self.objective = objective
         self.result: Optional[Advice] = None
@@ -193,7 +201,8 @@ class AdvisorService:
                 f"expected {len(names) - 1} domain features (model features "
                 f"{names} end with the memory clock), got {len(feats)}"
             )
-        key = self._keys.key(feats, objective)
+        keys = self._keys
+        key = keys.key(feats, objective)
 
         cached = self.cache.get(key)
         if cached is not None:
@@ -203,7 +212,7 @@ class AdvisorService:
             self.stats.latency.observe(now_s() - t0)
             return cached
 
-        slot = _Slot(key, feats, objective)
+        slot = _Slot(key, keys, feats, objective)
         with self._cond:
             self._pending.append(slot)
         # Leader/follower loop. A leader drains the *oldest* pending slots,
@@ -282,7 +291,8 @@ class AdvisorService:
                 except ReproError as exc:
                     slot.error = exc
                 else:
-                    self.cache.put(slot.key, slot.result)
+                    if slot.keys is self._keys:
+                        self.cache.put(slot.key, slot.result)
         with self._cond:
             self.stats.batches += 1
             self.stats.batch_size_sum += len(batch)
@@ -358,7 +368,8 @@ class AdvisorService:
         under the old model simply become unreachable and age out of the
         LRU. Requests issued after this returns are served by the new
         model; the determinism contract is preserved on either side of
-        the swap.
+        the swap. A request keyed before the swap but evaluated after it
+        is answered by the new model and not cached.
         """
         with self._cond:
             while self._busy or self._pending:

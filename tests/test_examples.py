@@ -1,9 +1,9 @@
 """Smoke tests: the fast example scripts must run end to end.
 
-The slow campaign-scale examples (domain_model_training, cluster_campaign)
-are exercised implicitly by the integration tests/benches that call the
-same code paths; here we run the quick scripts as real subprocesses to
-catch import/CLI-level breakage.
+The slow campaign-scale example (domain_model_training) is exercised
+implicitly by the integration tests/benches that call the same code
+paths; here we run the quick scripts as real subprocesses to catch
+import/CLI-level breakage.
 """
 
 import pathlib
@@ -48,10 +48,16 @@ def test_mhd_simulation_runs():
 
 
 def test_all_examples_importable():
-    """Every example must at least be syntactically valid Python."""
+    """Every example must at least be syntactically valid Python.
+
+    README's example table must name exactly the scripts in ``examples/``.
+    """
     import ast
+    import re
 
     scripts = sorted(EXAMPLES.glob("*.py"))
-    assert len(scripts) >= 6
+    readme = (EXAMPLES.parent / "README.md").read_text()
+    listed = re.findall(r"^\| `([^`]+\.py)` \|", readme, flags=re.MULTILINE)
+    assert [script.name for script in scripts] == sorted(listed)
     for script in scripts:
         ast.parse(script.read_text(), filename=str(script))
