@@ -384,8 +384,14 @@ def cmd_tune(args) -> int:
 
 
 def _serving_freqs(args) -> np.ndarray:
+    from repro.errors import ServingError
     from repro.serving.service import grid_axis
 
+    if args.freq_points >= 2 and args.freq_min >= args.freq_max:
+        raise ServingError(
+            f"frequency grid needs --freq-min < --freq-max for {args.freq_points} "
+            f"points, got {args.freq_min:g} and {args.freq_max:g}"
+        )
     return grid_axis(np.linspace(args.freq_min, args.freq_max, args.freq_points), "frequency")
 
 

@@ -26,10 +26,10 @@ Layout:
 - :mod:`repro.fleet.reference` — the deliberately naive per-object
   loop, kept as the bit-identity divergence oracle.
 
-Headline invariants (pinned by ``tests/fleet``, the property suite, and
-``benchmarks/fleet_scale_smoke.py`` in CI): both engines produce
-**bitwise-identical** trajectories for any ``(FleetSpec, seed)``, and
-the vectorized engine is >=10x faster at 1,000+ simulated GPUs. See
+Headline invariants (pinned by ``tests/fleet`` and the property suite;
+``tests/fleet/test_scale_floors.py`` times 1,024 GPUs): both engines
+produce **bitwise-identical** trajectories for any ``(FleetSpec, seed)``,
+and the vectorized engine is >=10x faster at 1,000+ simulated GPUs. See
 ``docs/fleet.md``.
 """
 

@@ -159,7 +159,7 @@ def diff_trajectories(a: FleetResult, b: FleetResult) -> List[str]:
 
     Comparison is over raw bytes (``ndarray.tobytes``), so NaN patterns,
     signed zeros and last-ulp differences all count as divergence —
-    exactly the standard the serving smoke holds SoA inference to.
+    exactly the standard the serving tests hold SoA inference to.
     """
     diverged = []
     for name in FleetResult.TRAJECTORY_FIELDS:

@@ -153,7 +153,7 @@ class RandomForestRegressor(Regressor):
 
         ``X`` must already be validated. The SoA path is required to
         reproduce this loop bit-for-bit (hypothesis-fuzzed and gated by
-        the serving CI smoke).
+        ``tests/serving/test_load_floors.py``).
         """
         out = np.zeros(X.shape[0])
         for tree in self.estimators_:

@@ -30,7 +30,7 @@ equal to the per-tree walk; :func:`sequential_mean` then reproduces the
 forest's historical ``out = zeros; out += tree_pred; out /= n_estimators``
 accumulation order operation-for-operation. The property suite
 (``tests/property/test_property_soa.py``) fuzzes this with hypothesis
-and the serving CI smoke gates on it.
+and ``tests/serving/test_load_floors.py`` gates on it.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from typing import Any, Dict, Optional, Union
 
 from repro.runtime.seeding import canonical_json, stable_digest
 
-__all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "ResultCache"]
+__all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "ResultCache", "atomic_write"]
 
 PathLike = Union[str, pathlib.Path]
 
@@ -44,6 +44,25 @@ PathLike = Union[str, pathlib.Path]
 CACHE_SCHEMA_VERSION = 2
 
 _ENTRY_FORMAT = "repro.campaign_point"
+
+
+def atomic_write(path: pathlib.Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via tmp file + ``os.replace`` (never torn).
+
+    A crash before the rename leaves the previous file and no tmp file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:  # repro-lint: ignore[EXC001] — best-effort tmp cleanup while re-raising
+            pass
+        raise
 
 
 @dataclass
@@ -174,19 +193,7 @@ class ResultCache:
         if key_payload is not None:
             record["key"] = key_payload
         encoded = canonical_json(record).encode("utf-8")
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(encoded)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:  # repro-lint: ignore[EXC001] — best-effort tmp cleanup while re-raising
-                pass
-            raise
+        atomic_write(self.path_for(key), encoded)
         self.stats.writes += 1
         self.stats.bytes_written += len(encoded)
 

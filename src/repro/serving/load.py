@@ -1,7 +1,7 @@
 """Load generation and concurrent driving of an advisor service.
 
-Shared by ``repro serve``, the serving load smoke benchmark and the
-determinism tests, so they all exercise the same request shapes:
+Shared by ``repro serve``, the benchmark suite and the determinism and
+floor tests, so they all exercise the same request shapes:
 
 - :func:`synthetic_requests` — a seeded, reproducible request stream
   drawn from a bounded pool of feature tuples (heavy-traffic services

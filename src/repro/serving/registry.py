@@ -6,12 +6,14 @@ directory of immutable, versioned model artifacts, each described by a
 manifest recording what the model is *for* (application, feature names,
 baseline frequency, device-spec signature, training fingerprint) and
 what its bytes *are* (SHA-256). Discipline mirrors the campaign result
-cache (schema-versioned records, canonical-JSON self-digests, atomic
-tmp-file + ``os.replace`` writes) so a registry survives concurrent
-writers and bit rot the same way the cache does — and, critically, a
-tampered artifact is **never served**: ``resolve`` re-hashes the bytes
-before deserializing and raises :class:`ModelIntegrityError` on any
-mismatch.
+cache (schema-versioned records, canonical-JSON self-digests, the
+cache's atomic tmp-file + ``os.replace`` write) so a registry survives
+concurrent writers and bit rot the same way the cache does — and,
+critically, a tampered artifact is **never served**: ``resolve``
+re-hashes the bytes before deserializing and raises
+:class:`ModelIntegrityError` on any mismatch. Manifests are read
+through ``MANIFEST_SCHEMA``, the schema ``repro lint`` checks them
+with, so a manifest lint rejects is never served either.
 
 Layout::
 
@@ -24,16 +26,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import pathlib
 import re
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.errors import ModelIntegrityError, RegistryError, ReproError
+from repro.errors import ModelIntegrityError, RegistryError, ReproError, SpecValidationError
 from repro.io.serialization import load_domain_model
 from repro.modeling.domain import DomainSpecificModel
+from repro.runtime.cache import atomic_write as _atomic_write
 from repro.runtime.seeding import canonical_json, stable_digest
 
 __all__ = [
@@ -57,22 +58,6 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 def _sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _atomic_write(path: pathlib.Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via tmp file + rename (never torn)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:  # repro-lint: ignore[EXC001] — best-effort tmp cleanup while re-raising
-            pass
-        raise
 
 
 @dataclass(frozen=True)
@@ -110,21 +95,9 @@ class ModelManifest:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ModelManifest":
-        """Inverse of :meth:`as_dict` (raises RegistryError on bad shape)."""
-        try:
-            return cls(
-                name=str(payload["name"]),
-                version=int(payload["version"]),
-                app=str(payload["app"]),
-                feature_names=tuple(str(n) for n in payload["feature_names"]),
-                baseline_freq_mhz=float(payload["baseline_freq_mhz"]),
-                artifact_sha256=str(payload["artifact_sha256"]),
-                artifact_bytes=int(payload["artifact_bytes"]),
-                device_signature_digest=payload.get("device_signature_digest"),
-                train_fingerprint=payload.get("train_fingerprint"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RegistryError(f"malformed manifest payload ({exc!r})") from exc
+        """Inverse of :meth:`as_dict`, for a payload ``MANIFEST_SCHEMA`` has
+        validated (the registry reads every manifest through it)."""
+        return cls(**dict(payload, feature_names=tuple(payload["feature_names"])))
 
 
 @dataclass(frozen=True)
@@ -246,6 +219,11 @@ class ModelRegistry:
         return manifest
 
     def _read_manifest(self, name: str, version: int) -> ModelManifest:
+        # Deferred imports: repro.specs imports repro.serving, so importing
+        # it at module level would be circular.
+        from repro.specs.checker import MANIFEST_SCHEMA
+        from repro.specs.schema import load_clean
+
         path = self.manifest_path(name, version)
         try:
             record = json.loads(path.read_text())
@@ -255,26 +233,21 @@ class ModelRegistry:
             raise ModelIntegrityError(
                 f"{name}:v{version}: manifest is not valid JSON ({exc})"
             ) from exc
-        if not isinstance(record, dict) or record.get("format") != _MANIFEST_FORMAT:
-            raise RegistryError(f"{name}:v{version}: not a model manifest")
-        # Manifests written before the envelope converged on the shared
-        # 'schema_version' key used 'schema'; both spellings load.
-        schema = record.get("schema_version", record.get("schema"))
-        if schema != REGISTRY_SCHEMA_VERSION:
-            raise RegistryError(
-                f"{name}:v{version}: manifest schema_version {schema!r} "
-                f"(this build reads {REGISTRY_SCHEMA_VERSION})"
-            )
-        payload = record.get("manifest")
+        # Integrity first: a payload that no longer matches its digest is
+        # corrupt, whatever else is wrong with it.
         try:
-            intact = record.get("digest") == stable_digest(payload)
-        except ValueError:  # non-finite floats: never a digested payload
+            intact = record["digest"] == stable_digest(record["manifest"])
+        except (KeyError, TypeError, ValueError):  # not a manifest; non-finite floats
             intact = False
         if not intact:
             raise ModelIntegrityError(
                 f"{name}:v{version}: manifest digest mismatch (tampered or corrupt)"
             )
-        manifest = ModelManifest.from_dict(payload)
+        try:
+            clean = load_clean(MANIFEST_SCHEMA, record, file=str(path))
+        except SpecValidationError as exc:
+            raise RegistryError(f"{name}:v{version}: {exc}") from exc
+        manifest = ModelManifest.from_dict(clean["manifest"])
         if manifest.name != name or manifest.version != version:
             raise ModelIntegrityError(
                 f"{name}:v{version}: manifest identifies itself as {manifest.ref}"

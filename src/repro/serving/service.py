@@ -21,7 +21,7 @@ Determinism contract: batching and caching are *transparent*. The
 batched forest path is bit-identical to the scalar path and objectives
 are pure, so N worker threads issuing M requests receive advice
 bitwise-equal to a serial replay of the same stream — the property the
-serving test suite and load smoke enforce.
+serving test suite enforces.
 
 The batching protocol is leader/follower: a cache-missing request
 enqueues itself; whoever finds no evaluation in flight drains the queue

@@ -39,7 +39,6 @@ from repro.specs.scenario import (
 )
 from repro.specs.schema import (
     SPEC_FIELDS,
-    SPEC_VERSION,
     SPEC_XREF,
     FieldSpec,
     RecordSchema,
@@ -86,13 +85,16 @@ _MANIFEST_PAYLOAD_SCHEMA = RecordSchema(
     ),
 )
 
-#: Registry manifest envelope; accepts the registry's historical
-#: ``schema`` version key as a deprecated alias of ``schema_version``.
+#: Registry manifest envelope, which ``ModelRegistry`` reads every
+#: manifest through. Registries write every manifest versioned and read
+#: no other; the historical ``schema`` key is a deprecated alias of
+#: ``schema_version``.
 MANIFEST_SCHEMA = RecordSchema(
     kind="model manifest",
     format=_MANIFEST_FORMAT,
     version=1,
     version_aliases=("schema",),
+    version_required=True,
     fields=(
         FieldSpec("manifest", "object", required=True, schema=_MANIFEST_PAYLOAD_SCHEMA),
         FieldSpec("digest", "str", required=True),
@@ -124,10 +126,6 @@ def _check_manifest(
     clean, diags = MANIFEST_SCHEMA.validate(record, file=file)
     if clean is None:
         return diags
-    if record.get("schema_version", record.get("schema")) is None:
-        # Registries write every manifest versioned and read no other.
-        message = "manifest has no 'schema_version'; registries cannot read it"
-        diags.append(_error(SPEC_VERSION, message, file))
     from repro.runtime.seeding import stable_digest
 
     payload = record.get("manifest")

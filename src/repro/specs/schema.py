@@ -383,6 +383,9 @@ class RecordSchema:
     version_aliases:
         Deprecated envelope keys accepted (with a warning) in place of
         ``schema_version`` — e.g. the fault plan's historical ``version``.
+    version_required:
+        A record with neither ``schema_version`` nor an alias is a
+        ``SPEC005`` error, instead of a warning that assumes ``version``.
     renamed:
         Deprecated field spellings, ``old -> new``; auto-migrated with a
         ``SPEC005`` warning.
@@ -398,6 +401,7 @@ class RecordSchema:
     format: Optional[str] = None
     version: Optional[int] = None
     version_aliases: Tuple[str, ...] = ()
+    version_required: bool = False
     renamed: Mapping[str, str] = field(default_factory=dict)
     migrations: Mapping[int, Callable[[Dict[str, Any]], Dict[str, Any]]] = field(
         default_factory=dict
@@ -469,6 +473,9 @@ class RecordSchema:
                     )
                     break
         if version is None:
+            if self.version_required:
+                rep.error(SPEC_VERSION, f"{self.kind} has no 'schema_version'")
+                return None
             rep.warning(
                 SPEC_VERSION,
                 f"missing 'schema_version'; assuming current version {self.version}",

@@ -100,6 +100,18 @@ class TestClosedLoop:
         assert kinds[0] == "register"  # bootstrap
         assert "drift" in kinds and "promote" in kinds
 
+    def test_no_ledgered_promotion_worsened_shadow_mape(self, closed_run):
+        """Read from the chain-verified ledger, not from in-memory state."""
+        base, _ = closed_run
+        ledger = PromotionLedger.for_model(f"{base}/reg", "ligen-advisor")
+        promotions = [e["payload"] for e in ledger.entries() if e["kind"] == "promote"]
+        # Manual promotions record null MAPEs; canary promotions carry
+        # the shadow evidence the invariant is checked on.
+        checked = [p for p in promotions if p.get("candidate_mape") is not None]
+        assert checked
+        for payload in checked:  # the spec's canary tolerance is 0.0
+            assert payload["candidate_mape"] <= payload["incumbent_mape"]
+
     def test_epoch_rows_track_served_version(self, closed_run):
         _, result = closed_run
         served = [row["served_version"] for row in result.epochs]

@@ -6,6 +6,8 @@ and replay measurement modes, inline and pooled — and cache corruption
 is detected and self-healed, never served.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,14 @@ TRANSIENT_PLAN = FaultPlan(
         FaultSpec(kind="worker_crash", probability=0.30),
     ),
 )
+
+#: The tracked plan CI's ``repro campaign --inject`` step runs. It is
+#: gentler than TRANSIENT_PLAN: over three clocks, campaign seed 42 and a
+#: retry budget of 6, faults fire and retries absorb every one.
+INJECT_PLAN = FaultPlan.load(
+    Path(__file__).resolve().parents[2] / "benchmarks" / "output" / "chaos_plan.json"
+)
+INJECT_FREQS = [900.0, 1135.0, 1282.0]
 
 
 def app():
@@ -92,6 +102,22 @@ class TestChaosEquivalence:
             jobs=2, campaign_seed=7, fault_plan=TRANSIENT_PLAN, max_retries=10
         )
         assert_identical(sweep(engine), fault_free)
+
+    @pytest.mark.parametrize("method", ["serial", "replay"])
+    def test_inject_plan_recovers_completely(self, method):
+        def run(engine):
+            return engine.characterize(
+                app(), make_v100_spec(), freqs_mhz=INJECT_FREQS, repetitions=REPS
+            )
+
+        clean = run(CampaignEngine(jobs=1, campaign_seed=42, method="serial"))
+        engine = CampaignEngine(
+            jobs=1, campaign_seed=42, method=method, fault_plan=INJECT_PLAN, max_retries=6
+        )
+        assert_identical(run(engine), clean)
+        assert engine.stats.faults_injected > 0
+        assert engine.stats.quarantined == 0
+        assert engine.stats.completeness() == 1.0
 
     def test_chaos_campaign_shares_cache_with_fault_free(self, tmp_path, fault_free):
         # Transient plans preserve results, so their entries are valid

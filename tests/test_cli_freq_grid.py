@@ -1,9 +1,10 @@
-"""``repro predict`` and ``repro tune`` validate their frequency grid.
+"""``repro predict``, ``tune`` and ``advise`` validate their frequency grid.
 
-They share the serving-grid rule with ``repro advise``: the grid must be
-non-empty and hold finite clocks above 0 MHz. A bad grid exits 1 with
-``error:`` instead of printing an empty table or advising a negative
-clock.
+They share one serving-grid rule: the grid must be non-empty, hold
+finite clocks above 0 MHz, and have ``--freq-min < --freq-max`` when it
+has two or more points. A bad grid exits 1 with ``error:`` instead of
+printing an empty table, repeating one clock, or advising a negative
+clock or from a descending grid.
 """
 
 import pytest
@@ -30,6 +31,8 @@ BAD_GRIDS = {
     "empty": ["--freq-points", "0"],
     "zero": ["--freq-min", "0", "--freq-max", "200", "--freq-points", "3"],
     "non-finite": ["--freq-min", "nan", "--freq-max", "200", "--freq-points", "3"],
+    "reversed": ["--freq-min", "1500", "--freq-max", "200", "--freq-points", "3"],
+    "collapsed": ["--freq-min", "1000", "--freq-max", "1000", "--freq-points", "3"],
 }
 
 
@@ -58,3 +61,19 @@ def test_valid_grid_still_served(model_path, command, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert ("pin the clock" in out) if command == "tune" else ("Pareto frequencies" in out)
+
+
+def test_advise_rejects_a_reversed_grid(model_path, tmp_path, capsys):
+    root = str(tmp_path / "registry")
+    assert main(
+        ["registry", "add", "--root", root, "--model", str(model_path),
+         "--name", "cronos", "--app", "cronos"]
+    ) == 0
+    rc = main(
+        ["advise", "--registry", root, "--name", "cronos", "--features", "160,64,64"]
+        + BAD_GRIDS["reversed"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error:" in captured.err
+    assert "frequency grid" in captured.err
