@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import pathlib
 import zipfile
-from typing import IO, Dict, List, Union
+from dataclasses import dataclass
+from typing import IO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from repro.ml.tree import DecisionTreeRegressor
 from repro.modeling.dataset import EnergyDataset, EnergySample
 from repro.modeling.domain import DomainSpecificModel
 from repro.synergy.runner import CharacterizationResult, FrequencySample
+from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
     "save_dataset",
@@ -43,6 +45,8 @@ __all__ = [
     "load_forest",
     "save_domain_model",
     "load_domain_model",
+    "DecodedDomainModel",
+    "decode_domain_model",
 ]
 
 PathLike = Union[str, pathlib.Path]
@@ -187,20 +191,89 @@ def _forest_meta(forest: RandomForestRegressor) -> Dict:
     }
 
 
-def _rebuild_forest(meta: Dict, arrays, prefix: str) -> RandomForestRegressor:
-    forest = RandomForestRegressor(**meta["params"])
-    forest.estimators_ = []
-    for i in range(meta["n_estimators"]):
-        tree = DecisionTreeRegressor()
-        tree.feature_ = arrays[f"{prefix}t{i}_feature"]
-        tree.threshold_ = arrays[f"{prefix}t{i}_threshold"]
-        tree.left_ = arrays[f"{prefix}t{i}_left"]
-        tree.right_ = arrays[f"{prefix}t{i}_right"]
-        tree.value_ = arrays[f"{prefix}t{i}_value"]
-        tree.n_features_in_ = meta["n_features_in"]
-        forest.estimators_.append(tree)
-    forest.n_features_in_ = meta["n_features_in"]
-    return forest
+#: The arrays of one tree, in :func:`_forest_arrays`' member order.
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def _tree_problem(tree: Tuple[np.ndarray, ...], n_features: int) -> Optional[str]:
+    """Why one tree's arrays cannot be served, or ``None`` when they can.
+
+    Prediction follows ``left``/``right`` from node 0 until it reaches a
+    node whose feature is ``-1``, so every check here guards it from an
+    out-of-range index or a cycle.
+    """
+    feature, threshold, left, right, value = tree
+    n = feature.size
+    if any(a.ndim != 1 or a.size != n for a in tree) or n == 0:
+        return "the five arrays are not non-empty vectors of equal length"
+    if any(a.dtype.kind != "i" for a in (feature, left, right)):
+        return "feature, left and right must be integer arrays"
+    if any(a.dtype.kind != "f" for a in (threshold, value)):
+        return "threshold and value must be float arrays"
+    if feature.min() < -1 or feature.max() >= n_features:
+        return f"a feature index is outside [0, {n_features})"
+    leaves = feature < 0
+    if (left[leaves] != -1).any() or (right[leaves] != -1).any():
+        return "a leaf has children"
+    nodes = np.flatnonzero(~leaves)
+    children = np.concatenate((left[nodes], right[nodes]))
+    if (children <= np.concatenate((nodes, nodes))).any():
+        return "a child index does not follow its parent's"
+    if children.max(initial=0) >= n:
+        return f"a child index is outside [0, {n})"
+    if not np.array_equal(np.sort(children), np.arange(1, n)):
+        return "the non-root nodes are not each referenced exactly once"
+    return None
+
+
+@dataclass(frozen=True)
+class _DecodedForest:
+    params: Dict
+    n_features_in: int
+    trees: Tuple[Tuple[np.ndarray, ...], ...]
+
+    def build(self) -> RandomForestRegressor:
+        """A fresh forest over the shared read-only tree arrays."""
+        forest = RandomForestRegressor(**self.params)
+        forest.estimators_ = []
+        for arrays in self.trees:
+            tree = DecisionTreeRegressor()
+            tree.feature_, tree.threshold_, tree.left_, tree.right_, tree.value_ = arrays
+            tree.n_features_in_ = self.n_features_in
+            forest.estimators_.append(tree)
+        forest.n_features_in_ = self.n_features_in
+        return forest
+
+
+def _decode_forest(meta: Dict, arrays, prefix: str, source: ArtifactSource, what: str) -> _DecodedForest:
+    """Read and check one forest's trees, typing every defect as ArtifactError.
+
+    The arrays come back read-only: a decoded forest may back several
+    model objects (see :class:`repro.serving.ModelRegistry`).
+    """
+    name = _describe_source(source)
+    try:
+        n_trees = check_positive_int(meta["n_estimators"], "n_estimators")
+        n_features = check_positive_int(meta["n_features_in"], "n_features_in")
+        params = dict(meta["params"])
+        RandomForestRegressor(**params)
+        trees = tuple(
+            tuple(arrays[f"{prefix}t{i}_{field}"] for field in _TREE_FIELDS)
+            for i in range(n_trees)
+        )
+    except KeyError as exc:
+        raise ArtifactError(
+            f"{name}: truncated {what} artifact (missing array {exc.args[0]!r})"
+        ) from exc
+    except (ValueError, zipfile.BadZipFile, TypeError) as exc:
+        raise ArtifactError(f"{name}: corrupt {what} artifact ({exc})") from exc
+    for i, tree in enumerate(trees):
+        problem = _tree_problem(tree, n_features)
+        if problem is not None:
+            raise ArtifactError(f"{name}: corrupt {what} artifact (tree {prefix}t{i}: {problem})")
+        for array in tree:
+            array.flags.writeable = False
+    return _DecodedForest(params, n_features, trees)
 
 
 def _describe_source(source: ArtifactSource) -> str:
@@ -246,21 +319,6 @@ def _artifact_meta(arrays, source: ArtifactSource, expected_format: str, what: s
     return meta
 
 
-def _rebuild_checked(meta: Dict, arrays, prefix: str, source: ArtifactSource, what: str) -> RandomForestRegressor:
-    """Rebuild one forest, typing truncation/corruption as ArtifactError."""
-    try:
-        return _rebuild_forest(meta, arrays, prefix)
-    except KeyError as exc:
-        raise ArtifactError(
-            f"{_describe_source(source)}: truncated {what} artifact "
-            f"(missing array {exc.args[0]!r})"
-        ) from exc
-    except (ValueError, zipfile.BadZipFile, TypeError) as exc:
-        raise ArtifactError(
-            f"{_describe_source(source)}: corrupt {what} artifact ({exc})"
-        ) from exc
-
-
 def save_forest(forest: RandomForestRegressor, path: PathLike) -> None:
     """Write a fitted :class:`RandomForestRegressor` to a ``.npz`` archive."""
     arrays = _forest_arrays(forest, "")
@@ -281,7 +339,8 @@ def load_forest(source: ArtifactSource) -> RandomForestRegressor:
     """
     with _open_artifact(source, "random-forest") as arrays:
         meta = _artifact_meta(arrays, source, "repro.random_forest", "random-forest")
-        return _rebuild_checked(meta, arrays, "", source, "random-forest")
+        decoded = _decode_forest(meta, arrays, "", source, "random-forest")
+    return decoded.build()
 
 
 # ---------------------------------------------------------------------------
@@ -323,33 +382,59 @@ def save_domain_model(model: DomainSpecificModel, path: PathLike) -> None:
     np.savez_compressed(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
-def load_domain_model(source: ArtifactSource) -> DomainSpecificModel:
-    """Read a model written by :func:`save_domain_model`.
+@dataclass(frozen=True)
+class DecodedDomainModel:
+    """A checked domain-model artifact: its metadata and read-only tree arrays.
+
+    Decoding is the costly part of a load (one ``.npz`` member per tree
+    array). :meth:`build` is cheap, so a holder of decoded bytes can hand
+    out a fresh model per caller without decoding again.
+    """
+
+    feature_names: Tuple[str, ...]
+    baseline_freq_mhz: float
+    forests: Tuple[_DecodedForest, ...]
+
+    def build(self) -> DomainSpecificModel:
+        """Fresh model and forest objects over the shared tree arrays."""
+        model = DomainSpecificModel(self.feature_names, baseline_freq_mhz=self.baseline_freq_mhz)
+        model._time_model, model._energy_model, model._speedup_model, model._norm_energy_model = (
+            forest.build() for forest in self.forests
+        )
+        return model
+
+
+def decode_domain_model(source: ArtifactSource) -> DecodedDomainModel:
+    """Read and check a model written by :func:`save_domain_model`.
 
     Raises :class:`repro.errors.ArtifactError` (a :class:`DatasetError`)
-    on unreadable/truncated archives and :class:`ArtifactSchemaError` on
-    schema-version mismatch — never a bare ``KeyError``.
+    on unreadable, truncated or malformed archives, trees whose structure
+    prediction cannot walk included, and :class:`ArtifactSchemaError` on
+    schema-version mismatch — never a bare ``KeyError`` or ``IndexError``.
     """
+    name = _describe_source(source)
     with _open_artifact(source, "domain-model") as arrays:
         meta = _artifact_meta(arrays, source, "repro.domain_model", "domain-model")
         try:
             feature_names = tuple(meta["feature_names"])
-            baseline = float(meta["baseline_freq_mhz"])
+            baseline = check_positive(meta["baseline_freq_mhz"], "baseline_freq_mhz")
             submodels = meta["submodels"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(
-                f"{_describe_source(source)}: corrupt domain-model metadata ({exc!r})"
-            ) from exc
+            raise ArtifactError(f"{name}: corrupt domain-model metadata ({exc!r})") from exc
         if not isinstance(submodels, list) or len(submodels) != len(_DS_PREFIXES):
             raise ArtifactError(
-                f"{_describe_source(source)}: domain-model artifact must hold "
-                f"{len(_DS_PREFIXES)} submodels"
+                f"{name}: domain-model artifact must hold {len(_DS_PREFIXES)} submodels"
             )
-        model = DomainSpecificModel(feature_names, baseline_freq_mhz=baseline)
-        forests = [
-            _rebuild_checked(sm, arrays, prefix, source, "domain-model")
+        forests = tuple(
+            _decode_forest(sm, arrays, prefix, source, "domain-model")
             for prefix, sm in zip(_DS_PREFIXES, submodels)
-        ]
-    model._time_model, model._energy_model = forests[0], forests[1]
-    model._speedup_model, model._norm_energy_model = forests[2], forests[3]
-    return model
+        )
+    return DecodedDomainModel(feature_names, baseline, forests)
+
+
+def load_domain_model(source: ArtifactSource) -> DomainSpecificModel:
+    """Read a model written by :func:`save_domain_model`.
+
+    Raises what :func:`decode_domain_model` raises.
+    """
+    return decode_domain_model(source).build()

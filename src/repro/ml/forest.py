@@ -4,7 +4,9 @@ The paper selects Random Forest as the best regressor for both the
 speedup and normalized-energy models and tunes ``max_depth``,
 ``n_estimators`` and ``max_features`` by grid search (§5.2.1, finding the
 defaults best). Features are binned once per forest and shared across all
-trees, so the per-tree cost is only bootstrap + histogram split search.
+trees, and the trees grow together level by level (see
+:mod:`repro.ml.tree`), so a forest fit costs a few histogram passes per
+level rather than one per node.
 
 Prediction runs through a :class:`~repro.ml.soa.FlatForest`: all trees
 stacked into one contiguous SoA node pool and traversed together, which
@@ -18,13 +20,13 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.ml.base import Regressor, check_X, check_Xy
 from repro.ml.soa import FlatForest, sequential_mean
-from repro.ml.tree import DecisionTreeRegressor, _bin_features
+from repro.ml.tree import DecisionTreeRegressor, _bin_features, _fit_trees
 from repro.utils.rng import RandomState, as_generator, spawn_child
 from repro.utils.validation import check_positive_int
 
@@ -97,34 +99,40 @@ class RandomForestRegressor(Regressor):
         self.random_state = random_state
 
     def fit(self, X, y) -> "RandomForestRegressor":
-        """Bin features once, then fit ``n_estimators`` bootstrapped trees."""
+        """Bin features once, then grow ``n_estimators`` bootstrapped trees."""
         check_positive_int(self.n_estimators, "n_estimators")
         X, y = check_Xy(X, y)
-        n = X.shape[0]
         binned = _bin_features(X, self.max_bins)
-        rng = as_generator(self.random_state)
-
-        self.estimators_: List[DecisionTreeRegressor] = []
-        for t in range(self.n_estimators):
-            tree_rng = spawn_child(rng, t)
-            if self.bootstrap:
-                idx = tree_rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                max_bins=self.max_bins,
-                random_state=tree_rng,
-            )
-            tree._fit_binned(binned, y, idx)
-            self.estimators_.append(tree)
-
+        trees, roots = self._new_trees(X.shape[0])
+        _fit_trees(trees, binned, y, roots)
+        self.estimators_: List[DecisionTreeRegressor] = trees
         self.n_features_in_ = X.shape[1]
         self._flat_forest_: Optional[FlatForest] = None
         return self
+
+    def _new_trees(self, n: int) -> Tuple[List[DecisionTreeRegressor], List[np.ndarray]]:
+        """The unfitted trees, each with its root samples.
+
+        A root is an n-sample bootstrap draw from the tree's own stream,
+        or all ``n`` rows without bootstrap.
+        """
+        rng = as_generator(self.random_state)
+        trees: List[DecisionTreeRegressor] = []
+        roots: List[np.ndarray] = []
+        for t in range(self.n_estimators):
+            tree_rng = spawn_child(rng, t)
+            roots.append(tree_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n))
+            trees.append(
+                DecisionTreeRegressor(
+                    max_depth=self.max_depth,
+                    min_samples_split=self.min_samples_split,
+                    min_samples_leaf=self.min_samples_leaf,
+                    max_features=self.max_features,
+                    max_bins=self.max_bins,
+                    random_state=tree_rng,
+                )
+            )
+        return trees, roots
 
     def flat_forest(self) -> FlatForest:
         """The SoA view of the fitted trees (built lazily, cached).
@@ -184,9 +192,3 @@ class RandomForestRegressor(Regressor):
         out = self.predict(stacked)
         bounds = np.cumsum([m.shape[0] for m in mats])[:-1]
         return np.split(out, bounds)
-
-    def predict_std(self, X) -> np.ndarray:
-        """Across-tree standard deviation — a cheap uncertainty estimate."""
-        self._check_fitted()
-        X = check_X(X, self.n_features_in_)
-        return self.flat_forest().predict_per_tree(X).std(axis=0)

@@ -3,14 +3,22 @@
 The tree pre-bins every feature into at most ``max_bins`` ordered bins
 (exact when a feature has few distinct values — which is always the case
 for this paper's datasets, whose features are input sizes and frequency
-bins). Each node then finds the global best split with a *single*
-vectorized histogram pass covering **all features at once**: bin codes
-are pre-offset so one :func:`numpy.bincount` yields every feature's
-``(count, sum_y, sum_y2)`` histogram, and the variance-reduction optimum
-falls out of one cumulative-sum expression over a ``(features, bins)``
-matrix. This is the same strategy as LightGBM/sklearn's
-HistGradientBoosting, chosen because pure-Python per-feature looping
-would dominate the experiment harness's runtime.
+bins). Trees then grow level by level, and all trees of a forest grow
+together: bin codes are pre-offset so one :func:`numpy.bincount` over
+(open node, feature, bin) yields every open node's
+``(count, sum_y, sum_y2)`` histograms, and one cumulative-sum expression
+over a ``(nodes, features, bins)`` array picks every node's
+variance-reduction optimum at once. This is LightGBM's depth-wise
+histogram build, batched across trees, so a forest costs a few NumPy
+calls per level instead of a Python loop iteration per node.
+
+At the end the nodes are renumbered into the depth-first order of
+:meth:`DecisionTreeRegressor._fit_depth_first`, the per-node fit, so
+both give byte-identical arrays. The per-node fit stays as the
+reference oracle, and it still grows trees that draw a random feature
+subset per node (``max_features`` below the feature count), because the
+order of those draws is part of the tree. ``docs/perf.md`` ("Layer 5")
+gives the rules that keep the two equal.
 
 The fitted tree is stored in flat arrays (``feature``, ``threshold``,
 ``left``, ``right``, ``value``), and prediction walks all samples level
@@ -19,7 +27,7 @@ by level, fully vectorized.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +37,14 @@ from repro.utils.rng import RandomState, as_generator
 __all__ = ["DecisionTreeRegressor"]
 
 _NO_FEATURE = -1
+
+#: Most (open node, feature, bin) cells one level-wise histogram
+#: ``bincount`` covers. A level with more open nodes is processed in
+#: chunks of nodes, which bounds the histogram memory of deep, wide
+#: forests at the same speed.
+_HIST_CELLS = 1 << 16
+
+TreeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class _BinnedData:
@@ -78,6 +94,215 @@ def _bin_features(X: np.ndarray, max_bins: int) -> _BinnedData:
             split_values.append(edges)
             n_bins[j] = max(int(edges.size) + 1, 1)
     return _BinnedData(codes, split_values, n_bins)
+
+
+def _segment_sums(starts: np.ndarray, sizes: np.ndarray, *arrays: np.ndarray) -> List[np.ndarray]:
+    """``a[s:s + m].sum()`` of each segment ``(s, m)`` of each array ``a``, bit for bit.
+
+    One output per array in ``arrays``. ``ndarray.sum`` adds pairwise,
+    which neither ``np.add.reduceat`` nor a weighted ``bincount``
+    reproduces (both add in sequence). The rows of a C-contiguous 2-D
+    array take the same pairwise path, so the segments of each size are
+    gathered into one ``(segments, size)`` array and summed along its
+    rows, one array at a time (a stacked 3-D reduction takes another path).
+    """
+    outs = [np.empty(sizes.size) for _ in arrays]
+    order = np.argsort(sizes, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        rows = starts[group, None] + np.arange(sizes[group[0]])
+        for out, values in zip(outs, arrays):
+            out[group] = values[rows].sum(axis=1)
+    return outs
+
+
+def _segment_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions of every segment ``(start, size)``, in order."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
+
+
+def _best_splits(
+    binned: _BinnedData,
+    y: np.ndarray,
+    y2: np.ndarray,
+    samples: np.ndarray,
+    sizes: np.ndarray,
+    node_sum: np.ndarray,
+    node_sq: np.ndarray,
+    parent_sse: np.ndarray,
+    min_leaf: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Best ``(feature, bin)`` of each node of one histogram chunk.
+
+    ``samples`` holds the nodes' samples back to back, ``sizes[k]`` of
+    node *k*. The arithmetic is :meth:`DecisionTreeRegressor._fit_depth_first`'s,
+    term for term, over a leading node axis; the feature is
+    ``_NO_FEATURE`` where no split reduces the node's error.
+    """
+    d, B = binned.n_features, binned.bin_width
+    G = sizes.size
+    cells = G * d * B
+    local = np.repeat(np.arange(G, dtype=np.int64) * (d * B), sizes)
+    sel = (binned.codes_off[samples] + local[:, None]).ravel()
+    shape = (G, d, B)
+    cnt = np.bincount(sel, minlength=cells).astype(float).reshape(shape)
+    s1 = np.bincount(sel, weights=np.repeat(y[samples], d), minlength=cells).reshape(shape)
+    s2 = np.bincount(sel, weights=np.repeat(y2[samples], d), minlength=cells).reshape(shape)
+
+    cl = np.cumsum(cnt, axis=2)[:, :, :-1]
+    sl = np.cumsum(s1, axis=2)[:, :, :-1]
+    s2l = np.cumsum(s2, axis=2)[:, :, :-1]
+    cr = sizes[:, None, None] - cl
+    sr = node_sum[:, None, None] - sl
+    s2r = node_sq[:, None, None] - s2l
+
+    valid = (cl >= min_leaf) & (cr >= min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = (s2l - sl**2 / cl) + (s2r - sr**2 / cr)
+    sse = np.where(valid, sse, np.inf).reshape(G, -1)
+    flat_best = sse.argmin(axis=1)
+    best_sse = sse[np.arange(G), flat_best]
+    improves = np.isfinite(best_sse) & ~(
+        parent_sse - best_sse <= 1e-12 * np.maximum(parent_sse, 1.0)
+    )
+    feature = np.where(improves, flat_best // (B - 1), _NO_FEATURE)
+    return feature, flat_best % (B - 1)
+
+
+def _grow_level_wise(
+    binned: _BinnedData,
+    y: np.ndarray,
+    roots: Sequence[np.ndarray],
+    max_depth: Optional[int],
+    min_samples_split: int,
+    min_leaf: int,
+) -> List[TreeArrays]:
+    """Grow one tree per root sample list, all trees together, level by level.
+
+    Returns each tree's ``(feature, threshold, left, right, value)``,
+    byte-identical to what :meth:`DecisionTreeRegressor._fit_depth_first`
+    builds from the same root samples. Three rules keep them equal:
+
+    - a node's samples stay in the reference order (root order, then a
+      stable partition), so each histogram bin adds its terms in the
+      same sequence;
+    - node sums come from :func:`_segment_sums`, equal to ``ndarray.sum``;
+    - the nodes are renumbered at the end: the reference numbers both
+      children when it processes their parent, and it pops the right
+      child first, so the *j*-th internal node in right-first preorder
+      has children ``2j + 1`` (left) and ``2j + 2`` (right).
+    """
+    d, B = binned.n_features, binned.bin_width
+    y2 = y * y
+    split_value = np.zeros((d, B - 1))
+    for j, edges in enumerate(binned.split_values):
+        split_value[j, : edges.size] = edges
+    depth_limit = np.inf if max_depth is None else max_depth
+    per_chunk = max(1, _HIST_CELLS // (d * B))
+
+    # Level k lists its nodes as (left, right) pairs, one pair per split
+    # node of level k - 1, in that level's order; roots are level 0.
+    levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    samples = np.concatenate(roots).astype(np.int64, copy=False)
+    sizes = np.array([root.size for root in roots], dtype=np.int64)
+    depth = 0
+    while True:
+        starts = np.cumsum(sizes) - sizes
+        node_sum, node_sq = _segment_sums(starts, sizes, y[samples], y2[samples])
+        parent_sse = node_sq - node_sum * node_sum / sizes
+        feature = np.full(sizes.size, _NO_FEATURE, dtype=np.int64)
+        best_bin = np.zeros(sizes.size, dtype=np.int64)
+        if depth < depth_limit and B > 1:
+            search = np.flatnonzero(
+                (sizes >= min_samples_split)
+                & (sizes >= 2 * min_leaf)
+                & ~(parent_sse <= 1e-12 * np.maximum(node_sq, 1.0))
+            )
+            for lo in range(0, search.size, per_chunk):
+                nodes = search[lo : lo + per_chunk]
+                feature[nodes], best_bin[nodes] = _best_splits(
+                    binned,
+                    y,
+                    y2,
+                    samples[_segment_rows(starts[nodes], sizes[nodes])],
+                    sizes[nodes],
+                    node_sum[nodes],
+                    node_sq[nodes],
+                    parent_sse[nodes],
+                    min_leaf,
+                )
+        levels.append((node_sum / sizes, feature, best_bin))
+        split = feature >= 0
+        if not split.any():
+            break
+        # Stable partition: each child keeps its parent's sample order.
+        part = samples[_segment_rows(starts[split], sizes[split])]
+        owner = np.repeat(np.arange(int(split.sum())), sizes[split])
+        f = feature[split][owner]
+        go_right = binned.codes_off[part, f] > f * B + best_bin[split][owner]
+        child = 2 * owner + go_right
+        samples = part[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child)
+        depth += 1
+    return _depth_first_arrays(levels, len(roots), split_value)
+
+
+def _depth_first_arrays(
+    levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    n_trees: int,
+    split_value: np.ndarray,
+) -> List[TreeArrays]:
+    """Number the level-wise nodes as the depth-first fit does."""
+    # Internal nodes in each node's subtree, bottom-up.
+    inner: List[np.ndarray] = []
+    for _, feature, _ in reversed(levels):
+        split = feature >= 0
+        count = split.astype(np.int64)
+        if inner:
+            count[split] += inner[-1][0::2] + inner[-1][1::2]
+        inner.append(count)
+    inner.reverse()
+    n_nodes = 2 * inner[0] + 1
+    offset = np.cumsum(n_nodes) - n_nodes
+    total = int(n_nodes.sum())
+    feature_out = np.full(total, _NO_FEATURE, dtype=np.int64)
+    threshold_out = np.zeros(total)
+    left_out = np.full(total, -1, dtype=np.int64)
+    right_out = np.full(total, -1, dtype=np.int64)
+    value_out = np.empty(total)
+
+    # Top-down: ``rank`` is a node's index among internal nodes in
+    # right-first preorder, ``node_id`` its number in its tree.
+    tree = np.arange(n_trees)
+    rank = np.zeros(n_trees, dtype=np.int64)
+    node_id = np.zeros(n_trees, dtype=np.int64)
+    for k, (value, feature, best_bin) in enumerate(levels):
+        pos = offset[tree] + node_id
+        value_out[pos] = value
+        split = feature >= 0
+        if not split.any():
+            break
+        at, r, f = pos[split], rank[split], feature[split]
+        children = 2 * r[:, None] + np.array([1, 2])
+        feature_out[at] = f
+        threshold_out[at] = split_value[f, best_bin[split]]
+        left_out[at], right_out[at] = children.T
+        tree = np.repeat(tree[split], 2)
+        node_id = children.ravel()
+        # The right child comes next in preorder; the left one follows
+        # the right child's internal nodes.
+        rank = np.repeat(r + 1, 2)
+        rank[0::2] += inner[k + 1][1::2]
+    bounds = offset[1:]
+    return list(
+        zip(
+            np.split(feature_out, bounds),
+            np.split(threshold_out, bounds),
+            np.split(left_out, bounds),
+            np.split(right_out, bounds),
+            np.split(value_out, bounds),
+        )
+    )
 
 
 class DecisionTreeRegressor(Regressor):
@@ -138,15 +363,7 @@ class DecisionTreeRegressor(Regressor):
         return max(1, int(round(frac * d)))
 
     # ------------------------------------------------------------------
-    def fit(self, X, y) -> "DecisionTreeRegressor":
-        """Fit on raw features (bins them first, then delegates)."""
-        X, y = check_Xy(X, y)
-        binned = _bin_features(X, self.max_bins)
-        self._fit_binned(binned, y, np.arange(X.shape[0]))
-        return self
-
-    def _fit_binned(self, binned: _BinnedData, y: np.ndarray, idx: np.ndarray) -> None:
-        """Core builder over pre-binned data (shared with the random forest)."""
+    def _check_growth_params(self) -> None:
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         if self.min_samples_split < 2:
@@ -154,6 +371,20 @@ class DecisionTreeRegressor(Regressor):
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
 
+    # ------------------------------------------------------------------
+    def fit(self, X, y) -> "DecisionTreeRegressor":
+        """Fit on raw features (bins them first, then grows the tree)."""
+        X, y = check_Xy(X, y)
+        _fit_trees([self], _bin_features(X, self.max_bins), y, [np.arange(X.shape[0])])
+        return self
+
+    def _fit_depth_first(self, binned: _BinnedData, y: np.ndarray, idx: np.ndarray) -> None:
+        """The per-node, depth-first fit over pre-binned data, on samples ``idx``.
+
+        It grows trees that draw a feature subset per node, and it is the
+        reference the level-wise growth must equal byte for byte.
+        """
+        self._check_growth_params()
         d = binned.n_features
         B = binned.bin_width
         total_bins = d * B
@@ -287,3 +518,30 @@ class DecisionTreeRegressor(Regressor):
                 depths[self.left_[node]] = depths[node] + 1
                 depths[self.right_[node]] = depths[node] + 1
         return int(depths.max()) if depths.size else 0
+
+
+def _fit_trees(
+    trees: Sequence[DecisionTreeRegressor],
+    binned: _BinnedData,
+    y: np.ndarray,
+    roots: Sequence[np.ndarray],
+) -> None:
+    """Fit ``trees``, which share their hyperparameters, each on its root samples.
+
+    Trees that draw a feature subset per node grow one at a time
+    depth-first, because the order of those draws is part of each tree.
+    All other trees grow together, level by level.
+    """
+    head = trees[0]
+    head._check_growth_params()
+    d = binned.n_features
+    if head._n_features_per_split(d) < d:
+        for tree, idx in zip(trees, roots):
+            tree._fit_depth_first(binned, y, idx)
+        return
+    grown = _grow_level_wise(
+        binned, y, roots, head.max_depth, head.min_samples_split, head.min_samples_leaf
+    )
+    for tree, arrays in zip(trees, grown):
+        tree.feature_, tree.threshold_, tree.left_, tree.right_, tree.value_ = arrays
+        tree.n_features_in_ = d

@@ -11,7 +11,9 @@ cache's atomic tmp-file + ``os.replace`` write) so a registry survives
 concurrent writers and bit rot the same way the cache does — and,
 critically, a tampered artifact is **never served**: ``resolve``
 re-hashes the bytes before deserializing and raises
-:class:`ModelIntegrityError` on any mismatch. Manifests are read
+:class:`ModelIntegrityError` on any mismatch. Decoding is keyed by that
+hash: a registry decodes each artifact once and builds a fresh model
+over the decoded arrays on every ``resolve``. Manifests are read
 through ``MANIFEST_SCHEMA``, the schema ``repro lint`` checks them
 with, so a manifest lint rejects is never served either.
 
@@ -28,11 +30,13 @@ import io
 import json
 import pathlib
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ModelIntegrityError, RegistryError, ReproError, SpecValidationError
-from repro.io.serialization import load_domain_model
+from repro.io.serialization import DecodedDomainModel, decode_domain_model
 from repro.modeling.domain import DomainSpecificModel
 from repro.runtime.cache import atomic_write as _atomic_write
 from repro.runtime.seeding import canonical_json, stable_digest
@@ -54,6 +58,10 @@ _MANIFEST_FORMAT = "repro.model_manifest"
 _ARTIFACT_FILENAME = "model.npz"
 _MANIFEST_FILENAME = "manifest.json"
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+#: Decoded artifacts a registry keeps, least recently used dropped first:
+#: room for a served incumbent, a candidate and a rollback target, while
+#: ``verify`` over many versions cannot grow the memo.
+_DECODED_KEPT = 4
 
 
 def _sha256_hex(data: bytes) -> str:
@@ -126,6 +134,8 @@ class ModelRegistry:
 
     def __init__(self, root: PathLike) -> None:
         self.root = pathlib.Path(root)
+        self._decoded: "OrderedDict[str, DecodedDomainModel]" = OrderedDict()
+        self._decoded_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # paths
@@ -162,6 +172,25 @@ class ModelRegistry:
                 out.append(int(entry.name[1:]))
         return sorted(out)
 
+    def _decode(self, data: bytes, sha256: str) -> DecodedDomainModel:
+        """Decode verified artifact bytes, once per SHA-256 while memoized.
+
+        ``sha256`` must be the hash of ``data``; callers compute it from
+        the bytes they just read. The decode runs under the lock, so
+        concurrent resolves of one artifact decode it once, and no two
+        ``np.load`` header parses (``ast.literal_eval``) run at once: on
+        CPython 3.11, concurrent parses can raise ``SystemError``.
+        """
+        with self._decoded_lock:
+            decoded = self._decoded.get(sha256)
+            if decoded is None:
+                decoded = decode_domain_model(io.BytesIO(data))
+                self._decoded[sha256] = decoded
+            self._decoded.move_to_end(sha256)
+            while len(self._decoded) > _DECODED_KEPT:
+                self._decoded.popitem(last=False)
+        return decoded
+
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
@@ -175,12 +204,13 @@ class ModelRegistry:
     ) -> ModelManifest:
         """Copy a trained model artifact into the registry as a new version.
 
-        The artifact is deserialized once up front (so junk never enters
-        the registry — truncated/foreign files raise
-        :class:`repro.errors.ArtifactError` here, not at serving time),
-        then its exact bytes are stored with their SHA-256 in the
-        manifest. Versions auto-increment per name; the manifest is
-        written last and commits the version.
+        The artifact is decoded once up front (so junk never enters the
+        registry — truncated/foreign files and trees prediction cannot
+        walk raise :class:`repro.errors.ArtifactError` here, not at
+        serving time), then its exact bytes are stored with their SHA-256
+        in the manifest. The decode is kept for the first ``resolve`` of
+        the new version. Versions auto-increment per name; the manifest
+        is written last and commits the version.
         """
         self._check_name(name)
         src = pathlib.Path(model_path)
@@ -188,7 +218,8 @@ class ModelRegistry:
             data = src.read_bytes()
         except OSError as exc:
             raise RegistryError(f"cannot read model artifact {src}: {exc}") from exc
-        model = load_domain_model(io.BytesIO(data))
+        sha256 = _sha256_hex(data)
+        decoded = self._decode(data, sha256)
 
         versions = self._versions(name)
         version = (versions[-1] + 1) if versions else 1
@@ -196,9 +227,9 @@ class ModelRegistry:
             name=name,
             version=version,
             app=app,
-            feature_names=model.feature_names,
-            baseline_freq_mhz=float(model.baseline_freq_mhz),
-            artifact_sha256=_sha256_hex(data),
+            feature_names=decoded.feature_names,
+            baseline_freq_mhz=float(decoded.baseline_freq_mhz),
+            artifact_sha256=sha256,
             artifact_bytes=len(data),
             device_signature_digest=(
                 stable_digest(device_signature) if device_signature is not None else None
@@ -293,10 +324,14 @@ class ModelRegistry:
     ) -> Tuple[DomainSpecificModel, ModelManifest]:
         """Load one model version, verifying integrity end to end.
 
-        The artifact bytes are read once, re-hashed and compared against
-        the manifest before deserialization, so a flipped byte anywhere
-        in the artifact (or manifest) raises
+        Every call checks the manifest's digest, reads the artifact bytes
+        and re-hashes them against the manifest before deserialization,
+        so a flipped byte anywhere in the artifact (or manifest) raises
         :class:`ModelIntegrityError` — a tampered model is never served.
+        Only the decode of bytes with an already-decoded SHA-256 is
+        skipped: the registry keeps the last few decoded artifacts (read-only
+        tree arrays) and builds fresh model objects over them, so two
+        resolves never share a model object.
         """
         version = self._resolve_version(name, version)
         manifest = self._read_manifest(name, version)
@@ -305,13 +340,13 @@ class ModelRegistry:
             data = path.read_bytes()
         except OSError as exc:
             raise RegistryError(f"{manifest.ref}: artifact unreadable ({exc})") from exc
-        if _sha256_hex(data) != manifest.artifact_sha256:
+        sha256 = _sha256_hex(data)
+        if sha256 != manifest.artifact_sha256:
             raise ModelIntegrityError(
                 f"{manifest.ref}: artifact digest mismatch — refusing to serve "
                 "a tampered or corrupted model"
             )
-        model = load_domain_model(io.BytesIO(data))
-        return model, manifest
+        return self._decode(data, sha256).build(), manifest
 
     def verify(
         self, name: Optional[str] = None, version: Optional[int] = None

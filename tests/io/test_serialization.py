@@ -216,6 +216,47 @@ def _rewrite_npz(path, mutate):
     np.savez(path, **arrays)
 
 
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def _break_first_tree(path, defect):
+    """Apply ``defect(tree)`` to the arrays of the time model's first tree.
+
+    Its root is internal: the fixture models split on every target.
+    """
+
+    def mutate(arrays):
+        tree = {f: arrays[f"time__t0_{f}"].copy() for f in _TREE_FIELDS}
+        assert tree["feature"][0] >= 0
+        defect(tree)
+        arrays.update({f"time__t0_{f}": a for f, a in tree.items()})
+
+    _rewrite_npz(path, mutate)
+
+
+def _set_node(field, node, value):
+    def defect(tree):
+        tree[field][node] = value
+
+    return defect
+
+
+def _replace(field, change):
+    def defect(tree):
+        tree[field] = change(tree[field])
+
+    return defect
+
+
+def _first_leaf_gets_children(tree):
+    leaf = int(np.flatnonzero(tree["feature"] < 0)[0])
+    tree["left"][leaf], tree["right"][leaf] = 1, 2
+
+
+def _right_child_is_left_child(tree):
+    tree["right"][0] = tree["left"][0]
+
+
 class TestArtifactErrors:
     """Corrupt artifacts raise typed errors, not raw KeyError/zipfile noise.
 
@@ -318,3 +359,25 @@ class TestArtifactErrors:
         _rewrite_npz(model_path, lambda arrays: arrays.pop("__meta__"))
         with pytest.raises(ArtifactError, match="no __meta__ entry"):
             load_domain_model(model_path)
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            pytest.param(_set_node("left", 0, 0), "does not follow its parent", id="self_loop"),
+            pytest.param(_set_node("left", 0, 10**6), "child index is outside", id="child_out_of_range"),
+            pytest.param(_set_node("feature", 0, 7), "feature index is outside", id="feature_out_of_range"),
+            pytest.param(_replace("value", lambda a: a[:-1]), "equal length", id="truncated_value"),
+            pytest.param(_replace("left", lambda a: a.astype(float)), "integer arrays", id="float_left"),
+            pytest.param(_first_leaf_gets_children, "a leaf has children", id="leaf_with_children"),
+            pytest.param(_right_child_is_left_child, "referenced exactly once", id="shared_child"),
+        ],
+    )
+    def test_broken_tree_structure_raises_artifact_error(self, model_path, defect, message):
+        """A tree prediction cannot walk (a cycle, an index past an array)
+        is refused at decode, before anything serves it."""
+        from repro.errors import ArtifactError
+
+        _break_first_tree(model_path, defect)
+        with pytest.raises(ArtifactError, match=message):
+            load_domain_model(model_path)
+

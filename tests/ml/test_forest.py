@@ -80,14 +80,6 @@ class TestConfig:
         m = RandomForestRegressor(n_estimators=3, max_depth=2, random_state=0).fit(X, y)
         assert all(t.depth <= 2 for t in m.estimators_)
 
-    def test_predict_std(self, data):
-        X, y, Xt, _ = data
-        m = RandomForestRegressor(n_estimators=10, random_state=0).fit(X, y)
-        std = m.predict_std(Xt)
-        assert std.shape == (Xt.shape[0],)
-        assert np.all(std >= 0)
-        assert std.max() > 0
-
     def test_unfitted(self):
         with pytest.raises(ModelNotFittedError):
             RandomForestRegressor().predict([[0.0]])

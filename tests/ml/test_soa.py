@@ -67,11 +67,6 @@ class TestBitIdentity:
             ref = forest.predict(Xt)
         assert np.array_equal(fast, ref)
 
-    def test_predict_std_equals_stacked_tree_std(self, fitted):
-        forest, Xt = fitted
-        stacked = np.array([t.predict(Xt) for t in forest.estimators_])
-        assert np.array_equal(forest.predict_std(Xt), stacked.std(axis=0))
-
     def test_noncontiguous_input_handled(self, fitted):
         forest, Xt = fitted
         view = Xt[::2]

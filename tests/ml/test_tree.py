@@ -162,3 +162,54 @@ class TestPredictMechanics:
         a = DecisionTreeRegressor().fit(X, y).predict(X)
         b = DecisionTreeRegressor().fit(X, y).predict(X)
         assert np.array_equal(a, b)
+
+
+class TestLevelWiseGrowth:
+    def test_segment_sums_equal_ndarray_sum(self):
+        """Node sums feed ``value_`` and the split score, so they must be
+        ``ndarray.sum()`` bit for bit: sizes 1-300, each three times so
+        equal sizes share a gather, across the pairwise block edges at
+        8 and 128, with -0.0 entries and all--0.0 segments."""
+        from repro.ml.tree import _segment_sums
+
+        rng = np.random.default_rng(0)
+        sizes = rng.permutation(np.repeat(np.arange(1, 301), 3))
+        starts = np.cumsum(sizes) - sizes
+        values = rng.normal(size=int(sizes.sum())) * 10.0 ** rng.integers(-6, 7, size=int(sizes.sum()))
+        values[rng.random(values.size) < 0.1] = -0.0
+        for size in (1, 2, 8, 129):
+            start = starts[np.flatnonzero(sizes == size)[0]]
+            values[start : start + size] = -0.0
+        want = np.array([values[s : s + m].sum() for s, m in zip(starts, sizes)])
+        (got,) = _segment_sums(starts, sizes, values)
+        assert got.tobytes() == want.tobytes()
+        # A sequential sum differs, so the check above can fail.
+        sequential = np.bincount(np.repeat(np.arange(sizes.size), sizes), weights=values)
+        assert sequential.tobytes() != want.tobytes()
+
+    def test_histogram_chunks_leave_the_trees_unchanged(self, monkeypatch):
+        """One open node per histogram chunk grows the same forest."""
+        from repro.ml import tree as tree_module
+        from repro.ml.forest import RandomForestRegressor
+
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 6, size=(120, 3)).astype(float)
+        y = rng.normal(size=120)
+        whole = RandomForestRegressor(n_estimators=4, random_state=0).fit(X, y)
+        monkeypatch.setattr(tree_module, "_HIST_CELLS", 1)
+        chunked = RandomForestRegressor(n_estimators=4, random_state=0).fit(X, y)
+        for a, b in zip(whole.estimators_, chunked.estimators_):
+            for name in ("feature_", "threshold_", "left_", "right_", "value_"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_single_tree_fit_equals_depth_first_fit(self):
+        from repro.ml.tree import _bin_features
+
+        rng = np.random.default_rng(9)
+        X = rng.integers(0, 5, size=(80, 3)).astype(float)
+        y = rng.normal(size=80)
+        fast = DecisionTreeRegressor(min_samples_leaf=2).fit(X, y)
+        slow = DecisionTreeRegressor(min_samples_leaf=2)
+        slow._fit_depth_first(_bin_features(X, slow.max_bins), y, np.arange(80))
+        for name in ("feature_", "threshold_", "left_", "right_", "value_"):
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()

@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import Lasso, LinearRegression, Ridge
 from repro.ml.metrics import mean_absolute_error, r2_score, root_mean_squared_error
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, _bin_features
 
 
 @st.composite
@@ -88,6 +89,63 @@ def test_tree_never_worse_than_constant_on_train(problem):
     X, y = problem
     m = DecisionTreeRegressor(min_samples_leaf=2).fit(X, y)
     assert r2_score(y, m.predict(X)) >= -1e-9
+
+
+@st.composite
+def forest_problems(draw):
+    """Training sets with ties, constant columns and targets, -0.0 targets
+    and 1-3 rows, with the forest parameters that change tree shape."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=4, max_value=40)))
+    d = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    columns = draw(st.sampled_from(["ties", "continuous", "one_constant", "all_constant"]))
+    target = draw(st.sampled_from(["continuous", "ties", "constant", "signed_zeros", "zeros"]))
+    rng = np.random.default_rng(seed)
+    if columns == "continuous":
+        X = rng.normal(size=(n, d))
+    else:
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+    if columns == "one_constant":
+        X[:, 0] = 2.0
+    elif columns == "all_constant":
+        X[:] = 2.0
+    y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+    if target == "ties":
+        y = np.round(y)
+    elif target == "constant":
+        y = np.full(n, 1.5)
+    elif target == "signed_zeros":
+        y[rng.random(n) < 0.5] = -0.0
+    elif target == "zeros":
+        y = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    params = dict(
+        n_estimators=draw(st.integers(min_value=1, max_value=5)),
+        max_depth=draw(st.sampled_from([None, 1, 2, 5])),
+        min_samples_leaf=draw(st.integers(min_value=1, max_value=3)),
+        bootstrap=draw(st.booleans()),
+        max_bins=draw(st.sampled_from([64, 8, 3])),
+        random_state=seed,
+    )
+    return X, y, params
+
+
+@given(forest_problems())
+@settings(max_examples=80, deadline=None)
+def test_forest_fit_equals_depth_first_fit(problem):
+    """The level-wise growth of all trees gives the depth-first fit's
+    five arrays, dtype and bytes, tree by tree."""
+    X, y, params = problem
+    fitted = RandomForestRegressor(**params).fit(X, y).estimators_
+    reference = RandomForestRegressor(**params)
+    binned = _bin_features(X, reference.max_bins)
+    trees, roots = reference._new_trees(X.shape[0])
+    for tree, root in zip(trees, roots):
+        tree._fit_depth_first(binned, y, root)
+    assert len(fitted) == len(trees)
+    for fast, slow in zip(fitted, trees):
+        for name in ("feature_", "threshold_", "left_", "right_", "value_"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @st.composite
