@@ -9,6 +9,9 @@ repetitions, task seed, sensor mode)``
 
 so *any* change to the device model, workload configuration, protocol,
 or seeding invalidates exactly the affected entries — and nothing else.
+:meth:`ResultCache.key_for` hashes one whole payload; :class:`SweepKeys`
+gives the same keys for every point of a sweep, hashing the fields the
+points share once.
 Entries are plain JSON files laid out as ``<root>/<aa>/<digest>.json``
 (two-hex-digit fan-out directories), written atomically via a temporary
 file + ``os.replace`` so an interrupted campaign never leaves a torn
@@ -17,23 +20,32 @@ entry behind.
 On-disk entries are never trusted on read: every entry embeds the
 SHA-256 digest of its value, and :meth:`ResultCache.get` re-derives and
 compares it before serving. A mismatch (bit rot, a tampering process, a
-torn write that still parses) is counted in ``stats.corrupt``, the bad
-file is dropped, and the caller sees a plain miss — so corruption
-degrades to a recompute-and-rewrite, never to silently wrong science.
+torn write that still parses, a value no canonical JSON can hold, nesting
+too deep to parse) is counted in ``stats.corrupt``, the bad file is
+dropped, and the caller sees a plain miss — so corruption degrades to a
+recompute-and-rewrite, never to silently wrong science.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
 import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.runtime.seeding import canonical_json, stable_digest
 
-__all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "ResultCache", "atomic_write"]
+__all__ = [
+    "CACHE_SCHEMA_VERSION",
+    "CacheStats",
+    "CanonicalJSON",
+    "ResultCache",
+    "SweepKeys",
+    "atomic_write",
+]
 
 PathLike = Union[str, pathlib.Path]
 
@@ -44,6 +56,55 @@ PathLike = Union[str, pathlib.Path]
 CACHE_SCHEMA_VERSION = 2
 
 _ENTRY_FORMAT = "repro.campaign_point"
+
+
+class CanonicalJSON(str):
+    """Text that is already the :func:`canonical_json` of some value.
+
+    :class:`SweepKeys` and :meth:`ResultCache.put` splice it in verbatim
+    where they would otherwise encode the value again.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, value: Any) -> "CanonicalJSON":
+        """The canonical JSON of ``value`` (``value`` itself if already one)."""
+        return value if isinstance(value, cls) else cls(canonical_json(value))
+
+
+class SweepKeys:
+    """The cache keys of every point of one sweep, its shared head hashed once.
+
+    ``fields`` are the key-payload fields all points share; each must
+    sort before ``"point"``. For every point,
+    ``key(point, repetitions, seed)`` returns ``(digest, payload)`` where
+    ``payload`` is the canonical JSON of
+    ``{**fields, "point": point, "repetitions": repetitions, "seed": seed}``
+    and ``digest`` equals :meth:`ResultCache.key_for` of that dict: the
+    head of the hashed text up to ``"point":`` goes through SHA-256 once,
+    and each point copies that state and hashes only its own tail.
+    """
+
+    def __init__(self, fields: Mapping[str, Any]) -> None:
+        # Canonical JSON sorts keys, so the per-point fields ("point",
+        # "repetitions", "seed") come last only if every shared one sorts
+        # before them.
+        late = sorted(name for name in fields if name >= "point")
+        if late:
+            raise ValueError(f"shared key fields must sort before 'point': {late}")
+        parts = [
+            f"{json.dumps(name)}:{CanonicalJSON.of(fields[name])}," for name in sorted(fields)
+        ]
+        self._head = "{" + "".join(parts) + '"point":'
+        self._state = hashlib.sha256(f'{{"key":{self._head}'.encode("utf-8"))
+
+    def key(self, point: Any, repetitions: int, seed: int) -> Tuple[str, CanonicalJSON]:
+        """``(digest, payload)`` of one point's cache entry."""
+        tail = f'{canonical_json(point)},"repetitions":{int(repetitions)},"seed":{int(seed)}}}'
+        h = self._state.copy()
+        h.update(f'{tail},"schema":{CACHE_SCHEMA_VERSION}}}'.encode("utf-8"))
+        return h.hexdigest(), CanonicalJSON(self._head + tail)
 
 
 def atomic_write(path: pathlib.Path, data: bytes) -> None:
@@ -72,8 +133,10 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     writes: int = 0
-    #: Entries whose stored digest did not match their value on read;
-    #: each is also counted as a miss (the caller recomputes).
+    #: Entries whose stored digest did not match their value on read, or
+    #: that no :meth:`ResultCache.put` could have written (a value with no
+    #: canonical JSON form, nesting too deep to parse); each is also
+    #: counted as a miss (the caller recomputes).
     corrupt: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
@@ -138,7 +201,11 @@ class ResultCache:
             raw = path.read_bytes()
             record = json.loads(raw.decode("utf-8"))
         except (OSError, ValueError):
+            # Absent, or torn: the recompute's put overwrites it.
             self.stats.misses += 1
+            return None
+        except RecursionError:
+            self._reject(path)
             return None
         if (
             not isinstance(record, dict)
@@ -148,10 +215,9 @@ class ResultCache:
             self.stats.misses += 1
             return None
         value = record.get("value")
-        if record.get("digest") != self._value_digest(value):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            self._discard(path)
+        digest = self._value_digest(value)
+        if digest is None or record.get("digest") != digest:
+            self._reject(path)
             return None
         self.stats.hits += 1
         self.stats.bytes_read += len(raw)
@@ -159,16 +225,26 @@ class ResultCache:
 
     @staticmethod
     def _value_digest(value: Any) -> Optional[str]:
-        """Digest of an entry's value, or ``None`` if it is not hashable.
+        """:func:`stable_digest` of a value read back from disk, or ``None``.
 
-        Values read back from disk are plain JSON types, so a
-        non-canonicalizable value is itself evidence of corruption — it
-        simply never matches the stored digest string.
+        The value is parsed JSON: dicts with string keys, lists, strings,
+        numbers, booleans and null, which ``canonicalize`` returns as they
+        are, so it is dumped with the canonical settings directly. A value
+        with no canonical JSON form — a ``NaN``/``Infinity``/``1e999``
+        token, nesting deeper than the interpreter can walk — is itself
+        evidence of corruption: no :meth:`put` could have written it.
         """
         try:
-            return stable_digest(value)
-        except TypeError:
+            text = json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        except (ValueError, RecursionError):
             return None
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def _reject(self, path: pathlib.Path) -> None:
+        """Count a corrupt entry as a miss and discard it."""
+        self.stats.corrupt += 1
+        self.stats.misses += 1
+        self._discard(path)
 
     @staticmethod
     def _discard(path: pathlib.Path) -> None:
@@ -182,17 +258,20 @@ class ResultCache:
         """Persist ``value`` under ``key`` (atomic write).
 
         ``key_payload`` — the pre-hash key contents — is stored alongside
-        the value purely for human inspection of the cache directory.
+        the value purely for human inspection of the cache directory; a
+        :class:`CanonicalJSON` payload (what :meth:`SweepKeys.key`
+        returns) is stored as is.
         """
-        record = {
-            "format": _ENTRY_FORMAT,
-            "schema": CACHE_SCHEMA_VERSION,
-            "value": value,
-            "digest": stable_digest(value),
-        }
-        if key_payload is not None:
-            record["key"] = key_payload
-        encoded = canonical_json(record).encode("utf-8")
+        # The canonical JSON of {"digest", "format"[, "key"], "schema",
+        # "value"}, written out in its sorted key order so that neither the
+        # value nor the key payload is encoded twice.
+        value_json = canonical_json(value)
+        digest = hashlib.sha256(value_json.encode("utf-8")).hexdigest()
+        key_field = "" if key_payload is None else f',"key":{CanonicalJSON.of(key_payload)}'
+        encoded = (
+            f'{{"digest":"{digest}","format":"{_ENTRY_FORMAT}"{key_field},'
+            f'"schema":{CACHE_SCHEMA_VERSION},"value":{value_json}}}'
+        ).encode("utf-8")
         atomic_write(self.path_for(key), encoded)
         self.stats.writes += 1
         self.stats.bytes_written += len(encoded)

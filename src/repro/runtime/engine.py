@@ -23,6 +23,13 @@ interrupted) campaign replays cached points instantly and computes only
 what is missing. Cache statistics are accumulated in
 :class:`CampaignStats` and surfaced by the CLI run summary.
 
+What every point of an (app, device) sweep shares is computed once per
+sweep: the device signature and app fingerprint are encoded and hashed
+once for the cache keys (:class:`repro.runtime.cache.SweepKeys`) and once
+for the task seeds (:class:`repro.runtime.seeding.TaskSeeder`), and a
+replay sweep records and deduplicates each app's launches once, handing
+the batch to every task of the app.
+
 Resilience
 ----------
 With a :class:`repro.faults.FaultPlan` attached, every task runs inside
@@ -49,7 +56,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, TransientFaultError
+from repro.errors import ConfigurationError, DatasetError, TransientFaultError
 from repro.faults.injector import (
     SITE_SENSOR_ENERGY,
     SITE_SENSOR_TIME,
@@ -61,8 +68,8 @@ from repro.faults.retry import RetryPolicy
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import DeviceSpec
 from repro.kernels.batch import KernelLaunchBatch
-from repro.runtime.cache import ResultCache
-from repro.runtime.seeding import canonicalize, derive_task_seed
+from repro.runtime.cache import CanonicalJSON, ResultCache, SweepKeys
+from repro.runtime.seeding import TaskSeeder, canonicalize
 from repro.synergy.api import SynergyDevice
 from repro.synergy.replay import ReplayPlan, record_launches, replay_measure
 from repro.synergy.runner import (
@@ -167,6 +174,16 @@ class MeasurementTask:
     #: reference clock are normalized to ``None`` by the engine so they
     #: share seeds and cache entries with pre-v2 campaigns bit for bit.
     mem_freq_mhz: Optional[float] = None
+    #: The app's deduplicated launch sequence, which a replay task needs
+    #: and a serial one ignores. The engine records it once per sweep and
+    #: every task of the app shares it.
+    launches: Optional[KernelLaunchBatch] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.method == "replay" and self.launches is None:
+            raise ConfigurationError(
+                f"{self.label}: a replay task needs its app's recorded launches"
+            )
 
     @property
     def label(self) -> str:
@@ -217,16 +234,33 @@ class PointMeasurement:
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "PointMeasurement":
-        """Inverse of :meth:`as_record`."""
-        freq = record["freq_mhz"]
-        mem = record.get("mem_freq_mhz")
-        return cls(
-            freq_mhz=None if freq is None else float(freq),
-            time_s=float(record["time_s"]),
-            energy_j=float(record["energy_j"]),
-            rep_times_s=tuple(float(v) for v in record["rep_times_s"]),
-            rep_energies_j=tuple(float(v) for v in record["rep_energies_j"]),
-            mem_freq_mhz=None if mem is None else float(mem),
+        """Inverse of :meth:`as_record`.
+
+        Raises :class:`DatasetError` when ``record`` is not of that shape:
+        a missing field, or a non-number where a number belongs.
+        """
+        try:
+            freq = record["freq_mhz"]
+            mem = record.get("mem_freq_mhz")
+            return cls(
+                freq_mhz=None if freq is None else _number(freq),
+                time_s=_number(record["time_s"]),
+                energy_j=_number(record["energy_j"]),
+                rep_times_s=tuple(_number(v) for v in record["rep_times_s"]),
+                rep_energies_j=tuple(_number(v) for v in record["rep_energies_j"]),
+                mem_freq_mhz=None if mem is None else _number(mem),
+            )
+        except (AttributeError, KeyError, TypeError, OverflowError) as exc:
+            raise DatasetError(f"malformed campaign point record: {exc!r}") from exc
+
+    def fits(self, task: MeasurementTask) -> bool:
+        """Whether this can be ``task``'s measurement: the same kind of
+        point (baseline or pinned, memory clock pinned or not) and one
+        value per repetition."""
+        return (
+            (self.freq_mhz is None) == (task.freq_mhz is None)
+            and (self.mem_freq_mhz is None) == (task.mem_freq_mhz is None)
+            and len(self.rep_times_s) == len(self.rep_energies_j) == task.repetitions
         )
 
     def to_sample(self) -> FrequencySample:
@@ -241,6 +275,13 @@ class PointMeasurement:
             rep_energies_j=np.asarray(self.rep_energies_j, dtype=float),
             mem_freq_mhz=self.mem_freq_mhz,
         )
+
+
+def _number(value: Any) -> float:
+    """``value`` as a float; a JSON number is the only thing accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _build_device(
@@ -273,8 +314,8 @@ def execute_task(task: MeasurementTask) -> PointMeasurement:
 
     Module-level (picklable) so it can be shipped to pool workers; also
     called inline for ``jobs=1``, which is what makes serial and parallel
-    campaigns bit-identical. ``task.method == "replay"`` records the
-    app's launch sequence once and replays the repetitions through the
+    campaigns bit-identical. ``task.method == "replay"`` replays the
+    repetitions of the task's recorded launch sequence through the
     batched model path — same device build, same sensor streams, same
     measured values bit-for-bit (see ``docs/perf.md``). Any fault plan
     on the task is ignored here — this is the single-attempt primitive;
@@ -287,8 +328,8 @@ def _measure_on(task: MeasurementTask, device: SynergyDevice) -> PointMeasuremen
     """One measurement attempt at ``task`` on an already-built device.
 
     The point is measured by :func:`repro.synergy.runner.measure_point`,
-    the primitive ``characterize`` loops over. A replay task records its
-    app and evaluates only its own point.
+    the primitive ``characterize`` loops over. A replay task evaluates
+    its recorded launches at its own point only.
     """
     actual_mem: Optional[float] = None
     if task.mem_freq_mhz is not None:
@@ -297,8 +338,7 @@ def _measure_on(task: MeasurementTask, device: SynergyDevice) -> PointMeasuremen
         # for every pre-v2 campaign.
         actual_mem = device.set_memory_frequency(task.mem_freq_mhz)
     if task.method == "replay":
-        plan = ReplayPlan(device.gpu, record_launches(task.app, device.gpu))
-        run = partial(replay_measure, plan)
+        run = partial(replay_measure, ReplayPlan(device.gpu, task.launches))
     else:
         run = partial(measure, task.app)
     actual, (t, e, times, energies) = measure_point(
@@ -481,41 +521,15 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # task construction
     # ------------------------------------------------------------------
-    def _task_for(
-        self,
-        app: Application,
-        app_fp: Dict[str, Any],
-        spec: DeviceSpec,
-        freq_mhz: Optional[float],
-        repetitions: int,
-        method: str,
-        mem_freq_mhz: Optional[float] = None,
-    ) -> MeasurementTask:
-        point = _point_key(freq_mhz, mem_freq_mhz)
-        seed = derive_task_seed(self.campaign_seed, app_fp, point)
-        return MeasurementTask(
-            app=app,
-            spec=spec,
-            freq_mhz=freq_mhz,
-            repetitions=repetitions,
-            seed=seed,
-            ideal_sensors=self.ideal_sensors,
-            method=method,
-            fault_plan=self.fault_plan,
-            retry=self.retry,
-            mem_freq_mhz=mem_freq_mhz,
-        )
+    def _key_fields(self, spec: DeviceSpec) -> Dict[str, Any]:
+        """The cache-key fields every task on ``spec`` shares, but the app's.
 
-    def _cache_payload(
-        self, task: MeasurementTask, app_fp: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        payload = {
-            "device": task.spec.signature(),
-            "app": app_fp,
-            "point": _point_key(task.freq_mhz, task.mem_freq_mhz),
-            "repetitions": int(task.repetitions),
-            "seed": int(task.seed),
-            "ideal_sensors": bool(task.ideal_sensors),
+        A point's key payload adds ``app``, ``point``, ``repetitions`` and
+        ``seed`` (see :class:`repro.runtime.cache.SweepKeys`).
+        """
+        fields: Dict[str, Any] = {
+            "device": CanonicalJSON.of(spec.signature()),
+            "ideal_sensors": self.ideal_sensors,
         }
         # Plans whose faults are all recovered-or-fatal leave measured
         # values identical to a fault-free run, so they share its cache.
@@ -523,8 +537,21 @@ class CampaignEngine:
         # that shared cache: its entries get their own key space.
         plan = self.fault_plan
         if plan is not None and not plan.result_preserving:
-            payload["fault_plan"] = plan.fingerprint()
-        return payload
+            fields["fault_plan"] = plan.fingerprint()
+        return fields
+
+    def _app_fingerprint(self, app: Application) -> Dict[str, Any]:
+        """``app``'s identity for seeds and cache keys."""
+        try:
+            return app_fingerprint(app)
+        except ConfigurationError:
+            # Without a cache, identity is only needed for seeding;
+            # fall back to the app name so ad-hoc (non-dataclass)
+            # workloads still run. With a cache the ambiguity could
+            # collide cache entries, so the error stands.
+            if self.cache is not None:
+                raise
+            return {"type": type(app).__qualname__, "config": {"name": app.name}}
 
     # ------------------------------------------------------------------
     # execution
@@ -632,30 +659,45 @@ class CampaignEngine:
             (f, None if m == reference_mem else m) for m in mem_sweep for f in sweep
         ]
 
+        # What the points of an app share is built once, outside the point loop.
+        key_fields = None if self.cache is None else self._key_fields(spec)
+        recorder = SimulatedGPU(spec) if method == "replay" else None
         tasks: List[MeasurementTask] = []
-        payloads: List[Dict[str, Any]] = []
+        keys: List[Optional[Tuple[str, CanonicalJSON]]] = []
         for app in apps:
-            try:
-                app_fp = app_fingerprint(app)
-            except ConfigurationError:
-                # Without a cache, identity is only needed for seeding;
-                # fall back to the app name so ad-hoc (non-dataclass)
-                # workloads still run. With a cache the ambiguity could
-                # collide cache entries, so the error stands.
-                if self.cache is not None:
-                    raise
-                app_fp = {"type": type(app).__qualname__, "config": {"name": app.name}}
-            for freq, mem in points:
-                task = self._task_for(
-                    app, app_fp, spec, freq, repetitions, method, mem_freq_mhz=mem
+            app_fp = self._app_fingerprint(app)
+            seeds = TaskSeeder(self.campaign_seed, app_fp)
+            sweep_keys = None if key_fields is None else SweepKeys({**key_fields, "app": app_fp})
+            launches = None
+            if recorder is not None:
+                launches = KernelLaunchBatch.from_launches(record_launches(app, recorder))
+                self.stats.launches_recorded += launches.n_launches
+                self.stats.unique_launches += launches.n_unique
+                self.stats.launch_evals_replay += launches.n_unique * len(points)
+                self.stats.launch_evals_serial_equivalent += (
+                    launches.n_launches * len(points) * repetitions
                 )
-                tasks.append(task)
-                payloads.append(self._cache_payload(task, app_fp))
+            for freq, mem in points:
+                point = _point_key(freq, mem)
+                seed = seeds.seed(point)
+                tasks.append(
+                    MeasurementTask(
+                        app=app,
+                        spec=spec,
+                        freq_mhz=freq,
+                        repetitions=repetitions,
+                        seed=seed,
+                        ideal_sensors=self.ideal_sensors,
+                        method=method,
+                        fault_plan=self.fault_plan,
+                        retry=self.retry,
+                        mem_freq_mhz=mem,
+                        launches=launches,
+                    )
+                )
+                keys.append(None if sweep_keys is None else sweep_keys.key(point, repetitions, seed))
 
-        if method == "replay":
-            self._account_launch_evals(apps, spec, len(points), repetitions)
-
-        measurements = self._run_tasks(tasks, payloads, progress)
+        measurements = self._run_tasks(tasks, keys, progress)
 
         # Merge per-point measurements back into one row per memory column.
         results: List[Optional[List[CharacterizationResult]]] = []
@@ -686,33 +728,10 @@ class CampaignEngine:
             results.append(rows)
         return results
 
-    def _account_launch_evals(
-        self,
-        apps: Sequence[Application],
-        spec: DeviceSpec,
-        points: int,
-        repetitions: int,
-    ) -> None:
-        """Record launch-evaluation stats for a replay campaign.
-
-        One recording run per app in the parent process (the same
-        recording each worker performs) — cheap, and it lets the run
-        summary report how much model-evaluation work replay avoided.
-        """
-        gpu = SimulatedGPU(spec)
-        for app in apps:
-            batch = KernelLaunchBatch.from_launches(record_launches(app, gpu))
-            self.stats.launches_recorded += batch.n_launches
-            self.stats.unique_launches += batch.n_unique
-            self.stats.launch_evals_replay += batch.n_unique * points
-            self.stats.launch_evals_serial_equivalent += (
-                batch.n_launches * points * repetitions
-            )
-
     def _run_tasks(
         self,
         tasks: List[MeasurementTask],
-        payloads: List[Dict[str, Any]],
+        keys: List[Optional[Tuple[str, CanonicalJSON]]],
         progress: Optional[ProgressFn],
     ) -> List[Optional[PointMeasurement]]:
         total = len(tasks)
@@ -723,7 +742,7 @@ class CampaignEngine:
 
         # Phase 1: replay every cached point.
         for i, task in enumerate(tasks):
-            cached = self._cache_get(payloads[i])
+            cached = self._cache_get(task, keys[i])
             if cached is not None:
                 results[i] = cached
                 done += 1
@@ -738,7 +757,7 @@ class CampaignEngine:
         if pending and self.jobs == 1:
             for i in pending:
                 results[i] = self._after_execute(
-                    tasks[i], payloads[i], execute_task_resilient(tasks[i])
+                    tasks[i], keys[i], execute_task_resilient(tasks[i])
                 )
                 done += 1
                 if progress is not None:
@@ -755,7 +774,7 @@ class CampaignEngine:
                     for future in finished:
                         i = futures[future]
                         results[i] = self._after_execute(
-                            tasks[i], payloads[i], future.result()
+                            tasks[i], keys[i], future.result()
                         )
                         done += 1
                         if progress is not None:
@@ -768,21 +787,33 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # cache plumbing
     # ------------------------------------------------------------------
-    def _cache_get(self, payload: Dict[str, Any]) -> Optional[PointMeasurement]:
-        if self.cache is None:
+    def _cache_get(
+        self, task: MeasurementTask, key: Optional[Tuple[str, CanonicalJSON]]
+    ) -> Optional[PointMeasurement]:
+        """``task``'s cached measurement, or ``None`` to compute it.
+
+        An entry whose value passed the cache's digest check but is not a
+        measurement of ``task``'s shape counts as a miss too: the task
+        runs and its put overwrites the entry.
+        """
+        if key is None:
             return None
-        record = self.cache.get(self.cache.key_for(payload))
-        if record is None:
+        record = self.cache.get(key[0])
+        try:
+            measurement = None if record is None else PointMeasurement.from_record(record)
+        except DatasetError:
+            measurement = None
+        if measurement is None or not measurement.fits(task):
             self.stats.cache_misses += 1
             return None
         self.stats.cache_hits += 1
         self.stats.cache_bytes_read = self.cache.stats.bytes_read
-        return PointMeasurement.from_record(record)
+        return measurement
 
     def _after_execute(
         self,
         task: MeasurementTask,
-        payload: Dict[str, Any],
+        key: Optional[Tuple[str, CanonicalJSON]],
         outcome: TaskOutcome,
     ) -> Optional[PointMeasurement]:
         """Account for one finished task; persist it unless quarantined."""
@@ -794,7 +825,7 @@ class CampaignEngine:
             self.stats.quarantined_points.append(task.label)
             return None
         measurement = outcome.measurement
-        if self.cache is not None:
-            self.cache.put(self.cache.key_for(payload), measurement.as_record(), payload)
+        if key is not None:
+            self.cache.put(key[0], measurement.as_record(), key[1])
             self.stats.cache_bytes_written = self.cache.stats.bytes_written
         return measurement

@@ -19,7 +19,13 @@ from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = ["canonicalize", "canonical_json", "stable_digest", "derive_task_seed"]
+__all__ = [
+    "canonicalize",
+    "canonical_json",
+    "stable_digest",
+    "derive_task_seed",
+    "TaskSeeder",
+]
 
 
 def canonicalize(value: Any) -> Any:
@@ -86,3 +92,25 @@ def derive_task_seed(campaign_seed: int, *key_parts: Any) -> int:
         h.update(b"\x1f")
         h.update(canonical_json(part).encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "big") >> 1
+
+
+class TaskSeeder:
+    """:func:`derive_task_seed` for many tasks that share leading key parts.
+
+    ``TaskSeeder(seed, *prefix).seed(*parts)`` equals
+    ``derive_task_seed(seed, *prefix, *parts)``, but the campaign seed and
+    the prefix (an app fingerprint, say) are encoded and hashed once; each
+    call copies that SHA-256 state and hashes only its own parts.
+    """
+
+    def __init__(self, campaign_seed: int, *prefix: Any) -> None:
+        self._state = hashlib.sha256(str(int(campaign_seed)).encode("utf-8"))
+        for part in prefix:
+            self._state.update(b"\x1f" + canonical_json(part).encode("utf-8"))
+
+    def seed(self, *key_parts: Any) -> int:
+        """The seed of the task keyed by the prefix plus ``key_parts``."""
+        h = self._state.copy()
+        for part in key_parts:
+            h.update(b"\x1f" + canonical_json(part).encode("utf-8"))
+        return int.from_bytes(h.digest()[:8], "big") >> 1

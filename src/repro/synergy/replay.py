@@ -34,7 +34,7 @@ its boundaries.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,9 +111,14 @@ class ReplayPlan:
     per-launch value arrays for one application run.
     """
 
-    def __init__(self, gpu: SimulatedGPU, launches: List[KernelLaunch]) -> None:
+    def __init__(
+        self, gpu: SimulatedGPU, launches: Union[Sequence[KernelLaunch], KernelLaunchBatch]
+    ) -> None:
+        """``launches`` is a recorded sequence, or one already deduplicated."""
         self.gpu = gpu
-        self.batch = KernelLaunchBatch.from_launches(launches)
+        if not isinstance(launches, KernelLaunchBatch):
+            launches = KernelLaunchBatch.from_launches(launches)
+        self.batch = launches
         self._columns: BatchColumns = {}
 
     @property

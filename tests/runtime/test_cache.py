@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 from repro.hw.specs import make_mi100_spec, make_v100_spec, scale_spec
-from repro.runtime.cache import CACHE_SCHEMA_VERSION, ResultCache
+from repro.runtime.cache import CACHE_SCHEMA_VERSION, CanonicalJSON, ResultCache, SweepKeys
+from repro.runtime.seeding import canonical_json
 
 
 def _payload(spec, freq=1282.1, seed=7):
@@ -136,3 +139,68 @@ class TestDigestValidation:
         path.write_text(json.dumps(record))
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
+
+
+def _damage_value(cache, key, value_json, digest="0" * 64):
+    """Rewrite ``key``'s entry with ``value_json`` spliced in as its value."""
+    cache.path_for(key).write_text(
+        '{"digest":"%s","format":"repro.campaign_point","schema":%d,"value":%s}'
+        % (digest, CACHE_SCHEMA_VERSION, value_json)
+    )
+
+
+class TestDamagedEntries:
+    """Entries no put could have written are corrupt misses, never errors."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_value_is_a_corrupt_miss(self, tmp_path, token):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for({"k": 9})
+        cache.put(key, {"time_s": 1.5})
+        _damage_value(cache, key, '{"time_s":%s}' % token)
+        assert cache.get(key) is None
+        assert cache.stats.corrupt == 1 and cache.stats.misses == 1
+        assert not cache.path_for(key).exists()
+
+    def test_null_digest_over_undigestable_value_is_a_corrupt_miss(self, tmp_path):
+        # A value with no digest must not match a missing digest either.
+        cache = ResultCache(tmp_path)
+        key = cache.key_for({"k": 10})
+        cache.path_for(key).parent.mkdir(parents=True)
+        cache.path_for(key).write_text(
+            '{"format":"repro.campaign_point","schema":%d,"value":NaN}' % CACHE_SCHEMA_VERSION
+        )
+        assert cache.get(key) is None
+        assert cache.stats.corrupt == 1
+
+    @pytest.mark.parametrize("depth", [700, 100_000])
+    def test_deeply_nested_value_is_a_corrupt_miss(self, tmp_path, depth):
+        # 700 levels parse but are too deep to digest; 100,000 do not parse.
+        cache = ResultCache(tmp_path)
+        key = cache.key_for({"k": 11})
+        cache.put(key, {"time_s": 1.5})
+        _damage_value(cache, key, "[" * depth + "]" * depth)
+        assert cache.get(key) is None
+        assert cache.stats.corrupt == 1 and cache.stats.misses == 1
+        assert not cache.path_for(key).exists()
+        cache.put(key, {"time_s": 1.5})
+        assert cache.get(key) == {"time_s": 1.5}
+
+
+class TestSweepKeys:
+    def test_put_stores_an_encoded_payload_as_the_dict_would_be(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        payload = _payload(make_v100_spec())
+        cache.put("a" * 64, {"time_s": 1.5, "rep_times_s": [1.4, 1.6]}, payload)
+        cache.put("b" * 64, {"time_s": 1.5, "rep_times_s": [1.4, 1.6]}, CanonicalJSON.of(payload))
+        raw = cache.path_for("a" * 64).read_bytes()
+        assert raw == cache.path_for("b" * 64).read_bytes()
+        record = json.loads(raw)
+        assert raw == canonical_json(record).encode("utf-8")
+        assert record["key"] == json.loads(canonical_json(payload))
+
+    @pytest.mark.parametrize("name", ["point", "pointer", "repetitions", "sensor_mode", "seed"])
+    def test_shared_fields_must_sort_before_point(self, name):
+        with pytest.raises(ValueError, match="sort before 'point'"):
+            SweepKeys({"app": 1, name: 2})
+

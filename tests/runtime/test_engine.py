@@ -1,5 +1,7 @@
 """Tests for the parallel, cached campaign execution engine."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.experiments.datasets import build_cronos_campaign
 from repro.hw.specs import make_v100_spec, scale_spec
 from repro.ligen.app import LigenApplication
 from repro.runtime.cache import ResultCache
-from repro.runtime.engine import CampaignEngine, app_fingerprint
+from repro.runtime.engine import CampaignEngine, MeasurementTask, app_fingerprint
 from repro.synergy import Platform
 
 SMALL_GRIDS = ((10, 4, 4), (20, 8, 8))
@@ -121,6 +123,65 @@ class TestCaching:
         assert other.stats.cache_hits == 0
 
 
+def _entry_of(cache, point):
+    """``(path, record)`` of the one cache entry whose key is at ``point``."""
+    entries = [
+        (path, json.loads(path.read_text())) for path in sorted(cache.root.glob("??/*.json"))
+    ]
+    return next((path, record) for path, record in entries if record["key"]["point"] == point)
+
+
+class TestDamagedEntries:
+    """A damaged cache entry costs one recompute and never aborts a campaign."""
+
+    @pytest.mark.parametrize(
+        "point, value",
+        [
+            (135.0, {"freq_mhz": 1000.0}),
+            (135.0, [1.0, 2.0]),
+            (135.0, "time"),
+            (135.0, {"freq_mhz": 135.0, "time_s": "1.0", "energy_j": 1.0,
+                     "rep_times_s": [1.0, 1.0], "rep_energies_j": [1.0, 1.0]}),
+            (135.0, {"freq_mhz": 135.0, "time_s": 1.0, "energy_j": 1.0,
+                     "rep_times_s": [1.0], "rep_energies_j": [1.0]}),
+            (135.0, {"freq_mhz": None, "time_s": 1.0, "energy_j": 1.0,
+                     "rep_times_s": [1.0, 1.0], "rep_energies_j": [1.0, 1.0]}),
+            ("baseline", {"freq_mhz": 135.0, "time_s": 1.0, "energy_j": 1.0,
+                          "rep_times_s": [1.0, 1.0], "rep_energies_j": [1.0, 1.0]}),
+            ("baseline", {"freq_mhz": None, "time_s": 10 ** 400, "energy_j": 1.0,
+                          "rep_times_s": [1.0, 1.0], "rep_energies_j": [1.0, 1.0]}),
+        ],
+    )
+    def test_wrong_shaped_entry_is_recomputed_and_overwritten(self, tmp_path, point, value):
+        spec = make_v100_spec()
+        cold = _run(CampaignEngine(jobs=1, campaign_seed=42, cache=ResultCache(tmp_path)), spec)
+        cache = ResultCache(tmp_path)
+        path, record = _entry_of(cache, point)
+        good = path.read_bytes()
+        # A well-formed envelope whose digest matches its wrong value.
+        cache.put(path.stem, value, record["key"])
+
+        warm = CampaignEngine(jobs=1, campaign_seed=42, cache=cache)
+        _assert_identical(_run(warm, spec), cold)
+        assert warm.stats.cache_misses == warm.stats.executed == 1
+        assert warm.stats.cache_hits == warm.stats.tasks_total - 1
+        assert path.read_bytes() == good
+
+    def test_non_finite_entry_is_recomputed(self, tmp_path):
+        spec = make_v100_spec()
+        cold = _run(CampaignEngine(jobs=1, campaign_seed=42, cache=ResultCache(tmp_path)), spec)
+        cache = ResultCache(tmp_path)
+        path, _ = _entry_of(cache, 135.0)
+        good = path.read_text()
+        path.write_text(good.replace('"time_s":', '"time_s":NaN,"was":'))
+
+        warm = CampaignEngine(jobs=1, campaign_seed=42, cache=cache)
+        _assert_identical(_run(warm, spec), cold)
+        assert cache.stats.corrupt == 1
+        assert warm.stats.executed == 1
+        assert path.read_text() == good
+
+
 class _OpaqueApp:
     """A non-dataclass workload with no ``cache_config`` attribute."""
 
@@ -130,6 +191,14 @@ class _OpaqueApp:
 
     def run(self, gpu):
         return self._inner.run(gpu)
+
+
+def test_replay_task_needs_recorded_launches():
+    with pytest.raises(ConfigurationError, match="recorded launches"):
+        MeasurementTask(
+            app=_apps()[0], spec=make_v100_spec(), freq_mhz=None, repetitions=1,
+            seed=1, method="replay",
+        )
 
 
 class TestFingerprinting:
