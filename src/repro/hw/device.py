@@ -18,6 +18,7 @@ profiler, mirroring where noise enters on real hardware.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -539,22 +540,37 @@ class SimulatedGPU:
         return f"SimulatedGPU({self.name!r}, clock={mode})"
 
 
+#: Built-in device short names and aliases -> their spec factory.
+_BUILTIN_SPECS = {
+    **dict.fromkeys(("v100", "nvidia", "nvidia v100"), make_v100_spec),
+    **dict.fromkeys(("mi100", "amd", "amd mi100"), make_mi100_spec),
+    **dict.fromkeys(("max1100", "intel", "intel max 1100", "pvc"), make_intel_max_spec),
+    **dict.fromkeys(("a100", "nvidia a100"), make_a100_spec),
+    **dict.fromkeys(("h100", "nvidia h100"), make_h100_spec),
+    **dict.fromkeys(("mi250", "amd mi250"), make_mi250_spec),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_spec(factory) -> DeviceSpec:
+    """Each built-in spec, built once per process.
+
+    A spec is a frozen dataclass whose frequency tables hold read-only
+    arrays, so every device built from it can share it (as
+    :meth:`SimulatedGPU.clone` does).
+    """
+    return factory()
+
+
 def create_device(name: str) -> SimulatedGPU:
-    """Create a device by short name: ``"v100"``, ``"a100"``, ``"mi250"``, ..."""
-    key = name.strip().lower()
-    if key in ("v100", "nvidia", "nvidia v100"):
-        return SimulatedGPU(make_v100_spec())
-    if key in ("mi100", "amd", "amd mi100"):
-        return SimulatedGPU(make_mi100_spec())
-    if key in ("max1100", "intel", "intel max 1100", "pvc"):
-        return SimulatedGPU(make_intel_max_spec())
-    if key in ("a100", "nvidia a100"):
-        return SimulatedGPU(make_a100_spec())
-    if key in ("h100", "nvidia h100"):
-        return SimulatedGPU(make_h100_spec())
-    if key in ("mi250", "amd mi250"):
-        return SimulatedGPU(make_mi250_spec())
-    raise DeviceError(
-        f"unknown device {name!r}; expected 'v100', 'a100', 'h100', "
-        f"'mi100', 'mi250' or 'max1100'"
-    )
+    """Create a device by short name: ``"v100"``, ``"a100"``, ``"mi250"``, ...
+
+    Devices of one model share its spec, built once per process.
+    """
+    factory = _BUILTIN_SPECS.get(name.strip().lower())
+    if factory is None:
+        raise DeviceError(
+            f"unknown device {name!r}; expected 'v100', 'a100', 'h100', "
+            f"'mi100', 'mi250' or 'max1100'"
+        )
+    return SimulatedGPU(_builtin_spec(factory))

@@ -94,7 +94,11 @@ class FrequencyTable:
             raise ValueError("frequency table must be non-empty")
         if np.any(arr <= 0) or not np.isfinite(arr).all():
             raise ValueError("frequencies must be positive and finite")
+        arr.flags.writeable = False
         self._freqs = arr
+        # The table is immutable, so its step is computed once: every
+        # snap (one per set_core_frequency) reads it.
+        self._step = float(np.median(np.diff(arr))) if arr.size >= 2 else 0.0
         if default_mhz is not None:
             default_mhz = self.snap(float(default_mhz))
         self._default = default_mhz
@@ -154,7 +158,7 @@ class FrequencyTable:
         f = float(freq_mhz)
         if not np.isfinite(f) or f <= 0:
             raise FrequencyError(f"invalid frequency request: {freq_mhz!r}")
-        step = self.step_mhz()
+        step = self._step
         if f < self.min_mhz - step / 2 - 1e-9 or f > self.max_mhz + step / 2 + 1e-9:
             raise FrequencyError(
                 f"{f} MHz outside supported range [{self.min_mhz}, {self.max_mhz}] MHz"
@@ -164,9 +168,7 @@ class FrequencyTable:
 
     def step_mhz(self) -> float:
         """Median inter-bin spacing (0 for a single-entry table)."""
-        if self._freqs.size < 2:
-            return 0.0
-        return float(np.median(np.diff(self._freqs)))
+        return self._step
 
     def subsample(self, count: int) -> List[float]:
         """Pick ``count`` approximately evenly spaced frequencies from the table.

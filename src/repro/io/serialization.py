@@ -11,13 +11,21 @@ sessions:
   :class:`repro.modeling.domain.DomainSpecificModel` — serialize to
   **.npz** archives holding the flat tree arrays plus a JSON metadata
   entry, so a deployed tuner can load a model without retraining.
+  ``np.savez_compressed`` encodes them and the write replaces the
+  previous file atomically; this module reads them back in one pass,
+  checking every member (see :func:`_open_artifact`).
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import pathlib
+import re
+import struct
 import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import IO, Dict, List, Optional, Tuple, Union
 
@@ -33,6 +41,7 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.modeling.dataset import EnergyDataset, EnergySample
 from repro.modeling.domain import DomainSpecificModel
+from repro.runtime.cache import atomic_write
 from repro.synergy.runner import CharacterizationResult, FrequencySample
 from repro.utils.validation import check_positive, check_positive_int
 
@@ -265,7 +274,7 @@ def _decode_forest(meta: Dict, arrays, prefix: str, source: ArtifactSource, what
         raise ArtifactError(
             f"{name}: truncated {what} artifact (missing array {exc.args[0]!r})"
         ) from exc
-    except (ValueError, zipfile.BadZipFile, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ArtifactError(f"{name}: corrupt {what} artifact ({exc})") from exc
     for i, tree in enumerate(trees):
         problem = _tree_problem(tree, n_features)
@@ -282,14 +291,126 @@ def _describe_source(source: ArtifactSource) -> str:
     return getattr(source, "name", "<buffer>")
 
 
-def _open_artifact(source: ArtifactSource, what: str):
-    """``np.load`` with typed errors for missing/truncated archives."""
+#: A zip member's local header (``zipfile.structFileHeader``): signature,
+#: versions, flags, method, time, date, CRC-32, sizes, name and extra lengths.
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
+_LOCAL_SIGNATURE = b"PK\x03\x04"
+#: Flag bits of a member this reader cannot read, as ``ZipFile.open``
+#: refuses them: encrypted (bit 0), compressed patch data (bit 5) and
+#: strong encryption (bit 6).
+_UNREADABLE_FLAGS = 0x01 | 0x20 | 0x40
+_UTF8_NAME_FLAG = 0x800
+#: The ``.npy`` header ``np.save`` writes for a 1-D ``<i8``/``<f8``/``|u1``
+#: array (format 1.0, space-padded to a 64-byte boundary): the only kind
+#: of member a model artifact holds. Any other header goes to
+#: ``np.lib.format.read_array``.
+_NPY_V1_MAGIC = b"\x93NUMPY\x01\x00"
+_NPY_V1_HEADER = re.compile(
+    rb"\{'descr': '(<i8|<f8|\|u1)', 'fortran_order': False, "
+    rb"'shape': \((0|[1-9][0-9]*),\), \} *\n"
+)
+_NPY_DTYPES = {descr.encode(): np.dtype(descr) for descr in ("<i8", "<f8", "|u1")}
+
+
+def _member_bytes(data: memoryview, info: zipfile.ZipInfo) -> bytes:
+    """One member's uncompressed bytes, checked as ``ZipFile.open`` checks
+    them (local header signature and name, no encryption or patch flag,
+    stored or deflated data inside the buffer), inflated with its output
+    bounded by the declared size, then size- and CRC-checked."""
+    start = info.header_offset
+    if start < 0 or start + _LOCAL_HEADER.size > len(data):
+        raise ValueError("local header outside the archive")
+    signature, _, _, flags, method, _, _, _, _, _, name_len, extra_len = _LOCAL_HEADER.unpack(
+        data[start : start + _LOCAL_HEADER.size]
+    )
+    if signature != _LOCAL_SIGNATURE:
+        raise ValueError("bad local header signature")
+    if (info.flag_bits | flags) & _UNREADABLE_FLAGS:
+        raise ValueError("encrypted or patched data")
+    start += _LOCAL_HEADER.size
+    name = bytes(data[start : start + name_len])
+    if name.decode("utf-8" if flags & _UTF8_NAME_FLAG else "cp437") != info.orig_filename:
+        raise ValueError(f"local header names {name!r}")
+    start += name_len + extra_len
+    end = start + info.compress_size
+    if end > len(data):
+        raise ValueError("data runs past the end of the archive")
+    if method != info.compress_type:
+        raise ValueError("the local and central headers name different compression methods")
+    if method == zipfile.ZIP_STORED:
+        raw = bytes(data[start:end])
+    elif method == zipfile.ZIP_DEFLATED:
+        inflater = zlib.decompressobj(-zlib.MAX_WBITS)
+        raw = inflater.decompress(data[start:end], info.file_size + 1)
+        if len(raw) <= info.file_size and (not inflater.eof or inflater.unused_data):
+            raise ValueError("the deflate stream does not end where the data does")
+    else:
+        raise ValueError(f"compression method {method} is neither stored nor deflated")
+    if len(raw) != info.file_size:
+        relation = "more" if len(raw) > info.file_size else "fewer"
+        raise ValueError(f"{relation} bytes than the declared {info.file_size}")
+    if zlib.crc32(raw) != info.CRC:
+        raise ValueError("CRC-32 mismatch")
+    return raw
+
+
+def _npy_array(raw: bytes) -> np.ndarray:
+    """One ``.npy`` member as a read-only array; every byte must belong to it."""
+    if raw[:8] == _NPY_V1_MAGIC and len(raw) >= 10:
+        start = 10 + int.from_bytes(raw[8:10], "little")
+        match = _NPY_V1_HEADER.fullmatch(raw, 10, start) if start <= len(raw) else None
+        if match is not None:
+            dtype = _NPY_DTYPES[match[1]]
+            count = int(match[2])
+            if len(raw) - start != count * dtype.itemsize:
+                raise ValueError(f"{len(raw) - start} data bytes for {count} x {dtype}")
+            return np.frombuffer(raw, dtype, count, start)
+    stream = io.BytesIO(raw)
+    array = np.lib.format.read_array(stream)
+    if stream.tell() != len(raw):
+        raise ValueError("bytes after the array data")
+    array.flags.writeable = False
+    return array
+
+
+def _open_artifact(source: ArtifactSource, what: str) -> Dict[str, np.ndarray]:
+    """Every array of a model archive, read in one pass, by member name
+    without ``.npy``; the arrays are read-only.
+
+    The bytes are read once and the central directory parsed once; each
+    member is then checked, inflated and parsed from the buffer (see
+    :func:`_member_bytes` and :func:`_npy_array`). Every defect raises
+    :class:`ArtifactError` naming the source.
+    """
+    name = _describe_source(source)
     try:
-        return np.load(source)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise ArtifactError(
-            f"{_describe_source(source)}: unreadable {what} artifact ({exc})"
-        ) from exc
+        if isinstance(source, (str, pathlib.Path)):
+            data = pathlib.Path(source).read_bytes()
+        else:
+            data = source.read()
+        # np.load reads an archive only when it starts with a member;
+        # zipfile alone would also accept bytes prepended to one.
+        if data[:4] != _LOCAL_SIGNATURE:
+            raise zipfile.BadZipFile("File is not a zip file")
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            infos = archive.infolist()
+    except (OSError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
+        raise ArtifactError(f"{name}: unreadable {what} artifact ({exc})") from exc
+    buffer = memoryview(data)
+    arrays: Dict[str, np.ndarray] = {}
+    for info in infos:
+        key = info.filename[: -len(".npy")]
+        # OverflowError and MemoryError come from a header declaring a
+        # shape no int64 or no memory holds, before read_array reads data.
+        try:
+            if not info.filename.endswith(".npy") or key in arrays:
+                raise ValueError("not a uniquely named .npy array")
+            arrays[key] = _npy_array(_member_bytes(buffer, info))
+        except (ValueError, OverflowError, MemoryError, zlib.error) as exc:
+            raise ArtifactError(
+                f"{name}: unreadable {what} artifact (member {info.filename!r}: {exc})"
+            ) from exc
+    return arrays
 
 
 def _artifact_meta(arrays, source: ArtifactSource, expected_format: str, what: str) -> Dict:
@@ -306,7 +427,7 @@ def _artifact_meta(arrays, source: ArtifactSource, expected_format: str, what: s
         raise ArtifactError(
             f"{name}: truncated {what} artifact (no __meta__ entry)"
         ) from exc
-    except (ValueError, zipfile.BadZipFile) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ArtifactError(f"{name}: corrupt {what} metadata ({exc})") from exc
     if not isinstance(meta, dict) or meta.get("format") != expected_format:
         raise ArtifactError(f"{name}: not a {what} artifact")
@@ -319,6 +440,23 @@ def _artifact_meta(arrays, source: ArtifactSource, expected_format: str, what: s
     return meta
 
 
+def _write_npz(path: PathLike, meta: Dict, arrays: Dict[str, np.ndarray]) -> None:
+    """Write a model archive: ``np.savez_compressed``'s bytes, replaced atomically.
+
+    The archive is encoded in memory first, so a failure mid-encode or
+    mid-write leaves the previous file as it was. A path without the
+    ``.npz`` suffix gets it, as ``np.savez_compressed`` would add it.
+    """
+    target = os.fspath(path)
+    if not target.endswith(".npz"):
+        target += ".npz"
+    encoded = io.BytesIO()
+    np.savez_compressed(
+        encoded, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays
+    )
+    atomic_write(pathlib.Path(target), encoded.getvalue())
+
+
 def save_forest(forest: RandomForestRegressor, path: PathLike) -> None:
     """Write a fitted :class:`RandomForestRegressor` to a ``.npz`` archive."""
     arrays = _forest_arrays(forest, "")
@@ -327,7 +465,7 @@ def save_forest(forest: RandomForestRegressor, path: PathLike) -> None:
         "version": _FORMAT_VERSION,
         **_forest_meta(forest),
     }
-    np.savez_compressed(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    _write_npz(path, meta, arrays)
 
 
 def load_forest(source: ArtifactSource) -> RandomForestRegressor:
@@ -337,10 +475,9 @@ def load_forest(source: ArtifactSource) -> RandomForestRegressor:
     on unreadable/truncated archives and :class:`ArtifactSchemaError` on
     schema-version mismatch — never a bare ``KeyError``.
     """
-    with _open_artifact(source, "random-forest") as arrays:
-        meta = _artifact_meta(arrays, source, "repro.random_forest", "random-forest")
-        decoded = _decode_forest(meta, arrays, "", source, "random-forest")
-    return decoded.build()
+    arrays = _open_artifact(source, "random-forest")
+    meta = _artifact_meta(arrays, source, "repro.random_forest", "random-forest")
+    return _decode_forest(meta, arrays, "", source, "random-forest").build()
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +516,7 @@ def save_domain_model(model: DomainSpecificModel, path: PathLike) -> None:
         "baseline_freq_mhz": model.baseline_freq_mhz,
         "submodels": sub_meta,
     }
-    np.savez_compressed(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    _write_npz(path, meta, arrays)
 
 
 @dataclass(frozen=True)
@@ -413,22 +550,22 @@ def decode_domain_model(source: ArtifactSource) -> DecodedDomainModel:
     schema-version mismatch — never a bare ``KeyError`` or ``IndexError``.
     """
     name = _describe_source(source)
-    with _open_artifact(source, "domain-model") as arrays:
-        meta = _artifact_meta(arrays, source, "repro.domain_model", "domain-model")
-        try:
-            feature_names = tuple(meta["feature_names"])
-            baseline = check_positive(meta["baseline_freq_mhz"], "baseline_freq_mhz")
-            submodels = meta["submodels"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"{name}: corrupt domain-model metadata ({exc!r})") from exc
-        if not isinstance(submodels, list) or len(submodels) != len(_DS_PREFIXES):
-            raise ArtifactError(
-                f"{name}: domain-model artifact must hold {len(_DS_PREFIXES)} submodels"
-            )
-        forests = tuple(
-            _decode_forest(sm, arrays, prefix, source, "domain-model")
-            for prefix, sm in zip(_DS_PREFIXES, submodels)
+    arrays = _open_artifact(source, "domain-model")
+    meta = _artifact_meta(arrays, source, "repro.domain_model", "domain-model")
+    try:
+        feature_names = tuple(meta["feature_names"])
+        baseline = check_positive(meta["baseline_freq_mhz"], "baseline_freq_mhz")
+        submodels = meta["submodels"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{name}: corrupt domain-model metadata ({exc!r})") from exc
+    if not isinstance(submodels, list) or len(submodels) != len(_DS_PREFIXES):
+        raise ArtifactError(
+            f"{name}: domain-model artifact must hold {len(_DS_PREFIXES)} submodels"
         )
+    forests = tuple(
+        _decode_forest(sm, arrays, prefix, source, "domain-model")
+        for prefix, sm in zip(_DS_PREFIXES, submodels)
+    )
     return DecodedDomainModel(feature_names, baseline, forests)
 
 

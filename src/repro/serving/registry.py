@@ -172,19 +172,20 @@ class ModelRegistry:
                 out.append(int(entry.name[1:]))
         return sorted(out)
 
-    def _decode(self, data: bytes, sha256: str) -> DecodedDomainModel:
+    def _decode(self, data: bytes, sha256: str, path: pathlib.Path) -> DecodedDomainModel:
         """Decode verified artifact bytes, once per SHA-256 while memoized.
 
         ``sha256`` must be the hash of ``data``; callers compute it from
-        the bytes they just read. The decode runs under the lock, so
-        concurrent resolves of one artifact decode it once, and no two
-        ``np.load`` header parses (``ast.literal_eval``) run at once: on
-        CPython 3.11, concurrent parses can raise ``SystemError``.
+        the bytes they just read from ``path``, which decode errors name.
+        The decode runs under the lock, so concurrent resolves of one
+        artifact decode it once.
         """
         with self._decoded_lock:
             decoded = self._decoded.get(sha256)
             if decoded is None:
-                decoded = decode_domain_model(io.BytesIO(data))
+                source = io.BytesIO(data)
+                source.name = str(path)
+                decoded = decode_domain_model(source)
                 self._decoded[sha256] = decoded
             self._decoded.move_to_end(sha256)
             while len(self._decoded) > _DECODED_KEPT:
@@ -219,7 +220,7 @@ class ModelRegistry:
         except OSError as exc:
             raise RegistryError(f"cannot read model artifact {src}: {exc}") from exc
         sha256 = _sha256_hex(data)
-        decoded = self._decode(data, sha256)
+        decoded = self._decode(data, sha256, src)
 
         versions = self._versions(name)
         version = (versions[-1] + 1) if versions else 1
@@ -346,7 +347,7 @@ class ModelRegistry:
                 f"{manifest.ref}: artifact digest mismatch — refusing to serve "
                 "a tampered or corrupted model"
             )
-        return self._decode(data, sha256).build(), manifest
+        return self._decode(data, sha256, path).build(), manifest
 
     def verify(
         self, name: Optional[str] = None, version: Optional[int] = None

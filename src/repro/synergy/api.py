@@ -32,6 +32,8 @@ __all__ = ["BUILTIN_DEVICES", "ProfileRegion", "SynergyDevice", "Platform", "bui
 
 #: Device short names resolvable without a device table.
 BUILTIN_DEVICES = ("v100", "mi100", "max1100", "a100", "h100", "mi250")
+#: The default platform's devices, in the order their seeds are drawn.
+_PLATFORM_ORDER = ("v100", "mi100")
 
 
 class ProfileRegion:
@@ -169,12 +171,10 @@ class Platform:
         rng = as_generator(seed)
         return cls(
             {
-                "v100": SynergyDevice(
-                    create_device("v100"), seed=spawn_child(rng, 0), ideal_sensors=ideal_sensors
-                ),
-                "mi100": SynergyDevice(
-                    create_device("mi100"), seed=spawn_child(rng, 1), ideal_sensors=ideal_sensors
-                ),
+                key: SynergyDevice(
+                    create_device(key), seed=spawn_child(rng, i), ideal_sensors=ideal_sensors
+                )
+                for i, key in enumerate(_PLATFORM_ORDER)
             }
         )
 
@@ -193,11 +193,15 @@ class Platform:
 def builtin_device(name: str, seed: RandomState = None) -> SynergyDevice:
     """The seeded device handle for one of :data:`BUILTIN_DEVICES`.
 
-    The paper's V100 and MI100 come from ``Platform.default(seed)``, so
-    their sensor streams are those of the default platform; every other
+    The paper's V100 and MI100 get the sensor streams they have on
+    ``Platform.default(seed)``: both platform children are drawn, in
+    order, so a ``Generator`` seed advances exactly as the platform
+    advances it, but only the named device is built. Every other
     built-in device gets a handle seeded with ``seed`` directly.
     """
     key = name.strip().lower()
-    if key in ("v100", "mi100"):
-        return Platform.default(seed=seed).get_device(key)
+    if key in _PLATFORM_ORDER:
+        rng = as_generator(seed)
+        children = [spawn_child(rng, i) for i in range(len(_PLATFORM_ORDER))]
+        seed = children[_PLATFORM_ORDER.index(key)]
     return SynergyDevice(create_device(key), seed=seed)

@@ -203,3 +203,29 @@ class TestSingleEntryTableBoundaries:
         for off in (0.02, -0.02, 50.0):
             with pytest.raises(FrequencyError):
                 t.snap(t.min_mhz + off)
+
+
+@pytest.mark.parametrize("name", sorted(_boundary_tables()))
+class TestStepComputedOnce:
+    """The table is immutable, so its step is computed once, bitwise
+    equal to the median spacing every snap used to recompute."""
+
+    def test_step_is_the_median_spacing_bitwise(self, name):
+        t = _boundary_tables()[name]
+        expected = float(np.median(np.diff(t.freqs_mhz))) if len(t) > 1 else 0.0
+        assert t.step_mhz().hex() == expected.hex()
+
+    def test_snap_computes_no_median(self, name, monkeypatch):
+        t = _boundary_tables()[name]
+        calls = []
+        median = np.median
+        monkeypatch.setattr(np, "median", lambda *a, **k: calls.append(1) or median(*a, **k))
+        for f in t.freqs_mhz:
+            assert t.snap(f + 0.1 * t.step_mhz()) == f
+        assert calls == []
+
+    def test_table_array_is_read_only(self, name):
+        t = _boundary_tables()[name]
+        with pytest.raises(ValueError):
+            t._freqs[0] = 1.0
+        assert t.freqs_mhz.flags.writeable
