@@ -328,8 +328,10 @@ class FaultPlan:
         return cls.from_record(record)
 
     def save(self, path: PathLike) -> None:
-        """Write the plan to ``path`` as JSON."""
-        pathlib.Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        """Write the plan to ``path`` as JSON, replacing it atomically."""
+        from repro.runtime.cache import atomic_write  # deferred, see fingerprint()
+
+        atomic_write(pathlib.Path(path), (self.to_json() + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: PathLike) -> "FaultPlan":

@@ -70,7 +70,7 @@ _FORMAT_VERSION = 1
 # datasets
 # ---------------------------------------------------------------------------
 def save_dataset(dataset: EnergyDataset, path: PathLike) -> None:
-    """Write an :class:`EnergyDataset` as JSON."""
+    """Write an :class:`EnergyDataset` as JSON, replacing ``path`` atomically."""
     payload = {
         "format": "repro.energy_dataset",
         "version": _FORMAT_VERSION,
@@ -85,7 +85,7 @@ def save_dataset(dataset: EnergyDataset, path: PathLike) -> None:
             for s in dataset.samples
         ],
     }
-    pathlib.Path(path).write_text(json.dumps(payload, indent=1))
+    atomic_write(pathlib.Path(path), json.dumps(payload, indent=1).encode())
 
 
 def load_dataset(path: PathLike) -> EnergyDataset:
@@ -110,7 +110,8 @@ def load_dataset(path: PathLike) -> EnergyDataset:
 # characterizations
 # ---------------------------------------------------------------------------
 def save_characterization(result: CharacterizationResult, path: PathLike) -> None:
-    """Write a characterization sweep (including per-repetition data)."""
+    """Write a characterization sweep (including per-repetition data),
+    replacing ``path`` atomically."""
     payload = {
         "format": "repro.characterization",
         "version": _FORMAT_VERSION,
@@ -140,7 +141,7 @@ def save_characterization(result: CharacterizationResult, path: PathLike) -> Non
     }
     if result.mem_freq_mhz is not None:
         payload["mem_freq_mhz"] = result.mem_freq_mhz
-    pathlib.Path(path).write_text(json.dumps(payload, indent=1))
+    atomic_write(pathlib.Path(path), json.dumps(payload, indent=1).encode())
 
 
 def load_characterization(path: PathLike) -> CharacterizationResult:

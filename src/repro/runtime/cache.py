@@ -32,6 +32,7 @@ import hashlib
 import json
 import os
 import pathlib
+import secrets
 import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -107,13 +108,37 @@ class SweepKeys:
         return h.hexdigest(), CanonicalJSON(self._head + tail)
 
 
+#: Flags ``tempfile.mkstemp`` opens its file with, write-only.
+_TEMP_FLAGS = (
+    os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0)
+)
+
+
+def _create_temp(directory: pathlib.Path) -> Tuple[int, str]:
+    """``(fd, name)`` of a new ``tmp*.tmp`` file in ``directory``.
+
+    As ``tempfile.mkstemp``, but created with mode ``0o666`` less the
+    umask, as ``open()`` creates a file: ``mkstemp`` creates it ``0o600``,
+    and ``os.replace`` would hand that mode on to the file it replaces.
+    """
+    for _ in range(tempfile.TMP_MAX):
+        tmp_name = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        try:
+            return os.open(tmp_name, _TEMP_FLAGS, 0o666), tmp_name
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"{directory}: no free temporary file name")
+
+
 def atomic_write(path: pathlib.Path, data: bytes) -> None:
     """Write ``data`` to ``path`` via tmp file + ``os.replace`` (never torn).
 
     A crash before the rename leaves the previous file and no tmp file.
+    The file gets the mode ``open()`` would give a new one (``0o644``
+    under umask ``022``), whatever mode the file it replaces had.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    fd, tmp_name = _create_temp(path.parent)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

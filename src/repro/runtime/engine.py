@@ -28,7 +28,9 @@ sweep: the device signature and app fingerprint are encoded and hashed
 once for the cache keys (:class:`repro.runtime.cache.SweepKeys`) and once
 for the task seeds (:class:`repro.runtime.seeding.TaskSeeder`), and a
 replay sweep records and deduplicates each app's launches once, handing
-the batch to every task of the app.
+the batch to every task of the app. After the cache lookups, the model
+cells of every missed point of an app at one memory clock are evaluated
+in one batched pass, and each task carries its own point's column.
 
 Resilience
 ----------
@@ -65,7 +67,7 @@ from repro.faults.injector import (
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
-from repro.hw.device import SimulatedGPU
+from repro.hw.device import BatchColumns, SimulatedGPU
 from repro.hw.specs import DeviceSpec
 from repro.kernels.batch import KernelLaunchBatch
 from repro.runtime.cache import CanonicalJSON, ResultCache, SweepKeys
@@ -178,6 +180,10 @@ class MeasurementTask:
     #: and a serial one ignores. The engine records it once per sweep and
     #: every task of the app shares it.
     launches: Optional[KernelLaunchBatch] = field(default=None, compare=False, repr=False)
+    #: A replay task's own point, already evaluated by the engine's column
+    #: pass over the app's sweep (see :func:`_with_columns`). A clock it
+    #: lacks is evaluated by the task, as without it.
+    columns: Optional[BatchColumns] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.method == "replay" and self.launches is None:
@@ -328,8 +334,9 @@ def _measure_on(task: MeasurementTask, device: SynergyDevice) -> PointMeasuremen
     """One measurement attempt at ``task`` on an already-built device.
 
     The point is measured by :func:`repro.synergy.runner.measure_point`,
-    the primitive ``characterize`` loops over. A replay task evaluates
-    its recorded launches at its own point only.
+    the primitive ``characterize`` loops over. A replay task replays its
+    recorded launches from the column it carries, evaluating only a
+    clock that column lacks.
     """
     actual_mem: Optional[float] = None
     if task.mem_freq_mhz is not None:
@@ -338,7 +345,7 @@ def _measure_on(task: MeasurementTask, device: SynergyDevice) -> PointMeasuremen
         # for every pre-v2 campaign.
         actual_mem = device.set_memory_frequency(task.mem_freq_mhz)
     if task.method == "replay":
-        run = partial(replay_measure, ReplayPlan(device.gpu, task.launches))
+        run = partial(replay_measure, ReplayPlan(device.gpu, task.launches, task.columns))
     else:
         run = partial(measure, task.app)
     actual, (t, e, times, energies) = measure_point(
@@ -352,6 +359,58 @@ def _measure_on(task: MeasurementTask, device: SynergyDevice) -> PointMeasuremen
         rep_energies_j=tuple(float(v) for v in energies),
         mem_freq_mhz=actual_mem,
     )
+
+
+def _replay_clock(task: MeasurementTask) -> Optional[float]:
+    """The core clock ``task``'s replay runs at, when known before it runs.
+
+    A pinned point runs at its (already snapped) clock and a baseline at
+    the default clock. An auto-governed baseline picks its clocks per
+    launch as it runs, and a serial task evaluates no columns: ``None``.
+    """
+    if task.method != "replay":
+        return None
+    if task.freq_mhz is not None:
+        return task.freq_mhz
+    spec = task.spec
+    return spec.core_freqs.default_mhz if spec.has_default_frequency else None
+
+
+def _with_columns(tasks: Sequence[MeasurementTask]) -> List[MeasurementTask]:
+    """``tasks``, each replay task carrying its own point's evaluated column.
+
+    The tasks of one app in one sweep share its recorded batch. Those at
+    one memory clock share one column pass: a single ``time_batch`` and
+    ``energy_batch`` call over all their core clocks, on a device built
+    from their spec, as ``characterize`` primes its plan. Each task gets
+    only its own clock's column (:meth:`ReplayPlan.column`). A clock the
+    pass lacks, such as an auto-governed baseline's, is evaluated by the
+    task, so the values are bitwise those of a task without a column.
+    """
+    clocks = [_replay_clock(task) for task in tasks]
+    plans: Dict[int, ReplayPlan] = {}
+    wanted: Dict[Tuple[int, Optional[float]], List[float]] = {}
+    for task, clock in zip(tasks, clocks):
+        if clock is not None:
+            batch = id(task.launches)
+            if batch not in plans:
+                plans[batch] = ReplayPlan(SimulatedGPU(task.spec), task.launches)
+            wanted.setdefault((batch, task.mem_freq_mhz), []).append(clock)
+    for (batch, mem), group in wanted.items():
+        plan = plans[batch]
+        if mem is None:
+            plan.gpu.reset_memory_frequency()
+        else:
+            plan.gpu.set_memory_frequency(mem)
+        plan.prime(sorted(set(group)))
+    return [
+        task
+        if clock is None
+        else dataclasses.replace(
+            task, columns=plans[id(task.launches)].column(clock, task.mem_freq_mhz)
+        )
+        for task, clock in zip(tasks, clocks)
+    ]
 
 
 @dataclass(frozen=True)
@@ -751,13 +810,17 @@ class CampaignEngine:
             else:
                 pending.append(i)
 
-        # Phase 2: compute what is missing, inline or across the pool.
+        # Phase 2: one column pass per app and memory clock with a miss.
+        # It waits for the lookups, so a warm app evaluates nothing.
+        todo = dict(zip(pending, _with_columns([tasks[i] for i in pending])))
+
+        # Phase 3: compute what is missing, inline or across the pool.
         # Retries live inside the worker function, so recovery behaves
         # identically inline and pooled.
         if pending and self.jobs == 1:
             for i in pending:
                 results[i] = self._after_execute(
-                    tasks[i], keys[i], execute_task_resilient(tasks[i])
+                    tasks[i], keys[i], execute_task_resilient(todo[i])
                 )
                 done += 1
                 if progress is not None:
@@ -766,7 +829,7 @@ class CampaignEngine:
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(execute_task_resilient, tasks[i]): i for i in pending
+                    pool.submit(execute_task_resilient, todo[i]): i for i in pending
                 }
                 remaining = set(futures)
                 while remaining:

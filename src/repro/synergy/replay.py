@@ -19,11 +19,11 @@ The replay engine removes the redundancy in three steps:
    ``launch_batch`` uses): every (unique launch x frequency) cell in one
    :meth:`~repro.hw.perf.RooflineTimingModel.time_batch` /
    :meth:`~repro.hw.power.PowerModel.energy_batch` pass.
-3. **Replay**: for each sweep point and repetition, rebuild the device's
-   counter trajectory with :func:`repro.hw.device.counter_after`
-   (bit-identical to the serial ``+=`` loop) and feed the exact counter
-   deltas to the *same* sensors in the *same* order as the serial
-   protocol.
+3. **Replay**: for each sweep point, rebuild the device's counter
+   trajectory over all repetitions in one cumulative sum (bit-identical
+   to the serial ``+=`` loop, as :func:`repro.hw.device.counter_after`
+   is for one run) and feed the exact counter deltas to the *same*
+   sensors in the *same* order as the serial protocol.
 
 Because the true values and the sensor-noise stream both match the
 serial path bit-for-bit, ``characterize(..., method="replay")`` returns
@@ -34,15 +34,16 @@ its boundaries.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hw.device import BatchColumns, SimulatedGPU, counter_after
+from repro.hw.device import BatchColumn, BatchColumns, SimulatedGPU
 from repro.kernels.batch import KernelLaunchBatch
 from repro.kernels.ir import KernelLaunch
 from repro.synergy.api import SynergyDevice
+from repro.synergy.runner import median
 
 __all__ = ["LaunchRecorder", "record_launches", "ReplayPlan", "replay_measure"]
 
@@ -108,18 +109,27 @@ class ReplayPlan:
     :meth:`prime` fills the cache for a whole sweep in a single batched
     model evaluation; :meth:`point_values` resolves the device's
     *current* clock state (pinned clock, auto governor, power cap) into
-    per-launch value arrays for one application run.
+    per-launch value arrays for one application run. :meth:`column`
+    hands one evaluated column to another plan of the same launches.
     """
 
     def __init__(
-        self, gpu: SimulatedGPU, launches: Union[Sequence[KernelLaunch], KernelLaunchBatch]
+        self,
+        gpu: SimulatedGPU,
+        launches: Union[Sequence[KernelLaunch], KernelLaunchBatch],
+        columns: Optional[BatchColumns] = None,
     ) -> None:
-        """``launches`` is a recorded sequence, or one already deduplicated."""
+        """``launches`` is a recorded sequence, or one already deduplicated.
+
+        ``columns`` are clocks already evaluated for these launches on a
+        device of the same spec (see :meth:`column`); the plan evaluates
+        only the clocks they lack.
+        """
         self.gpu = gpu
         if not isinstance(launches, KernelLaunchBatch):
             launches = KernelLaunchBatch.from_launches(launches)
         self.batch = launches
-        self._columns: BatchColumns = {}
+        self._columns: BatchColumns = {} if columns is None else dict(columns)
 
     @property
     def n_launches(self) -> int:
@@ -147,6 +157,20 @@ class ReplayPlan:
         if self.gpu.power_cap_w is None:
             self.gpu.fill_batch_columns(self.batch, self._columns, [float(f) for f in freqs_mhz])
 
+    def column(self, core_mhz: float, mem_mhz: Optional[float]) -> Optional[BatchColumns]:
+        """The evaluated ``(core_mhz, mem_mhz)`` column alone, or ``None``.
+
+        ``mem_mhz`` is the pinned memory clock, ``None`` at the reference
+        clock. The column's timing is cut down to that one clock, so a
+        task that carries it to a pool worker pickles one column, not the
+        whole pass.
+        """
+        found = self._columns.get((core_mhz, mem_mhz))
+        if found is None:
+            return None
+        own = BatchColumn(found.timing.column(found.index), 0, found.energy_j)
+        return {(core_mhz, mem_mhz): own}
+
     def point_values(self) -> Tuple[np.ndarray, np.ndarray, int]:
         """Per-launch values for one run at the device's current clock state.
 
@@ -170,19 +194,28 @@ def replay_measure(
     repetition), same counter evolution on the underlying device.
     """
     gpu = plan.gpu
+    n = plan.n_launches
     times = np.empty(repetitions)
     energies = np.empty(repetitions)
     t_launch, e_launch, n_throttled = plan.point_values()
+    # Both counters after every repetition, in one cumulative sum over the
+    # current counters and then the runs back to back: the additions the
+    # serial loop makes, in its order, so each run starts from the exact
+    # counter the last one left.
+    sums = np.empty((2, 1 + repetitions * n))
+    sums[:, 0] = gpu.time_counter_s, gpu.energy_counter_j
+    runs = sums[:, 1:].reshape(2, repetitions, n)  # a view into ``sums``
+    runs[0], runs[1] = t_launch, e_launch
+    marks = np.cumsum(sums, axis=1)[:, ::n] if n else np.repeat(sums, repetitions + 1, axis=1)
+    t_marks, e_marks = marks.tolist()
     for r in range(repetitions):
-        t0, e0 = gpu.time_counter_s, gpu.energy_counter_j
-        t1 = counter_after(t0, t_launch)
-        e1 = counter_after(e0, e_launch)
+        t0, t1, e0, e1 = t_marks[r], t_marks[r + 1], e_marks[r], e_marks[r + 1]
         gpu.fast_forward(
             time_counter_s=t1,
             energy_counter_j=e1,
-            launches=plan.n_launches,
+            launches=n,
             throttles=n_throttled,
         )
         times[r] = device.time_sensor.read(t1 - t0)
         energies[r] = device.energy_sensor.read(e1 - e0)
-    return float(np.median(times)), float(np.median(energies)), times, energies
+    return median(times), median(energies), times, energies

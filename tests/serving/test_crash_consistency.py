@@ -7,19 +7,25 @@ listing and verifying the name failed, and the next register skipped to
 ``vN+1``. The manifest is what commits a version.
 
 ``ResultCache.put`` writes a temp file and renames it over the entry; a
-crash at the rename must leave the previous entry readable.
+crash at the rename must leave the previous entry readable. So must
+``save_dataset``, ``save_characterization`` and ``FaultPlan.save`` leave
+the previous file, which they used to overwrite in place.
 """
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.errors import RegistryError
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.io import save_characterization, save_dataset
 from repro.runtime import cache as cache_module
 from repro.runtime.cache import ResultCache
 from repro.serving import AdvisorService
 from repro.serving import registry as registry_module
+from repro.synergy.runner import CharacterizationResult, FrequencySample
 
-from .conftest import SERVE_FREQS
+from .conftest import SERVE_FREQS, synthetic_dataset
 
 
 class SimulatedCrash(OSError):
@@ -111,3 +117,46 @@ class TestResultCacheCrashAtReplace:
         assert cache.get(key) == {"energy_j": 1.0}
         assert cache.stats.writes == 1
         assert not list(cache.path_for(key).parent.glob("*.tmp"))
+
+
+def _characterization(time_s):
+    sample = FrequencySample(900.0, time_s, 2.0, np.array([time_s]), np.array([2.0]))
+    return CharacterizationResult("app", "v100", "default", 1282.0, 1.0, 3.0, [sample])
+
+
+#: ``(write the old file, write the new file)`` per writer.
+WRITERS = {
+    "save_dataset": (
+        lambda path: save_dataset(synthetic_dataset(), path),
+        lambda path: save_dataset(synthetic_dataset().subset_for([1.0]), path),
+    ),
+    "save_characterization": (
+        lambda path: save_characterization(_characterization(1.5), path),
+        lambda path: save_characterization(_characterization(2.5), path),
+    ),
+    "FaultPlan.save": (
+        lambda path: FaultPlan(seed=1, specs=(FaultSpec("worker_crash", occurrences=(0,)),)).save(path),
+        lambda path: FaultPlan(seed=2).save(path),
+    ),
+}
+
+
+class TestWritersCrashAtReplace:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_previous_file_keeps_its_bytes(self, writer, tmp_path, monkeypatch):
+        write_old, write_new = WRITERS[writer]
+        path = tmp_path / "out.json"
+        write_old(path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise SimulatedCrash(f"crashed renaming {src}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module.os, "replace", crash)
+            with pytest.raises(SimulatedCrash):
+                write_new(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        write_new(path)
+        assert path.read_bytes() != before
