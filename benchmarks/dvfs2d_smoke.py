@@ -1,8 +1,10 @@
-"""2-D DVFS smoke: the memory domain must pay for itself on MHD.
+"""The 2-D DVFS gates: the memory domain must pay for itself on MHD.
 
-Runs the deliberately memory-bound MHD workload over the A100's full
-(f_core, f_mem) grid through the campaign engine and asserts the two
-headline invariants of the memory-frequency subsystem:
+The benchmark suite's campaign workloads (``benchmarks/suite/campaign.py``)
+and the tier-1 test ``tests/runtime/test_dvfs2d_floor.py`` run the
+deliberately memory-bound MHD workload over the A100's full
+(f_core, f_mem) grid through the campaign engine and check, with these
+helpers, the two headline invariants of the memory-frequency subsystem:
 
 1. **Legacy bit-identity** — the grid row measured at the device's
    reference memory clock is bitwise identical (times, energies, rep
@@ -14,64 +16,18 @@ headline invariants of the memory-frequency subsystem:
    clock). This is the reason the subsystem exists: for bandwidth-bound
    kernels the energy optimum moves into the interior of the 2-D plane
    (DSO, arxiv 2407.13096).
-
-Writes ``benchmarks/output/BENCH_dvfs2d.json`` with the measured
-optima so CI runs leave an inspectable record. Wall time is harness
-measurement of the harness itself, hence the TIM001 ignore.
-
-Usage: ``PYTHONPATH=src python benchmarks/dvfs2d_smoke.py``
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
-
 import numpy as np
 
-OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-
+#: The MHD input both gates run on.
 GRID = (24, 48, 32)
-N_STEPS = 20
-FREQ_COUNT = 12
-REPETITIONS = 2
-SEED = 42
 #: Deadline slack over the fastest core-only configuration. Loose enough
 #: that down-clocked memory rows are feasible, tight enough that the
 #: deadline still binds (the unconstrained energy optimum is slower).
 DEADLINE_SLACK = 1.25
-
-
-def _engine():
-    from repro.runtime.engine import CampaignEngine
-
-    return CampaignEngine(jobs=1, cache=None, campaign_seed=SEED, method="replay")
-
-
-def _sweep():
-    from repro.experiments.datasets import resolve_training_freqs
-    from repro.hw.device import SimulatedGPU
-    from repro.hw.specs import make_a100_spec
-    from repro.mhd.app import MhdApplication
-    from repro.synergy.api import SynergyDevice
-
-    spec = make_a100_spec()
-    device = SynergyDevice(SimulatedGPU(spec), seed=SEED)
-    freqs = resolve_training_freqs(device, FREQ_COUNT, None)
-    app = MhdApplication.from_size(*GRID, n_steps=N_STEPS)
-
-    t0 = time.perf_counter()  # repro-lint: ignore[TIM001]
-    rows = _engine().characterize_grid(
-        [app], spec, freqs_mhz=freqs,
-        mem_freqs_mhz=spec.mem_freq_table.freqs_mhz,
-        repetitions=REPETITIONS,
-    )[0]
-    one_d = _engine().characterize(
-        app, spec, freqs_mhz=freqs, repetitions=REPETITIONS
-    )
-    elapsed = time.perf_counter() - t0  # repro-lint: ignore[TIM001]
-    return spec, rows, one_d, elapsed
 
 
 def _assert_reference_row_bitwise(rows, one_d, reference_mhz: float) -> None:
@@ -103,59 +59,3 @@ def _best_under_deadline(times, energies, deadline_s, where):
     feasible = np.flatnonzero((times <= deadline_s) & where)
     assert feasible.size, "no configuration meets the deadline"
     return int(feasible[np.argmin(energies[feasible])])
-
-
-def main() -> int:
-    spec, rows, one_d, elapsed = _sweep()
-    reference = spec.mem_freq_mhz
-    _assert_reference_row_bitwise(rows, one_d, reference)
-
-    core, mem, times, energies = _flatten(rows)
-    core_only = mem == reference
-    deadline_s = float(times[core_only].min() * DEADLINE_SLACK)
-
-    i1 = _best_under_deadline(times, energies, deadline_s, core_only)
-    i2 = _best_under_deadline(times, energies, deadline_s, np.ones_like(core_only))
-    assert energies[i2] < energies[i1], (
-        f"2-D optimum ({core[i2]:.0f}/{mem[i2]:.0f} MHz, {energies[i2]:.3f} J) "
-        f"does not strictly beat the core-only optimum "
-        f"({core[i1]:.0f} MHz, {energies[i1]:.3f} J) at deadline {deadline_s:.4f} s"
-    )
-    saved_pct = 100.0 * (1.0 - energies[i2] / energies[i1])
-
-    record = {
-        "campaign": {
-            "app": f"mhd-{GRID[0]}x{GRID[1]}x{GRID[2]}",
-            "device": "a100",
-            "freq_count": FREQ_COUNT,
-            "mem_freqs_mhz": [float(r.mem_freq_mhz) for r in rows],
-            "repetitions": REPETITIONS,
-            "seed": SEED,
-        },
-        "wall_s": round(elapsed, 4),
-        "deadline_s": deadline_s,
-        "core_only_best": {
-            "freq_mhz": float(core[i1]),
-            "mem_freq_mhz": float(mem[i1]),
-            "time_s": float(times[i1]),
-            "energy_j": float(energies[i1]),
-        },
-        "grid_best": {
-            "freq_mhz": float(core[i2]),
-            "mem_freq_mhz": float(mem[i2]),
-            "time_s": float(times[i2]),
-            "energy_j": float(energies[i2]),
-        },
-        "energy_saved_pct": round(float(saved_pct), 3),
-        "reference_row_bitwise_identical": True,
-    }
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    out = OUTPUT_DIR / "BENCH_dvfs2d.json"
-    out.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"wrote {out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -28,7 +28,6 @@ __all__ = [
     "KNOWN_RULE_IDS",
     "KNOWN_RULE_FAMILIES",
     "expand_select",
-    "iter_python_files",
     "iter_lint_targets",
     "lint_file",
     "lint_paths",
@@ -103,11 +102,6 @@ def expand_select(
             f"(families: {', '.join(sorted(KNOWN_RULE_FAMILIES))})"
         )
     return frozenset(expanded)
-
-
-def iter_python_files(paths: Iterable[str]) -> List[Path]:
-    """Expand files/directories into a sorted, de-duplicated ``.py`` file list."""
-    return [p for p, _explicit in iter_lint_targets(paths, suffixes=(".py",))]
 
 
 def iter_lint_targets(

@@ -245,7 +245,7 @@ def _run_scenario(scenario) -> int:
     if stats.quarantined:
         print(
             f"warning: {stats.quarantined} sweep point(s) quarantined after "
-            f"{outcome.engine.retry.max_attempts} attempts each "
+            f"{outcome.engine.max_attempts} attempts each "
             f"({', '.join(stats.quarantined_points)}); campaign is "
             f"{stats.completeness():.1%} complete",
             file=sys.stderr,

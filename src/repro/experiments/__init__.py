@@ -14,7 +14,6 @@ from repro.experiments.datasets import (
     CampaignData,
     build_cronos_campaign,
     build_ligen_campaign,
-    build_mhd_campaign,
 )
 from repro.experiments.evaluation import (
     AccuracyRow,
@@ -48,7 +47,6 @@ __all__ = [
     "RegressorScore",
     "build_cronos_campaign",
     "build_ligen_campaign",
-    "build_mhd_campaign",
     "characterization_series",
     "compare_regressors",
     "configs",

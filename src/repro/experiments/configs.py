@@ -18,7 +18,7 @@ Inputs:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 __all__ = [
     "CRONOS_GRID_SIZES",
@@ -40,7 +40,6 @@ __all__ = [
     "CRONOS_LARGE_GRID",
     "ligen_label",
     "cronos_label",
-    "mhd_label",
 ]
 
 #: Cronos grid sweep (nx, ny, nz), §5.1.
@@ -108,13 +107,3 @@ def ligen_label(atoms: int, fragments: int, ligands: int) -> str:
 def cronos_label(nx: int, ny: int, nz: int) -> str:
     """Grid label, e.g. ``"160x64x64"``."""
     return f"{nx}x{ny}x{nz}"
-
-
-def mhd_label(nr: int, ntheta: int, nz: int) -> str:
-    """Cylindrical grid label, e.g. ``"48x96x64"``."""
-    return f"{nr}x{ntheta}x{nz}"
-
-
-def ligen_validation_labels() -> List[str]:
-    """Labels of the 12 Figure-13 LiGen validation inputs, paper order."""
-    return [ligen_label(a, f, l) for (a, f, l) in FIG13_LIGEN_VALIDATION]

@@ -35,7 +35,6 @@ __all__ = [
     "build_campaign",
     "build_cronos_campaign",
     "build_ligen_campaign",
-    "build_mhd_campaign",
     "characterize_apps",
     "default_training_freqs",
     "resolve_training_freqs",
@@ -154,7 +153,6 @@ def characterize_apps(
     repetitions: int = configs.DEFAULT_REPETITIONS,
     engine: Optional[CampaignEngine] = None,
     progress: Optional[ProgressFn] = None,
-    method: Optional[str] = None,
 ) -> CampaignData:
     """Sweep ``apps`` over the resolved ``freqs_mhz``; assemble the campaign.
 
@@ -164,30 +162,26 @@ def characterize_apps(
     (mem_freq_mhz,)`` under a trailing :data:`MEM_FEATURE_NAME` column.
     Without an engine a core-only sweep runs serially on ``device``
     (keeping its sensor-noise stream) and a 2-D one on a fresh serial
-    engine. ``method`` picks ``"serial"`` or the bit-identical
-    ``"replay"`` path (``None``: the engine's default, else serial). An
-    app whose baseline was quarantined is dropped; ``stats`` says so.
+    engine; an engine measures with its own ``method``. An app whose
+    baseline was quarantined is dropped; ``stats`` says so.
     """
     if mem_freqs_mhz is None:
         if engine is None:
             results = [
-                characterize(
-                    app, device, freqs_mhz=freqs_mhz, repetitions=repetitions,
-                    method=method or "serial",
-                )
+                characterize(app, device, freqs_mhz=freqs_mhz, repetitions=repetitions)
                 for app in apps
             ]
         else:
             results = engine.characterize_many(
                 apps, device.gpu.spec, freqs_mhz=freqs_mhz, repetitions=repetitions,
-                progress=progress, method=method,
+                progress=progress,
             )
         grid = [None if result is None else [result] for result in results]
     else:
         engine = engine if engine is not None else CampaignEngine(jobs=1)
         grid = engine.characterize_grid(
             apps, device.gpu.spec, freqs_mhz=freqs_mhz, mem_freqs_mhz=mem_freqs_mhz,
-            repetitions=repetitions, progress=progress, method=method,
+            repetitions=repetitions, progress=progress,
         )
         feature_names = tuple(feature_names) + (MEM_FEATURE_NAME,)
 
@@ -220,7 +214,6 @@ def build_campaign(
     repetitions: int = configs.DEFAULT_REPETITIONS,
     engine: Optional[CampaignEngine] = None,
     progress: Optional[ProgressFn] = None,
-    method: Optional[str] = None,
 ) -> CampaignData:
     """Characterize one catalog workload kind (paper §5.1 protocol).
 
@@ -247,7 +240,6 @@ def build_campaign(
         repetitions=repetitions,
         engine=engine,
         progress=progress,
-        method=method,
     )
 
 
@@ -259,14 +251,12 @@ def build_cronos_campaign(
     repetitions: int = configs.DEFAULT_REPETITIONS,
     engine: Optional[CampaignEngine] = None,
     progress: Optional[ProgressFn] = None,
-    method: Optional[str] = None,
     freqs_mhz: Optional[Sequence[float]] = None,
 ) -> CampaignData:
     """Characterize Cronos over the grid sweep (paper §5.1 protocol)."""
     return build_campaign(
         device, "cronos", dict(grids=grids, steps=n_steps), freq_count=freq_count,
         freqs_mhz=freqs_mhz, repetitions=repetitions, engine=engine, progress=progress,
-        method=method,
     )
 
 
@@ -279,7 +269,6 @@ def build_ligen_campaign(
     repetitions: int = configs.DEFAULT_REPETITIONS,
     engine: Optional[CampaignEngine] = None,
     progress: Optional[ProgressFn] = None,
-    method: Optional[str] = None,
     freqs_mhz: Optional[Sequence[float]] = None,
 ) -> CampaignData:
     """Characterize LiGen over the full ``(l, a, f)`` input grid."""
@@ -288,25 +277,5 @@ def build_ligen_campaign(
     )
     return build_campaign(
         device, "ligen", params, freq_count=freq_count, freqs_mhz=freqs_mhz,
-        repetitions=repetitions, engine=engine, progress=progress, method=method,
-    )
-
-
-def build_mhd_campaign(
-    device: SynergyDevice,
-    grids: Sequence[Tuple[int, int, int]] = configs.MHD_GRID_SIZES,
-    freq_count: Optional[int] = configs.DEFAULT_TRAIN_FREQ_COUNT,
-    n_steps: int = configs.MHD_STEPS,
-    repetitions: int = configs.DEFAULT_REPETITIONS,
-    engine: Optional[CampaignEngine] = None,
-    progress: Optional[ProgressFn] = None,
-    method: Optional[str] = None,
-    freqs_mhz: Optional[Sequence[float]] = None,
-    mem_freqs_mhz: Optional[Sequence[float]] = None,
-) -> CampaignData:
-    """Characterize MHD over its grid sweep; ``mem_freqs_mhz`` makes it 2-D."""
-    return build_campaign(
-        device, "mhd", dict(grids=grids, steps=n_steps), freq_count=freq_count,
-        freqs_mhz=freqs_mhz, mem_freqs_mhz=mem_freqs_mhz, repetitions=repetitions,
-        engine=engine, progress=progress, method=method,
+        repetitions=repetitions, engine=engine, progress=progress,
     )

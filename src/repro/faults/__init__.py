@@ -13,8 +13,9 @@ can be tested bit-for-bit:
 - :mod:`repro.faults.wrappers` — :class:`FaultyGPU`,
   :class:`FaultySensor`, :class:`FaultyResultCache` injection shells
   around the real device/sensor/cache layers;
-- :mod:`repro.faults.retry` — :class:`RetryPolicy`, seeded exponential
-  backoff for the engine's per-task retry loop;
+- the campaign engine retries a task that hit a transient fault
+  (:func:`repro.runtime.engine.execute_task_resilient`) at once, with
+  no backoff, on a fresh device;
 - :mod:`repro.faults.fleet` — precomputed fleet-scale GPU failure
   schedules for the datacenter simulator (same fault-hash discipline,
   one Bernoulli draw per GPU-tick);
@@ -41,7 +42,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
-from repro.faults.retry import RetryPolicy
 from repro.faults.wrappers import FaultyGPU, FaultyResultCache, FaultySensor
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "FaultyGPU",
     "FaultyResultCache",
     "FaultySensor",
-    "RetryPolicy",
     "drift_scale_at",
     "fault_hash_unit",
     "fleet_failure_schedule",

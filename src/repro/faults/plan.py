@@ -318,15 +318,6 @@ class FaultPlan:
 
         return json.dumps(canonicalize(self.as_record()), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse a plan from JSON text."""
-        try:
-            record = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(f"fault plan is not valid JSON: {exc}") from exc
-        return cls.from_record(record)
-
     def save(self, path: PathLike) -> None:
         """Write the plan to ``path`` as JSON, replacing it atomically."""
         from repro.runtime.cache import atomic_write  # deferred, see fingerprint()

@@ -46,7 +46,6 @@ __all__ = [
     "BatchPoint",
     "LaunchResult",
     "SimulatedGPU",
-    "counter_after",
     "create_device",
 ]
 
@@ -91,20 +90,6 @@ class BatchPoint(NamedTuple):
     time_s: np.ndarray
     energy_j: np.ndarray
     throttled: int
-
-
-def counter_after(start: float, per_launch: np.ndarray) -> float:
-    """A free-running counter after the serial ``counter += value`` loop.
-
-    Float addition is not associative: the counter after N launches
-    depends on the running value each addition starts from. A cumulative
-    sum seeded with the current counter performs the identical sequence
-    of additions, so the final counter (and so every profiled delta)
-    matches the serial loop to the last bit.
-    """
-    if per_launch.size == 0:
-        return start
-    return float(np.cumsum(np.concatenate(([start], per_launch)))[-1])
 
 
 class SimulatedGPU:
@@ -357,38 +342,6 @@ class SimulatedGPU:
     def launch_many(self, launches: Iterable[KernelLaunch]) -> List[LaunchResult]:
         """Execute a sequence of launches in order."""
         return [self.launch(l) for l in launches]
-
-    def launch_batch(self, launches: Iterable[KernelLaunch]) -> List[LaunchResult]:
-        """Execute a launch sequence through the batched evaluation path.
-
-        Semantically identical to :meth:`launch_many` — same per-launch
-        results, same counter values bit-for-bit, same governor and
-        power-cap behaviour — but the timing/power models run once per
-        *unique* launch through :meth:`evaluate_batch`, the evaluator the
-        replay engine uses, instead of once per occurrence.
-        """
-        self._check_open()
-        batch = KernelLaunchBatch.from_launches(launches)
-        if batch.n_unique == 0:
-            return []
-        point = self.evaluate_batch(batch, {})
-        results_u = [
-            LaunchResult(
-                kernel_name=launch.spec.name,
-                core_mhz=point.core_mhz[i],
-                time_s=float(point.time_s[i]),
-                energy_j=float(point.energy_j[i]),
-                timing=column.timing.timing_at(i, column.index),
-            )
-            for i, (launch, column) in enumerate(zip(batch.unique, point.columns))
-        ]
-        self._time_counter_s = counter_after(self._time_counter_s, point.time_s[batch.inverse])
-        self._energy_counter_j = counter_after(
-            self._energy_counter_j, point.energy_j[batch.inverse]
-        )
-        self._launch_count += batch.n_launches
-        self._throttle_count += point.throttled
-        return [results_u[j] for j in batch.inverse]
 
     def evaluate_batch(self, batch: KernelLaunchBatch, columns: BatchColumns) -> BatchPoint:
         """Evaluate one run of ``batch`` at the current clock state.

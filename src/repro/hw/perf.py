@@ -191,22 +191,6 @@ class BatchTiming:
             regime=self.regime[:, cut],
         )
 
-    def timing_at(self, i: int, j: int) -> KernelTiming:
-        """The scalar :class:`KernelTiming` view of element ``(i, j)``."""
-        return KernelTiming(
-            time_s=float(self.time_s[i, j]),
-            exec_s=float(self.exec_s[i, j]),
-            overhead_s=self.overhead_s,
-            t_comp_s=float(self.t_comp_s[i, j]),
-            t_bw_s=float(self.t_bw_s[i]),
-            t_lat_s=float(self.t_lat_s[i]),
-            u_comp=float(self.u_comp[i, j]),
-            u_mem=float(self.u_mem[i, j]),
-            width_util=float(self.width_util[i]),
-            occupancy=float(self.occupancy[i]),
-            regime=str(self.regime[i, j]),
-        )
-
 
 class RooflineTimingModel:
     """Maps a :class:`KernelLaunch` and a core frequency to a :class:`KernelTiming`.

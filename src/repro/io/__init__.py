@@ -4,20 +4,16 @@ from repro.io.serialization import (
     load_characterization,
     load_dataset,
     load_domain_model,
-    load_forest,
     save_characterization,
     save_dataset,
     save_domain_model,
-    save_forest,
 )
 
 __all__ = [
     "load_characterization",
     "load_dataset",
     "load_domain_model",
-    "load_forest",
     "save_characterization",
     "save_dataset",
     "save_domain_model",
-    "save_forest",
 ]

@@ -7,10 +7,10 @@ sessions:
 
 - datasets and characterization results serialize to **JSON** (portable,
   diff-able, no pickle);
-- fitted random forests — and the four-forest
-  :class:`repro.modeling.domain.DomainSpecificModel` — serialize to
-  **.npz** archives holding the flat tree arrays plus a JSON metadata
-  entry, so a deployed tuner can load a model without retraining.
+- the four-forest :class:`repro.modeling.domain.DomainSpecificModel`
+  serializes to **.npz** archives holding the flat tree arrays plus a
+  JSON metadata entry, so a deployed tuner can load a model without
+  retraining.
   ``np.savez_compressed`` encodes them and the write replaces the
   previous file atomically; this module reads them back in one pass,
   checking every member (see :func:`_open_artifact`).
@@ -50,8 +50,6 @@ __all__ = [
     "load_dataset",
     "save_characterization",
     "load_characterization",
-    "save_forest",
-    "load_forest",
     "save_domain_model",
     "load_domain_model",
     "DecodedDomainModel",
@@ -255,7 +253,7 @@ class _DecodedForest:
         return forest
 
 
-def _decode_forest(meta: Dict, arrays, prefix: str, source: ArtifactSource, what: str) -> _DecodedForest:
+def _decode_forest(meta: Dict, arrays, prefix: str, source: ArtifactSource) -> _DecodedForest:
     """Read and check one forest's trees, typing every defect as ArtifactError.
 
     The arrays come back read-only: a decoded forest may back several
@@ -273,14 +271,16 @@ def _decode_forest(meta: Dict, arrays, prefix: str, source: ArtifactSource, what
         )
     except KeyError as exc:
         raise ArtifactError(
-            f"{name}: truncated {what} artifact (missing array {exc.args[0]!r})"
+            f"{name}: truncated domain-model artifact (missing array {exc.args[0]!r})"
         ) from exc
     except (ValueError, TypeError) as exc:
-        raise ArtifactError(f"{name}: corrupt {what} artifact ({exc})") from exc
+        raise ArtifactError(f"{name}: corrupt domain-model artifact ({exc})") from exc
     for i, tree in enumerate(trees):
         problem = _tree_problem(tree, n_features)
         if problem is not None:
-            raise ArtifactError(f"{name}: corrupt {what} artifact (tree {prefix}t{i}: {problem})")
+            raise ArtifactError(
+                f"{name}: corrupt domain-model artifact (tree {prefix}t{i}: {problem})"
+            )
         for array in tree:
             array.flags.writeable = False
     return _DecodedForest(params, n_features, trees)
@@ -374,7 +374,7 @@ def _npy_array(raw: bytes) -> np.ndarray:
     return array
 
 
-def _open_artifact(source: ArtifactSource, what: str) -> Dict[str, np.ndarray]:
+def _open_artifact(source: ArtifactSource) -> Dict[str, np.ndarray]:
     """Every array of a model archive, read in one pass, by member name
     without ``.npy``; the arrays are read-only.
 
@@ -396,7 +396,7 @@ def _open_artifact(source: ArtifactSource, what: str) -> Dict[str, np.ndarray]:
         with zipfile.ZipFile(io.BytesIO(data)) as archive:
             infos = archive.infolist()
     except (OSError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
-        raise ArtifactError(f"{name}: unreadable {what} artifact ({exc})") from exc
+        raise ArtifactError(f"{name}: unreadable domain-model artifact ({exc})") from exc
     buffer = memoryview(data)
     arrays: Dict[str, np.ndarray] = {}
     for info in infos:
@@ -409,12 +409,12 @@ def _open_artifact(source: ArtifactSource, what: str) -> Dict[str, np.ndarray]:
             arrays[key] = _npy_array(_member_bytes(buffer, info))
         except (ValueError, OverflowError, MemoryError, zlib.error) as exc:
             raise ArtifactError(
-                f"{name}: unreadable {what} artifact (member {info.filename!r}: {exc})"
+                f"{name}: unreadable domain-model artifact (member {info.filename!r}: {exc})"
             ) from exc
     return arrays
 
 
-def _artifact_meta(arrays, source: ArtifactSource, expected_format: str, what: str) -> Dict:
+def _artifact_meta(arrays, source: ArtifactSource) -> Dict:
     """Decode and validate the ``__meta__`` entry of a model archive.
 
     Raises :class:`ArtifactError` on a missing/corrupt metadata entry,
@@ -426,16 +426,16 @@ def _artifact_meta(arrays, source: ArtifactSource, expected_format: str, what: s
         meta = json.loads(bytes(arrays["__meta__"]).decode())
     except KeyError as exc:
         raise ArtifactError(
-            f"{name}: truncated {what} artifact (no __meta__ entry)"
+            f"{name}: truncated domain-model artifact (no __meta__ entry)"
         ) from exc
     except (ValueError, RecursionError) as exc:
-        raise ArtifactError(f"{name}: corrupt {what} metadata ({exc})") from exc
-    if not isinstance(meta, dict) or meta.get("format") != expected_format:
-        raise ArtifactError(f"{name}: not a {what} artifact")
+        raise ArtifactError(f"{name}: corrupt domain-model metadata ({exc})") from exc
+    if not isinstance(meta, dict) or meta.get("format") != "repro.domain_model":
+        raise ArtifactError(f"{name}: not a domain-model artifact")
     version = meta.get("version")
     if version != _FORMAT_VERSION:
         raise ArtifactSchemaError(
-            f"{name}: {what} artifact has schema version {version!r}, "
+            f"{name}: domain-model artifact has schema version {version!r}, "
             f"this build reads version {_FORMAT_VERSION}"
         )
     return meta
@@ -456,29 +456,6 @@ def _write_npz(path: PathLike, meta: Dict, arrays: Dict[str, np.ndarray]) -> Non
         encoded, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays
     )
     atomic_write(pathlib.Path(target), encoded.getvalue())
-
-
-def save_forest(forest: RandomForestRegressor, path: PathLike) -> None:
-    """Write a fitted :class:`RandomForestRegressor` to a ``.npz`` archive."""
-    arrays = _forest_arrays(forest, "")
-    meta = {
-        "format": "repro.random_forest",
-        "version": _FORMAT_VERSION,
-        **_forest_meta(forest),
-    }
-    _write_npz(path, meta, arrays)
-
-
-def load_forest(source: ArtifactSource) -> RandomForestRegressor:
-    """Read a forest written by :func:`save_forest`.
-
-    Raises :class:`repro.errors.ArtifactError` (a :class:`DatasetError`)
-    on unreadable/truncated archives and :class:`ArtifactSchemaError` on
-    schema-version mismatch — never a bare ``KeyError``.
-    """
-    arrays = _open_artifact(source, "random-forest")
-    meta = _artifact_meta(arrays, source, "repro.random_forest", "random-forest")
-    return _decode_forest(meta, arrays, "", source, "random-forest").build()
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +528,8 @@ def decode_domain_model(source: ArtifactSource) -> DecodedDomainModel:
     schema-version mismatch — never a bare ``KeyError`` or ``IndexError``.
     """
     name = _describe_source(source)
-    arrays = _open_artifact(source, "domain-model")
-    meta = _artifact_meta(arrays, source, "repro.domain_model", "domain-model")
+    arrays = _open_artifact(source)
+    meta = _artifact_meta(arrays, source)
     try:
         feature_names = tuple(meta["feature_names"])
         baseline = check_positive(meta["baseline_freq_mhz"], "baseline_freq_mhz")
@@ -564,7 +541,7 @@ def decode_domain_model(source: ArtifactSource) -> DecodedDomainModel:
             f"{name}: domain-model artifact must hold {len(_DS_PREFIXES)} submodels"
         )
     forests = tuple(
-        _decode_forest(sm, arrays, prefix, source, "domain-model")
+        _decode_forest(sm, arrays, prefix, source)
         for prefix, sm in zip(_DS_PREFIXES, submodels)
     )
     return DecodedDomainModel(feature_names, baseline, forests)

@@ -12,9 +12,7 @@
 from repro.kernels.batch import KernelLaunchBatch
 from repro.kernels.features import (
     STATIC_FEATURE_NAMES,
-    application_features,
     application_spec,
-    extract_features,
     extract_normalized_features,
     feature_table_rows,
 )
@@ -40,9 +38,7 @@ __all__ = [
     "KernelLaunchBatch",
     "KernelSpec",
     "MicroBenchmark",
-    "application_features",
     "application_spec",
-    "extract_features",
     "extract_normalized_features",
     "feature_table_rows",
     "generate_microbenchmarks",

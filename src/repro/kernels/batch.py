@@ -11,7 +11,7 @@ arithmetic happens.
 :class:`KernelLaunchBatch` performs that dedup and exposes the launch
 parameters as flat NumPy arrays — the input format of
 :meth:`repro.hw.perf.RooflineTimingModel.time_batch` and
-:meth:`repro.hw.device.SimulatedGPU.launch_batch`.
+:meth:`repro.hw.device.SimulatedGPU.evaluate_batch`.
 """
 
 from __future__ import annotations
@@ -110,7 +110,3 @@ class KernelLaunchBatch:
                 [l.work_iterations for l in unique], dtype=float
             ),
         )
-
-    def expand(self, per_unique: np.ndarray) -> np.ndarray:
-        """Broadcast a per-unique array back to original launch order."""
-        return np.asarray(per_unique)[self.inverse]

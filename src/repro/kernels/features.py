@@ -23,10 +23,8 @@ from repro.kernels.ir import FEATURE_NAMES, KernelLaunch, KernelSpec, merge_spec
 
 __all__ = [
     "STATIC_FEATURE_NAMES",
-    "extract_features",
     "extract_normalized_features",
     "application_spec",
-    "application_features",
     "feature_table_rows",
 ]
 
@@ -35,11 +33,6 @@ __all__ = [
 STATIC_FEATURE_NAMES: Tuple[str, ...] = tuple(f"mix_{n}" for n in FEATURE_NAMES) + (
     "log_ops_per_thread",
 )
-
-
-def extract_features(spec: KernelSpec) -> np.ndarray:
-    """Raw Table-1 feature vector (per-thread counts) of one kernel."""
-    return spec.feature_vector()
 
 
 def extract_normalized_features(spec: KernelSpec) -> np.ndarray:
@@ -70,11 +63,6 @@ def application_spec(launches: Sequence[KernelLaunch], name: str = "app") -> Ker
         (l.effective_spec(), float(l.threads)) for l in launches
     ]
     return merge_specs(name, pairs)
-
-
-def application_features(launches: Sequence[KernelLaunch], name: str = "app") -> np.ndarray:
-    """Normalized static feature vector of a whole application."""
-    return extract_normalized_features(application_spec(launches, name))
 
 
 def feature_table_rows(specs: Iterable[KernelSpec]) -> List[Dict[str, float]]:

@@ -168,27 +168,3 @@ class RandomForestRegressor(Regressor):
             out += tree.predict(X)
         out /= len(self.estimators_)
         return out
-
-    def predict_chunks(self, chunks: List[np.ndarray]) -> List[np.ndarray]:
-        """Predict several design matrices in one vectorized forest pass.
-
-        The serving layer micro-batches concurrent requests by stacking
-        their per-request design matrices and walking every tree once
-        over the combined matrix. Tree traversal and the across-tree
-        mean are row-independent (each row's path and the
-        ``sum / n_estimators`` spelling never look at other rows), so
-        the split results are **bit-identical** to calling
-        :meth:`predict` on each chunk alone — batching is purely a
-        throughput optimization, never a numerics change.
-
-        Zero-row chunks (shape ``(0, d)``) are legal and yield empty
-        result arrays; an empty chunk list yields ``[]``.
-        """
-        self._check_fitted()
-        mats = [check_X(c, self.n_features_in_) for c in chunks]
-        if not mats:
-            return []
-        stacked = np.vstack(mats)
-        out = self.predict(stacked)
-        bounds = np.cumsum([m.shape[0] for m in mats])[:-1]
-        return np.split(out, bounds)

@@ -131,11 +131,3 @@ class EnergyDataset:
             EnergyDataset(self.feature_names, train),
             EnergyDataset(self.feature_names, val),
         )
-
-    def subset_for(self, features: Sequence[float]) -> "EnergyDataset":
-        """Only the samples with exactly these input features."""
-        key = tuple(float(f) for f in features)
-        sel = [s for s in self.samples if s.features == key]
-        if not sel:
-            raise DatasetError(f"no samples with features {key}")
-        return EnergyDataset(self.feature_names, sel)

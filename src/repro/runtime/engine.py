@@ -36,8 +36,8 @@ Resilience
 ----------
 With a :class:`repro.faults.FaultPlan` attached, every task runs inside
 a retry loop: an injected :class:`repro.errors.TransientFaultError`
-aborts the attempt, the (seeded, deterministic) backoff elapses, and a
-*fresh* device + sensor pair is rebuilt from the task seed — so a
+aborts the attempt, and the next one starts at once, with no backoff, on
+a *fresh* device + sensor pair rebuilt from the task seed — so a
 recovered attempt is bit-identical to a fault-free run. A task that
 exhausts its retry budget is **quarantined** rather than aborting the
 campaign: the sweep point is dropped, the stats record what was lost
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
@@ -66,7 +65,6 @@ from repro.faults.injector import (
     FaultInjector,
 )
 from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
 from repro.hw.device import BatchColumns, SimulatedGPU
 from repro.hw.specs import DeviceSpec
 from repro.kernels.batch import KernelLaunchBatch
@@ -169,8 +167,9 @@ class MeasurementTask:
     method: str = "serial"
     #: Deterministic fault plan; ``None`` runs the real (reliable) stack.
     fault_plan: Optional[FaultPlan] = None
-    #: Retry schedule for injected transient faults (ignored without a plan).
-    retry: RetryPolicy = RetryPolicy()
+    #: Attempts under a fault plan, the first one included (ignored
+    #: without a plan).
+    max_attempts: int = 3
     #: Pinned memory clock; ``None`` means the reference clock (the only
     #: value legacy 1-D campaigns ever construct). Points pinned *at* the
     #: reference clock are normalized to ``None`` by the engine so they
@@ -448,9 +447,8 @@ def execute_task_resilient(task: MeasurementTask) -> TaskOutcome:
     if plan is None:
         return TaskOutcome(execute_task(task))
     injector = FaultInjector(plan, scope=task.scope)
-    policy = task.retry
     last_error: Optional[TransientFaultError] = None
-    for attempt in range(policy.max_attempts):
+    for attempt in range(task.max_attempts):
         try:
             injector.maybe_raise(SITE_WORKER, "worker_crash")
             measurement = _measure_on(task, _build_device(task, injector))
@@ -459,12 +457,9 @@ def execute_task_resilient(task: MeasurementTask) -> TaskOutcome:
             )
         except TransientFaultError as exc:
             last_error = exc
-            delay = policy.delay_s(task.seed, attempt)
-            if delay > 0:
-                time.sleep(delay)
     return TaskOutcome(
         None,
-        attempts=policy.max_attempts,
+        attempts=task.max_attempts,
         faults=injector.fault_count,
         error=str(last_error),
     )
@@ -526,7 +521,7 @@ class CampaignEngine:
     ideal_sensors:
         Build workers with noiseless sensors (ablation/test mode).
     method:
-        Default measurement method for every task: ``"serial"`` or
+        Measurement method for every task: ``"serial"`` or
         ``"replay"`` (batched record/replay fast path; bit-identical
         results and unchanged cache keys, so serial and replay runs
         share one cache).
@@ -537,9 +532,9 @@ class CampaignEngine:
         quarantined instead of aborting the campaign. If the plan can
         corrupt cache writes, the attached cache is wrapped in
         :class:`repro.faults.FaultyResultCache`.
-    max_retries / backoff_base_s:
-        Retry budget and backoff base per task (see
-        :class:`repro.faults.RetryPolicy`); ignored without a plan.
+    max_retries:
+        Attempts per task after the first, retried at once; ignored
+        without a plan.
     """
 
     def __init__(
@@ -552,15 +547,14 @@ class CampaignEngine:
         method: str = "serial",
         fault_plan: Optional[FaultPlan] = None,
         max_retries: int = 2,
-        backoff_base_s: float = 0.0,
     ) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
         self.jobs = check_positive_int(jobs, "jobs")
         self.fault_plan = fault_plan
-        self.retry = RetryPolicy(
-            max_retries=max_retries, backoff_base_s=backoff_base_s
-        )
+        if int(max_retries) < 0:
+            raise ConfigurationError("max_retries must be >= 0")
+        self.max_attempts = int(max_retries) + 1
         if (
             cache is not None
             and fault_plan is not None
@@ -622,12 +616,10 @@ class CampaignEngine:
         freqs_mhz: Optional[Sequence[float]] = None,
         repetitions: int = DEFAULT_REPETITIONS,
         progress: Optional[ProgressFn] = None,
-        method: Optional[str] = None,
     ) -> CharacterizationResult:
         """Sweep one application (paper §5.1 protocol) through the engine."""
         return self.characterize_many(
-            [app], spec, freqs_mhz=freqs_mhz, repetitions=repetitions,
-            progress=progress, method=method,
+            [app], spec, freqs_mhz=freqs_mhz, repetitions=repetitions, progress=progress
         )[0]
 
     def characterize_many(
@@ -637,7 +629,6 @@ class CampaignEngine:
         freqs_mhz: Optional[Sequence[float]] = None,
         repetitions: int = DEFAULT_REPETITIONS,
         progress: Optional[ProgressFn] = None,
-        method: Optional[str] = None,
     ) -> List[Optional[CharacterizationResult]]:
         """Sweep several applications as one task pool.
 
@@ -645,8 +636,7 @@ class CampaignEngine:
         keeps every worker busy even while individual sweeps drain.
         Results are returned in ``apps`` order and are bit-identical for
         any ``jobs`` value — and, because the replay fast path reproduces
-        the serial noise stream exactly, for either ``method``.
-        ``method`` overrides the engine default for this call.
+        the serial noise stream exactly, for either engine ``method``.
 
         Under a fault plan the campaign degrades gracefully: a sweep
         point that exhausted its retry budget is dropped from its app's
@@ -655,7 +645,7 @@ class CampaignEngine:
         (``quarantined_points``, ``completeness()``). Without a plan
         every slot is a real result, exactly as before.
         """
-        grids = self._sweep(apps, spec, freqs_mhz, [None], repetitions, progress, method)
+        grids = self._sweep(apps, spec, freqs_mhz, [None], repetitions, progress)
         return [None if rows is None else rows[0] for rows in grids]
 
     def characterize_grid(
@@ -666,7 +656,6 @@ class CampaignEngine:
         mem_freqs_mhz: Optional[Sequence[float]] = None,
         repetitions: int = DEFAULT_REPETITIONS,
         progress: Optional[ProgressFn] = None,
-        method: Optional[str] = None,
     ) -> List[Optional[List[CharacterizationResult]]]:
         """Fan the (app x f_core x f_mem) grid out as one task pool.
 
@@ -688,7 +677,7 @@ class CampaignEngine:
         dropped from their row's samples.
         """
         mem_sweep = resolve_sweep(spec.mem_freq_table, mem_freqs_mhz)
-        return self._sweep(apps, spec, freqs_mhz, mem_sweep, repetitions, progress, method)
+        return self._sweep(apps, spec, freqs_mhz, mem_sweep, repetitions, progress)
 
     def _sweep(
         self,
@@ -698,7 +687,6 @@ class CampaignEngine:
         mem_sweep: Sequence[Optional[float]],
         repetitions: int,
         progress: Optional[ProgressFn],
-        method: Optional[str],
     ) -> List[Optional[List[CharacterizationResult]]]:
         """The task pool both sweeps share: build, account, run and merge.
 
@@ -712,7 +700,6 @@ class CampaignEngine:
             raise ConfigurationError("a sweep needs at least one application")
         repetitions = check_positive_int(repetitions, "repetitions")
         sweep = resolve_sweep(spec.core_freqs, freqs_mhz)
-        method = self.method if method is None else check_method(method)
         reference_mem = float(spec.mem_freq_mhz)
         points = [(None, None)] + [
             (f, None if m == reference_mem else m) for m in mem_sweep for f in sweep
@@ -720,7 +707,7 @@ class CampaignEngine:
 
         # What the points of an app share is built once, outside the point loop.
         key_fields = None if self.cache is None else self._key_fields(spec)
-        recorder = SimulatedGPU(spec) if method == "replay" else None
+        recorder = SimulatedGPU(spec) if self.method == "replay" else None
         tasks: List[MeasurementTask] = []
         keys: List[Optional[Tuple[str, CanonicalJSON]]] = []
         for app in apps:
@@ -747,9 +734,9 @@ class CampaignEngine:
                         repetitions=repetitions,
                         seed=seed,
                         ideal_sensors=self.ideal_sensors,
-                        method=method,
+                        method=self.method,
                         fault_plan=self.fault_plan,
-                        retry=self.retry,
+                        max_attempts=self.max_attempts,
                         mem_freq_mhz=mem,
                         launches=launches,
                     )

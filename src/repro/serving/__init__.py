@@ -23,7 +23,7 @@ The inference-stack layer over everything trained offline (PRs 1–4):
 See ``docs/serving.md``.
 """
 
-from repro.serving.cache import PredictionCache, advice_key, quantize_features
+from repro.serving.cache import PredictionCache, quantize_features
 from repro.serving.load import (
     run_load,
     run_load_multiprocess,
@@ -52,7 +52,6 @@ __all__ = [
     "PredictionCache",
     "ServiceStats",
     "VerifyReport",
-    "advice_key",
     "quantize_features",
     "run_load",
     "run_load_multiprocess",

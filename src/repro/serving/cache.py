@@ -1,9 +1,10 @@
 """Sharded LRU advice cache for the advisor service.
 
-Keys are content hashes of ``(model digest, quantized features,
-frequency grid, objective)`` — the full identity of an advice
-computation — derived through the same canonical-JSON hashing the
-campaign cache uses (:func:`repro.runtime.seeding.stable_digest`).
+Keys (:class:`AdviceKeyMaker`) identify ``(model digest, quantized
+features, frequency grid, objective)`` — the full identity of an advice
+computation — with the per-service part hashed through the same
+canonical-JSON hashing the campaign cache uses
+(:func:`repro.runtime.seeding.stable_digest`).
 Because the advisor is a pure function of that tuple, a cache hit
 returns the *identical* advice the model would recompute, so caching can
 never change what a client observes — only how fast they observe it.
@@ -40,7 +41,7 @@ from repro.errors import ServingError
 from repro.runtime.seeding import stable_digest
 from repro.serving.objectives import Advice, Objective
 
-__all__ = ["quantize_features", "advice_key", "AdviceKeyMaker", "PredictionCache"]
+__all__ = ["quantize_features", "AdviceKeyMaker", "PredictionCache"]
 
 #: Decimal places kept when quantizing feature values into cache keys.
 FEATURE_QUANTUM_DECIMALS = 9
@@ -72,36 +73,18 @@ def quantize_features(features: Sequence[float]) -> Tuple[float, ...]:
     return tuple(out)
 
 
-def advice_key(
-    model_digest: str,
-    features: Sequence[float],
-    freqs_mhz: Sequence[float],
-    objective: Objective,
-) -> str:
-    """Content hash identifying one advice computation."""
-    return stable_digest(
-        {
-            "model": model_digest,
-            "features": list(quantize_features(features)),
-            "freqs_mhz": [float(f) for f in freqs_mhz],
-            "objective": objective,
-        }
-    )
-
-
 class AdviceKeyMaker:
     """Per-service advice keys with the constant part digested once.
 
-    :func:`advice_key` canonical-JSON-hashes the model digest and the
-    whole frequency grid on every request, which costs more than a cache
-    hit itself. Within one service those are fixed, so this maker folds
-    them (with the memory-clock axis of a 2-D serving grid, when there
-    is one) into a one-time ``base`` digest and composes the per-request
-    remainder as an exact string: ``repr`` of the quantized feature
-    tuple (float repr is shortest-round-trip — lossless and stable
-    across processes) plus the frozen objective's field repr, memoized
-    per distinct objective. Keys are service-local cache identities
-    (never persisted), so the two formulas coexisting is fine; both
+    Canonical-JSON-hashing the model digest and the whole frequency grid
+    on every request would cost more than a cache hit itself. Within one
+    service those are fixed, so this maker folds them (with the
+    memory-clock axis of a 2-D serving grid, when there is one) into a
+    one-time ``base`` digest and composes the per-request remainder as
+    an exact string: ``repr`` of the quantized feature tuple (float repr
+    is shortest-round-trip — lossless and stable across processes) plus
+    the frozen objective's field repr, memoized per distinct objective.
+    Keys are service-local cache identities (never persisted); they
     separate distinct models, grids, features and objectives.
     """
 

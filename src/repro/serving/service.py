@@ -255,13 +255,6 @@ class AdvisorService:
         assert slot.result is not None
         return slot.result
 
-    def advise_many(
-        self,
-        requests: Sequence[Tuple[Sequence[float], Optional[Objective]]],
-    ) -> List[Advice]:
-        """Serve a request list serially, in order (convenience path)."""
-        return [self.advise(feats, obj) for feats, obj in requests]
-
     # ------------------------------------------------------------------
     # batch evaluation (leader only)
     # ------------------------------------------------------------------

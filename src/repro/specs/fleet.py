@@ -145,10 +145,19 @@ def _fleet_extra(clean: Dict[str, Any], rep: Reporter, path: str) -> None:
             f"{prefix}advisor.freq_min_mhz: must be below freq_max_mhz "
             f"({advisor['freq_min_mhz']} >= {advisor['freq_max_mhz']})",
         )
-    if clean["policy"] == "static" and clean["static_freq_mhz"] is None:
+    static = clean["static_freq_mhz"]
+    if clean["policy"] == "static" and static is None:
         rep.error(
             SPEC_VALUE,
             f"{prefix}static_freq_mhz: required when policy is 'static'",
+        )
+    # The static policy and the baseline run at the grid point nearest
+    # this clock, so a clock off the grid would silently run elsewhere.
+    if static is not None and not advisor["freq_min_mhz"] <= static <= advisor["freq_max_mhz"]:
+        rep.error(
+            SPEC_VALUE,
+            f"{prefix}static_freq_mhz: {static} is outside the advisor grid "
+            f"[{advisor['freq_min_mhz']}, {advisor['freq_max_mhz']}]",
         )
     job_types = clean.get("job_types")
     if isinstance(job_types, list) and job_types:

@@ -15,15 +15,15 @@ The replay engine removes the redundancy in three steps:
 2. **Evaluate**: deduplicate the sequence into a
    :class:`repro.kernels.batch.KernelLaunchBatch` and evaluate it through
    the device's batched evaluator
-   (:meth:`repro.hw.device.SimulatedGPU.evaluate_batch`, the one
-   ``launch_batch`` uses): every (unique launch x frequency) cell in one
+   (:meth:`repro.hw.device.SimulatedGPU.evaluate_batch`): every
+   (unique launch x frequency) cell in one
    :meth:`~repro.hw.perf.RooflineTimingModel.time_batch` /
    :meth:`~repro.hw.power.PowerModel.energy_batch` pass.
 3. **Replay**: for each sweep point, rebuild the device's counter
-   trajectory over all repetitions in one cumulative sum (bit-identical
-   to the serial ``+=`` loop, as :func:`repro.hw.device.counter_after`
-   is for one run) and feed the exact counter deltas to the *same*
-   sensors in the *same* order as the serial protocol.
+   trajectory over all repetitions in one cumulative sum seeded with the
+   current counters (the additions the serial ``+=`` loop makes, in its
+   order, so bit-identical to it) and feed the exact counter deltas to
+   the *same* sensors in the *same* order as the serial protocol.
 
 Because the true values and the sensor-noise stream both match the
 serial path bit-for-bit, ``characterize(..., method="replay")`` returns
@@ -76,14 +76,10 @@ class LaunchRecorder:
         for launch in launches:
             self.launch(launch)
 
-    def launch_batch(self, launches) -> None:
-        """Record a sequence of launches (batched spelling)."""
-        self.launch_many(launches)
-
     def __getattr__(self, attr: str):
         raise ConfigurationError(
             f"application accessed SimulatedGPU.{attr} while recording; only "
-            "launch/launch_many/launch_batch are replayable — characterize it "
+            "launch/launch_many are replayable — characterize it "
             "with method='serial' instead"
         )
 

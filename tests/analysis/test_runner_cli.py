@@ -11,7 +11,7 @@ from repro.analysis.runner import (
     KNOWN_RULE_FAMILIES,
     KNOWN_RULE_IDS,
     expand_select,
-    iter_python_files,
+    iter_lint_targets,
     lint_paths,
 )
 from repro.cli import main
@@ -31,8 +31,8 @@ class TestRunner:
 
     def test_iter_python_files_deduplicates(self):
         target = PACKAGE_DIR / "errors.py"
-        files = iter_python_files([str(target), str(target)])
-        assert files == [target]
+        files = iter_lint_targets([str(target), str(target)], suffixes=(".py",))
+        assert files == [(target, True)]
 
     def test_broken_file_reports_all_rule_classes(self, tmp_path):
         bad = tmp_path / "ml" / "bad.py"

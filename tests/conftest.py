@@ -8,10 +8,65 @@ consumer.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.hw import create_device
+from repro.hw.perf import KernelTiming
 from repro.synergy import Platform, SynergyDevice
+from repro.synergy.replay import ReplayPlan
+
+
+def timing_at(bt, i, j):
+    """Element ``(i, j)`` of a ``BatchTiming`` as the scalar path's ``KernelTiming``."""
+    return KernelTiming(
+        time_s=float(bt.time_s[i, j]),
+        exec_s=float(bt.exec_s[i, j]),
+        overhead_s=bt.overhead_s,
+        t_comp_s=float(bt.t_comp_s[i, j]),
+        t_bw_s=float(bt.t_bw_s[i]),
+        t_lat_s=float(bt.t_lat_s[i]),
+        u_comp=float(bt.u_comp[i, j]),
+        u_mem=float(bt.u_mem[i, j]),
+        width_util=float(bt.width_util[i]),
+        occupancy=float(bt.occupancy[i]),
+        regime=str(bt.regime[i, j]),
+    )
+
+
+def launch_batched(gpu, launches):
+    """Run ``launches`` on ``gpu`` through the replay path's batched evaluator.
+
+    ``ReplayPlan.point_values`` gives the per-launch values and the
+    throttle count, an ``evaluate_batch`` pass the clocks and timings,
+    and the counters advance as ``replay_measure`` advances them: to one
+    cumulative sum seeded with the current counters. Returns
+    ``(kernel_name, core_mhz, time_s, energy_j, timing)`` per launch, the
+    fields of a ``launch_many`` result.
+    """
+    plan = ReplayPlan(gpu, launches)
+    time_s, energy_j, throttled = plan.point_values()
+    point = gpu.evaluate_batch(plan.batch, {})
+    marks = np.cumsum([[gpu.time_counter_s, *time_s], [gpu.energy_counter_j, *energy_j]], axis=1)
+    gpu.fast_forward(
+        time_counter_s=marks[0, -1],
+        energy_counter_j=marks[1, -1],
+        launches=len(time_s),
+        throttles=throttled,
+    )
+    results = []
+    for u, t, e in zip(plan.batch.inverse, time_s, energy_j):
+        column = point.columns[u]
+        results.append(
+            (
+                plan.batch.unique[u].spec.name,
+                point.core_mhz[u],
+                float(t),
+                float(e),
+                timing_at(column.timing, u, column.index),
+            )
+        )
+    return results
 
 
 @pytest.fixture

@@ -27,9 +27,7 @@ def test_fig13_ligen_validation_inputs():
     assert len(val) == 12
     assert val[0] == (31, 4, 256)
     assert val[-1] == (89, 20, 10000)
-    labels = configs.ligen_validation_labels()
-    assert labels[0] == "31x4x256"
-    assert len(set(labels)) == 12
+    assert len(set(val)) == 12
 
 
 def test_fig13_cronos_validation_covers_all_grids():

@@ -1,9 +1,10 @@
-"""The MHD campaign builder: core-only protocol and the 2-D (core x mem) grid."""
+"""The MHD campaign (``build_campaign`` on the ``"mhd"`` kind): core-only
+protocol and the 2-D (core x mem) grid."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.datasets import MEM_FEATURE_NAME, build_mhd_campaign
+from repro.experiments.datasets import MEM_FEATURE_NAME, build_campaign
 from repro.hw.device import create_device
 from repro.mhd.app import MHD_FEATURE_NAMES
 from repro.runtime.engine import CampaignEngine
@@ -23,13 +24,11 @@ def engine():
     return CampaignEngine(jobs=1, campaign_seed=SEED, method="replay")
 
 
-def build(device, **kw):
-    kw.setdefault("grids", GRIDS)
-    kw.setdefault("n_steps", 2)
+def build(device, grids=GRIDS, **kw):
     kw.setdefault("repetitions", 1)
     kw.setdefault("freqs_mhz", FREQS)
     kw.setdefault("freq_count", None)
-    return build_mhd_campaign(device, **kw)
+    return build_campaign(device, "mhd", dict(grids=grids, steps=2), **kw)
 
 
 class TestCoreOnlyCampaign:

@@ -1,5 +1,7 @@
 """FaultPlan / FaultSpec: validation, classification, JSON round-trips."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -123,7 +125,7 @@ class TestJsonRoundTrip:
 
     def test_json_round_trip_preserves_identity(self):
         plan = self.plan()
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        assert FaultPlan.from_record(json.loads(plan.to_json())) == plan
 
     def test_save_load_round_trip(self, tmp_path):
         plan = self.plan()
@@ -141,9 +143,11 @@ class TestJsonRoundTrip:
         with pytest.raises(ConfigurationError, match="cannot read"):
             FaultPlan.load(tmp_path / "absent.json")
 
-    def test_invalid_json_rejected(self):
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text("{nope")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
-            FaultPlan.from_json("{nope")
+            FaultPlan.load(path)
 
     def test_wrong_format_rejected(self):
         with pytest.raises(ConfigurationError, match="not a fault plan"):

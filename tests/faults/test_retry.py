@@ -1,53 +1,35 @@
-"""RetryPolicy: validation and the deterministic backoff schedule."""
+"""The engine's retry budget: validation, and retries that never sleep."""
+
+import time
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import RetryPolicy
+from repro.faults import FaultPlan, FaultSpec
+from repro.hw.specs import make_v100_spec
+from repro.ligen.app import LigenApplication
+from repro.runtime.engine import CampaignEngine, MeasurementTask, execute_task_resilient
 
 
 class TestValidation:
-    def test_defaults_never_sleep(self):
-        policy = RetryPolicy()
-        assert policy.max_attempts == 3
-        assert all(policy.delay_s(seed=1, attempt=a) == 0.0 for a in range(5))
+    def test_defaults_never_sleep(self, monkeypatch):
+        assert CampaignEngine().max_attempts == 3
+
+        def no_sleep(seconds):
+            raise AssertionError(f"a retry slept {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        plan = FaultPlan(seed=1, specs=(FaultSpec(kind="worker_crash", occurrences=(0, 1)),))
+        task = MeasurementTask(
+            app=LigenApplication(n_ligands=16, n_atoms=31, n_fragments=4),
+            spec=make_v100_spec(), freq_mhz=900.0, repetitions=1, seed=11, fault_plan=plan,
+        )
+        outcome = execute_task_resilient(task)
+        assert outcome.attempts == 3 and not outcome.quarantined
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ConfigurationError, match="max_retries"):
-            RetryPolicy(max_retries=-1)
-
-    def test_negative_base_rejected(self):
-        with pytest.raises(ConfigurationError, match="backoff_base_s"):
-            RetryPolicy(backoff_base_s=-0.5)
-
-    def test_factor_below_one_rejected(self):
-        with pytest.raises(ConfigurationError, match="backoff_factor"):
-            RetryPolicy(backoff_factor=0.5)
+            CampaignEngine(max_retries=-1)
 
     def test_zero_retries_means_single_attempt(self):
-        assert RetryPolicy(max_retries=0).max_attempts == 1
-
-
-class TestSchedule:
-    def test_deterministic_per_seed_and_attempt(self):
-        policy = RetryPolicy(backoff_base_s=0.1)
-        assert policy.delay_s(7, 0) == policy.delay_s(7, 0)
-        assert policy.delay_s(7, 0) != policy.delay_s(8, 0)
-
-    def test_exponential_growth_until_cap(self):
-        policy = RetryPolicy(
-            max_retries=10, backoff_base_s=0.01, backoff_factor=2.0, max_backoff_s=0.5
-        )
-        delays = [policy.delay_s(3, a) for a in range(10)]
-        assert all(d <= 0.5 for d in delays)
-        # Jitter spans [0.5, 1.5), so attempt n+2 always exceeds attempt n
-        # until the cap bites (factor**2 * 0.5 > 1.5).
-        uncapped = [d for d in delays if d < 0.5]
-        for earlier, later in zip(uncapped, uncapped[2:]):
-            assert later > earlier
-
-    def test_jitter_stays_in_band(self):
-        policy = RetryPolicy(backoff_base_s=1.0, backoff_factor=1.0, max_backoff_s=100.0)
-        for attempt in range(20):
-            d = policy.delay_s(11, attempt)
-            assert 0.5 <= d < 1.5
+        assert CampaignEngine(max_retries=0).max_attempts == 1

@@ -116,6 +116,8 @@ class TestFleetCommand:
             (["--gpus", "-1"], "gpus"),
             (["--ticks", "-2"], "ticks"),
             (["--seed", "-3"], "seed"),
+            (["--policy", "static", "--static-freq", "5000"], "static_freq_mhz"),
+            (["--baseline", "--static-freq", "5000"], "static_freq_mhz"),
         ],
     )
     def test_bad_override_is_a_spec_diagnostic(self, fleet_dir, capsys, flags, field):

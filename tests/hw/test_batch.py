@@ -1,10 +1,11 @@
-"""Batched launch evaluation: SoA batches, vectorized models, launch_batch.
+"""Batched launch evaluation: SoA batches, vectorized models, evaluate_batch.
 
 The contract under test is *bitwise* equivalence with the scalar path:
 ``time_batch`` vs ``time``, ``power_batch``/``energy_batch`` vs
-``breakdown``, and ``launch_batch`` vs the serial ``launch_many`` loop —
-including counter trajectories, governor resolution and power-cap
-throttle accounting.
+``breakdown``, and a launch batch run through ``evaluate_batch`` (via
+``ReplayPlan.point_values``, as the replay engine runs it) vs the serial
+``launch_many`` loop — including counter trajectories, governor
+resolution and power-cap throttle accounting.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.hw.power import PowerModel
 from repro.hw.specs import make_mi100_spec, make_v100_spec
 from repro.kernels.batch import KernelLaunchBatch
 from repro.kernels.ir import KernelLaunch, KernelSpec
+from tests.conftest import launch_batched, timing_at
 
 
 def _random_launches(rng, n):
@@ -72,13 +74,6 @@ class TestKernelLaunchBatch:
         assert batch.n_unique == 0 and batch.n_launches == 0
         assert batch.features.shape == (0, 10)
 
-    def test_expand_broadcasts_per_unique_values(self):
-        a = KernelLaunch(KernelSpec("a", float_add=1.0), threads=1)
-        b = KernelLaunch(KernelSpec("b", float_add=2.0), threads=1)
-        batch = KernelLaunchBatch.from_launches([a, b, a, a])
-        out = batch.expand(np.array([10.0, 20.0]))
-        assert out.tolist() == [10.0, 20.0, 10.0, 10.0]
-
     def test_rejects_non_launch(self):
         with pytest.raises(KernelError):
             KernelLaunchBatch.from_launches([object()])
@@ -103,7 +98,7 @@ class TestTimeBatchBitwise:
         for i, launch in enumerate(batch.unique):
             for j, f in enumerate(freqs):
                 ref = timing.time(launch, f)
-                got = bt.timing_at(i, j)
+                got = timing_at(bt, i, j)
                 assert got.time_s == ref.time_s
                 assert got.exec_s == ref.exec_s
                 assert got.t_comp_s == ref.t_comp_s
@@ -176,15 +171,15 @@ class TestLaunchBatchEquivalence:
         launches = _random_launches(rng, 20)
 
         ref = serial.launch_many(launches)
-        got = batched.launch_batch(launches)
+        got = launch_batched(batched, launches)
 
         assert len(ref) == len(got)
-        for a, b in zip(ref, got):
-            assert a.kernel_name == b.kernel_name
-            assert a.core_mhz == b.core_mhz
-            assert a.time_s == b.time_s
-            assert a.energy_j == b.energy_j
-            assert a.timing == b.timing
+        for a, (name, core_mhz, time_s, energy_j, timing) in zip(ref, got):
+            assert a.kernel_name == name
+            assert a.core_mhz == core_mhz
+            assert a.time_s == time_s
+            assert a.energy_j == energy_j
+            assert a.timing == timing
         assert serial.time_counter_s == batched.time_counter_s
         assert serial.energy_counter_j == batched.energy_counter_j
         assert serial.launch_count == batched.launch_count
@@ -201,9 +196,9 @@ class TestLaunchBatchEquivalence:
             batched.set_power_cap(power_cap)
         launches = _random_launches(np.random.default_rng(4), 10)
         ref = serial.launch_many(launches)
-        got = batched.launch_batch(launches)
+        got = launch_batched(batched, launches)
         for a, b in zip(ref, got):
-            assert (a.core_mhz, a.time_s, a.energy_j) == (b.core_mhz, b.time_s, b.energy_j)
+            assert (a.core_mhz, a.time_s, a.energy_j) == b[1:4]
         assert serial.time_counter_s == batched.time_counter_s
         assert serial.energy_counter_j == batched.energy_counter_j
 
@@ -211,7 +206,7 @@ class TestLaunchBatchEquivalence:
 class TestLaunchBatchMisc:
     def test_empty_batch_is_noop(self, v100):
         before = (v100.time_counter_s, v100.energy_counter_j, v100.launch_count)
-        assert v100.launch_batch([]) == []
+        assert launch_batched(v100, []) == []
         assert (v100.time_counter_s, v100.energy_counter_j, v100.launch_count) == before
 
     def test_closed_device_rejected(self):
@@ -219,7 +214,7 @@ class TestLaunchBatchMisc:
         launch = KernelLaunch(KernelSpec("k", float_add=10.0), threads=64)
         gpu.close()
         with pytest.raises(DeviceError):
-            gpu.launch_batch([launch])
+            launch_batched(gpu, [launch])
 
 
 class TestFastForward:

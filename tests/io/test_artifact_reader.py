@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import ArtifactError
-from repro.io import load_domain_model, load_forest, save_domain_model, save_forest
+from repro.io import load_domain_model, save_domain_model
 from repro.io.serialization import _open_artifact, decode_domain_model
 from repro.ml.forest import RandomForestRegressor
 from repro.modeling.dataset import EnergyDataset, EnergySample
@@ -70,11 +70,6 @@ def _model(n_estimators=3, memory_clock=False):
         ("size", "f_mem_mhz") if memory_clock else ("size",),
         regressor_factory=lambda: RandomForestRegressor(n_estimators=n_estimators, random_state=0),
     ).fit(_dataset(memory_clock))
-
-
-def _forest():
-    ds = _dataset()
-    return RandomForestRegressor(n_estimators=2, random_state=0).fit(ds.X(), ds.y_time())
 
 
 def _saved(model) -> bytes:
@@ -171,7 +166,7 @@ def fitted_models(draw):
 @settings(max_examples=30, deadline=None)
 def test_decoded_arrays_equal_np_load_member_for_member(model):
     data = _saved(model)
-    _assert_equals_np_load(_open_artifact(io.BytesIO(data), "domain-model"), data)
+    _assert_equals_np_load(_open_artifact(io.BytesIO(data)), data)
     reference = _np_load(data)
     decoded = decode_domain_model(io.BytesIO(data))
     prefixes = ("time__", "energy__", "speedup__", "norm_energy__")
@@ -207,7 +202,7 @@ def test_damaged_archives_raise_artifact_error_or_decode_as_np_load(artifact):
         except ArtifactError:
             refused += 1
             continue
-        _assert_equals_np_load(_open_artifact(io.BytesIO(damaged), "domain-model"), damaged)
+        _assert_equals_np_load(_open_artifact(io.BytesIO(damaged)), damaged)
     # Most damage lands in CRC-checked data; a fuzz that refused nothing
     # would have damaged nothing.
     assert refused > FUZZ_CASES // 2
@@ -226,7 +221,7 @@ def test_stored_members_decode_as_np_load(artifact, tmp_path):
     np.savez(path, **_np_load(artifact))
     data = path.read_bytes()
     assert {i.compress_type for i in zipfile.ZipFile(path).infolist()} == {zipfile.ZIP_STORED}
-    _assert_equals_np_load(_open_artifact(path, "domain-model"), data)
+    _assert_equals_np_load(_open_artifact(path), data)
     assert load_domain_model(path).feature_names == ("size",)
 
 
@@ -249,7 +244,7 @@ def test_other_npy_headers_fall_back_to_read_array(artifact, monkeypatch):
     calls = []
     read_array = np.lib.format.read_array
     monkeypatch.setattr(np.lib.format, "read_array", lambda fp: calls.append(1) or read_array(fp))
-    arrays = _open_artifact(io.BytesIO(data), "domain-model")
+    arrays = _open_artifact(io.BytesIO(data))
     monkeypatch.undo()
     assert len(calls) == 2
     assert arrays["time__t0_threshold"].dtype == np.dtype(">f8")
@@ -292,7 +287,7 @@ def _one_member_archive(header: str, data: bytes) -> bytes:
 def test_impossible_shapes_are_refused(descr, shape):
     header = f"{{'descr': '{descr}', 'fortran_order': False, 'shape': {shape}, }}"
     with pytest.raises(ArtifactError, match="member 'x.npy'"):
-        _open_artifact(io.BytesIO(_one_member_archive(header, bytes(16))), "domain-model")
+        _open_artifact(io.BytesIO(_one_member_archive(header, bytes(16))))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +310,11 @@ def _register(path: Path):
     return ModelRegistry(path.parent / "registry").register(path, "m")
 
 
-@pytest.mark.parametrize("loader", [load_domain_model, load_forest, _register])
+@pytest.mark.parametrize("loader", [load_domain_model, _register])
 @pytest.mark.parametrize("defect", [_bare_npy, _encrypted, _unknown_method])
 def test_malformed_archive_raises_artifact_error_naming_the_file(tmp_path, defect, loader):
     path = tmp_path / "model.npz"
-    if loader is load_forest:
-        save_forest(_forest(), path)
-    else:
-        save_domain_model(_model(), path)
+    save_domain_model(_model(), path)
     defect(path)
     with pytest.raises(ArtifactError, match=re.escape(str(path))):
         loader(path)
@@ -363,7 +355,7 @@ def test_decode_parses_no_npy_header_through_numpy(artifact, monkeypatch):
 # ---------------------------------------------------------------------------
 # atomic writes
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("save, fitted", [(save_domain_model, _model), (save_forest, _forest)])
+@pytest.mark.parametrize("save, fitted", [(save_domain_model, _model)])
 def test_failed_encode_keeps_the_previous_file(tmp_path, monkeypatch, save, fitted):
     model = fitted()
     path = tmp_path / "model.npz"

@@ -8,11 +8,9 @@ from repro.io import (
     load_characterization,
     load_dataset,
     load_domain_model,
-    load_forest,
     save_characterization,
     save_dataset,
     save_domain_model,
-    save_forest,
 )
 from repro.ml.forest import RandomForestRegressor
 from repro.modeling.dataset import EnergyDataset, EnergySample
@@ -147,30 +145,37 @@ class TestCharacterizationMemoryClock:
 
 
 class TestForestRoundtrip:
+    """The forests a domain-model artifact carries, one by one."""
+
     def test_identical_predictions(self, tmp_path):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(0, 1, (120, 3))
-        y = X[:, 0] - 2 * X[:, 1] * X[:, 2]
-        forest = RandomForestRegressor(n_estimators=7, random_state=1).fit(X, y)
-        path = tmp_path / "forest.npz"
-        save_forest(forest, path)
-        back = load_forest(path)
-        Xt = rng.uniform(0, 1, (40, 3))
-        assert np.array_equal(back.predict(Xt), forest.predict(Xt))
-        assert len(back.estimators_) == 7
+        model = DomainSpecificModel(
+            ("size",),
+            regressor_factory=lambda: RandomForestRegressor(n_estimators=7, random_state=1),
+        ).fit(make_dataset())
+        path = tmp_path / "model.npz"
+        save_domain_model(model, path)
+        back = load_domain_model(path)
+        Xt = np.random.default_rng(0).uniform(0, 5, (40, 2))
+        for name in ("_time_model", "_energy_model", "_speedup_model", "_norm_energy_model"):
+            forest, loaded = getattr(model, name), getattr(back, name)
+            assert np.array_equal(loaded.predict(Xt), forest.predict(Xt))
+            assert len(loaded.estimators_) == 7
 
     def test_unfitted_rejected(self, tmp_path):
-        with pytest.raises(ModelNotFittedError):
-            save_forest(RandomForestRegressor(), tmp_path / "x.npz")
+        model = DomainSpecificModel(("size",)).fit(make_dataset())
+        model._energy_model = RandomForestRegressor()
+        with pytest.raises(ModelNotFittedError, match="unfitted forest"):
+            save_domain_model(model, tmp_path / "x.npz")
 
     def test_wrong_archive_rejected(self, tmp_path):
+        """An archive of another format, such as a bare forest, is refused."""
         import json
 
         path = tmp_path / "bad.npz"
-        meta = np.frombuffer(json.dumps({"format": "other"}).encode(), dtype=np.uint8)
-        np.savez(path, __meta__=meta)
-        with pytest.raises(DatasetError):
-            load_forest(path)
+        meta = {"format": "repro.random_forest", "version": 1}
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        with pytest.raises(DatasetError, match="not a domain-model artifact"):
+            load_domain_model(path)
 
 
 class TestDomainModelRoundtrip:
@@ -324,28 +329,6 @@ class TestArtifactErrors:
         _rewrite_npz(model_path, bump_version)
         with pytest.raises(ArtifactSchemaError, match="schema version 999"):
             load_domain_model(model_path)
-
-    def test_forest_schema_version_mismatch(self, tmp_path):
-        import json as _json
-
-        from repro.errors import ArtifactSchemaError
-
-        forest = RandomForestRegressor(n_estimators=3, random_state=0)
-        ds = make_dataset()
-        forest.fit(ds.X(), ds.y_time())
-        path = tmp_path / "forest.npz"
-        save_forest(forest, path)
-
-        def bump_version(arrays):
-            meta = _json.loads(bytes(arrays["__meta__"].tobytes()).decode())
-            meta["version"] = 999
-            arrays["__meta__"] = np.frombuffer(
-                _json.dumps(meta).encode(), dtype=np.uint8
-            )
-
-        _rewrite_npz(path, bump_version)
-        with pytest.raises(ArtifactSchemaError):
-            load_forest(path)
 
     def test_file_like_source_loads(self, model_path):
         import io as _io

@@ -6,18 +6,11 @@ import pytest
 from repro.errors import KernelError
 from repro.kernels.features import (
     STATIC_FEATURE_NAMES,
-    application_features,
     application_spec,
-    extract_features,
     extract_normalized_features,
     feature_table_rows,
 )
 from repro.kernels.ir import FEATURE_NAMES, KernelLaunch, KernelSpec
-
-
-def test_raw_extraction_equals_feature_vector():
-    spec = KernelSpec("k", float_add=3, int_mul=1)
-    assert np.array_equal(extract_features(spec), spec.feature_vector())
 
 
 class TestNormalizedFeatures:
@@ -59,7 +52,7 @@ class TestApplicationAggregation:
 
     def test_app_features_shape(self):
         spec = KernelSpec("k", float_add=10)
-        vec = application_features([KernelLaunch(spec, threads=10)])
+        vec = extract_normalized_features(application_spec([KernelLaunch(spec, threads=10)]))
         assert vec.shape == (len(STATIC_FEATURE_NAMES),)
 
     def test_empty_rejected(self):

@@ -89,24 +89,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             RandomForestRegressor(n_estimators=0).fit(X, y)
 
-    def test_predict_chunks_empty_list(self, data):
-        X, y, _, _ = data
-        m = RandomForestRegressor(n_estimators=3, random_state=0).fit(X, y)
-        assert m.predict_chunks([]) == []
-
-    def test_predict_chunks_zero_row_chunks(self, data):
-        """(0, d) chunks are legal anywhere in the list and yield empty
-        arrays without disturbing their neighbours (regression: vstack
-        bound mis-splits)."""
-        X, y, Xt, _ = data
-        m = RandomForestRegressor(n_estimators=3, random_state=0).fit(X, y)
-        empty = Xt[:0]
-        chunks = [empty, Xt[:4], empty, Xt[4:9], empty]
-        out = m.predict_chunks(chunks)
-        assert [o.shape[0] for o in out] == [0, 4, 0, 5, 0]
-        assert np.array_equal(out[1], m.predict(Xt[:4]))
-        assert np.array_equal(out[3], m.predict(Xt[4:9]))
-
     def test_get_set_params_clone(self):
         m = RandomForestRegressor(n_estimators=9, max_depth=4)
         params = m.get_params()

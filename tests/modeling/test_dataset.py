@@ -84,11 +84,6 @@ class TestSplits:
         with pytest.raises(DatasetError):
             ds.split_leave_one_out((1.0,))
 
-    def test_subset_for(self, dataset):
-        sub = dataset.subset_for((3.0, 4.0))
-        assert len(sub) == 3
-        assert sub.feature_names == dataset.feature_names
-
 
 class TestCharacterizationIngest:
     def test_add_characterization(self, v100_dev, small_freqs):

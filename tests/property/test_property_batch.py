@@ -16,6 +16,7 @@ from repro.hw.power import PowerModel
 from repro.hw.specs import make_mi100_spec, make_v100_spec
 from repro.kernels.batch import KernelLaunchBatch
 from repro.kernels.ir import KernelLaunch, KernelSpec
+from tests.conftest import timing_at
 
 V100 = make_v100_spec()
 MI100 = make_mi100_spec()
@@ -57,7 +58,7 @@ def test_time_batch_bitwise_equals_scalar_time(launch, spec, frac):
     freq = _freq_for(spec, frac)
     batch = KernelLaunchBatch.from_launches([launch])
     bt = timing.time_batch(batch, [freq])
-    got = bt.timing_at(0, 0)
+    got = timing_at(bt, 0, 0)
     ref = timing.time(launch, freq)
     assert got == ref  # KernelTiming is a frozen dataclass: fieldwise ==
 
@@ -75,7 +76,7 @@ def test_time_batch_grid_bitwise_equals_scalar_grid(batch_launches, spec, fracs)
     bt = timing.time_batch(batch, freqs)
     for i, launch in enumerate(batch.unique):
         for j, freq in enumerate(freqs):
-            assert bt.timing_at(i, j) == timing.time(launch, freq)
+            assert timing_at(bt, i, j) == timing.time(launch, freq)
 
 
 @given(

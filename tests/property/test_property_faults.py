@@ -12,6 +12,8 @@ Two promises get explored here rather than spot-checked:
   measurement must equal the fault-free one bit for bit.
 """
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,6 @@ from repro.faults import (
 from repro.hw.specs import make_v100_spec
 from repro.ligen.app import LigenApplication
 from repro.runtime.engine import MeasurementTask, execute_task, execute_task_resilient
-from repro.faults.retry import RetryPolicy
 
 sites_st = st.sampled_from(
     ["gpu.launch", "gpu.set_frequency", "sensor.time", "sensor.energy", "worker"]
@@ -92,7 +93,7 @@ class TestInjectorDeterminism:
     @given(probability_plan_st)
     @settings(max_examples=50, deadline=None)
     def test_json_round_trip_preserves_decisions(self, plan):
-        clone = FaultPlan.from_json(plan.to_json())
+        clone = FaultPlan.from_record(json.loads(plan.to_json()))
         assert clone.fingerprint() == plan.fingerprint()
         assert decision_sequence(clone) == decision_sequence(plan)
 
@@ -115,7 +116,7 @@ class TestInjectorDeterminism:
         assert inj.fault_count <= plan.max_bounded_fires()
 
 
-def task_for(plan, retry=RetryPolicy()):
+def task_for(plan, max_retries=2):
     return MeasurementTask(
         app=LigenApplication(16, 31, 4),
         spec=make_v100_spec(),
@@ -123,7 +124,7 @@ def task_for(plan, retry=RetryPolicy()):
         repetitions=1,
         seed=17,
         fault_plan=plan,
-        retry=retry,
+        max_attempts=max_retries + 1,
     )
 
 
@@ -135,7 +136,7 @@ class TestRecoveryBitIdentity:
         # budget of max_bounded_fires() guarantees one clean attempt.
         clean = execute_task(task_for(None))
         outcome = execute_task_resilient(
-            task_for(plan, RetryPolicy(max_retries=plan.max_bounded_fires()))
+            task_for(plan, plan.max_bounded_fires())
         )
         assert not outcome.quarantined
         assert outcome.measurement == clean
@@ -143,7 +144,6 @@ class TestRecoveryBitIdentity:
     @given(bounded_plan_st)
     @settings(max_examples=15, deadline=None)
     def test_resilient_outcome_is_deterministic(self, plan):
-        retry = RetryPolicy(max_retries=plan.max_bounded_fires())
-        first = execute_task_resilient(task_for(plan, retry))
-        second = execute_task_resilient(task_for(plan, retry))
+        first = execute_task_resilient(task_for(plan, plan.max_bounded_fires()))
+        second = execute_task_resilient(task_for(plan, plan.max_bounded_fires()))
         assert first == second

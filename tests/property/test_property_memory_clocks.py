@@ -1,12 +1,13 @@
 """Batched evaluation at every pinned memory clock is bitwise serial.
 
 The device's batched evaluator caches one column per ``(core, mem)``
-clock pair, and both ``launch_batch`` and the replay engine read
-through it. These properties pin every memory clock of the A100 and
-H100, with and without a power cap and a pinned core clock, and check:
+clock pair, and the replay engine reads through it. These properties pin
+every memory clock of the A100 and H100, with and without a power cap
+and a pinned core clock, and check:
 
-- ``launch_batch`` equals ``launch_many``: per-launch results, counters,
-  launch counts and throttle counts;
+- a launch batch run through ``evaluate_batch`` (via
+  ``ReplayPlan.point_values``) equals ``launch_many``: per-launch
+  results, counters, launch counts and throttle counts;
 - a replayed characterization equals the serial one.
 """
 
@@ -20,6 +21,7 @@ from repro.hw.specs import make_a100_spec, make_h100_spec
 from repro.kernels.ir import KernelLaunch, KernelSpec
 from repro.synergy.api import SynergyDevice
 from repro.synergy.runner import characterize
+from tests.conftest import launch_batched
 
 #: Every (device, memory clock) pair of the A100 and H100.
 MEMORY_CLOCKS = [
@@ -92,10 +94,8 @@ def test_launch_batch_equals_launch_many(spec, mem, data):
     launches = data.draw(launch_lists())
     serial, batched = _device(spec, mem, state), _device(spec, mem, state)
     ref = serial.launch_many(launches)
-    got = batched.launch_batch(launches)
-    assert [(r.kernel_name, r.core_mhz, r.time_s, r.energy_j, r.timing) for r in ref] == [
-        (r.kernel_name, r.core_mhz, r.time_s, r.energy_j, r.timing) for r in got
-    ]
+    got = launch_batched(batched, launches)
+    assert [(r.kernel_name, r.core_mhz, r.time_s, r.energy_j, r.timing) for r in ref] == got
     assert _counters(serial) == _counters(batched)
 
 

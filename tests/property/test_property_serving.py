@@ -1,10 +1,10 @@
 """Property-based tests for the serving layer (hypothesis).
 
 The central property is the determinism contract: batched inference —
-at the forest level (``predict_chunks``) and the domain-model level
-(``predict_tradeoff_batch``) — is *bitwise* equal to scalar inference
-for arbitrary inputs and batch shapes. Everything the advisor service
-guarantees (concurrent == serial) reduces to this.
+at the forest level (one ``predict`` over stacked requests) and the
+domain-model level (``predict_tradeoff_batch``) — is *bitwise* equal to
+scalar inference for arbitrary inputs and batch shapes. Everything the
+advisor service guarantees (concurrent == serial) reduces to this.
 """
 
 import numpy as np
@@ -58,8 +58,9 @@ def chunk_lists(draw):
 @given(chunk_lists())
 @settings(max_examples=30, deadline=None)
 def test_forest_chunked_predict_bitwise_equals_scalar(chunks):
-    """predict_chunks == per-chunk predict, bit for bit, any batch shape."""
-    batched = _FOREST.predict_chunks(chunks)
+    """predict over stacked chunks == per-chunk predict, bit for bit, any batch shape."""
+    bounds = np.cumsum([len(c) for c in chunks])[:-1]
+    batched = np.split(_FOREST.predict(np.vstack(chunks)), bounds)
     assert len(batched) == len(chunks)
     for chunk, got in zip(chunks, batched):
         assert np.array_equal(_FOREST.predict(chunk), got)

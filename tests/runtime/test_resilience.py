@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.faults import FaultPlan, FaultSpec
 from repro.faults.wrappers import FaultyResultCache
 from repro.hw.specs import make_v100_spec
 from repro.ligen.app import LigenApplication
@@ -52,9 +52,9 @@ def app():
     return LigenApplication(n_ligands=16, n_atoms=31, n_fragments=4)
 
 
-def sweep(engine, method=None, the_app=None):
+def sweep(engine, the_app=None):
     return engine.characterize(
-        the_app or app(), make_v100_spec(), freqs_mhz=FREQS, repetitions=REPS, method=method
+        the_app or app(), make_v100_spec(), freqs_mhz=FREQS, repetitions=REPS
     )
 
 
@@ -81,18 +81,18 @@ class TestChaosEquivalence:
 
     def test_serial_chaos_is_bit_identical(self, fault_free):
         engine = CampaignEngine(
-            jobs=1, campaign_seed=7, fault_plan=TRANSIENT_PLAN, max_retries=10
+            jobs=1, campaign_seed=7, method="serial", fault_plan=TRANSIENT_PLAN, max_retries=10
         )
-        chaos = sweep(engine, method="serial")
+        chaos = sweep(engine)
         assert engine.stats.faults_injected > 0
         assert engine.stats.quarantined == 0
         assert_identical(chaos, fault_free)
 
     def test_replay_chaos_is_bit_identical(self, fault_free):
         engine = CampaignEngine(
-            jobs=1, campaign_seed=7, fault_plan=TRANSIENT_PLAN, max_retries=10
+            jobs=1, campaign_seed=7, method="replay", fault_plan=TRANSIENT_PLAN, max_retries=10
         )
-        chaos = sweep(engine, method="replay")
+        chaos = sweep(engine)
         assert engine.stats.faults_injected > 0
         assert engine.stats.quarantined == 0
         assert_identical(chaos, fault_free)
@@ -134,10 +134,10 @@ class TestChaosEquivalence:
 
 
 class TestRetrySemantics:
-    def task(self, plan=None, retry=RetryPolicy(), seed=11):
+    def task(self, plan=None, max_retries=2, seed=11):
         return MeasurementTask(
             app=app(), spec=make_v100_spec(), freq_mhz=900.0, repetitions=1,
-            seed=seed, fault_plan=plan, retry=retry,
+            seed=seed, fault_plan=plan, max_attempts=max_retries + 1,
         )
 
     def test_no_plan_is_single_clean_attempt(self):
@@ -148,7 +148,7 @@ class TestRetrySemantics:
     def test_bounded_faults_recovered_within_budget(self):
         plan = FaultPlan(seed=1, specs=(FaultSpec(kind="worker_crash", occurrences=(0, 1)),))
         outcome = execute_task_resilient(
-            self.task(plan, RetryPolicy(max_retries=plan.max_bounded_fires()))
+            self.task(plan, plan.max_bounded_fires())
         )
         assert outcome.attempts == 3
         assert outcome.faults == 2
@@ -157,20 +157,20 @@ class TestRetrySemantics:
     def test_recovered_measurement_matches_fault_free(self):
         plan = FaultPlan(seed=1, specs=(FaultSpec(kind="launch_failure", occurrences=(0,)),))
         clean = execute_task_resilient(self.task()).measurement
-        recovered = execute_task_resilient(self.task(plan, RetryPolicy(max_retries=3))).measurement
+        recovered = execute_task_resilient(self.task(plan, 3)).measurement
         assert recovered == clean
 
     def test_budget_exhaustion_quarantines_with_error(self):
         plan = FaultPlan(seed=1, specs=(FaultSpec(kind="worker_crash", probability=1.0),))
-        outcome = execute_task_resilient(self.task(plan, RetryPolicy(max_retries=2)))
+        outcome = execute_task_resilient(self.task(plan, 2))
         assert outcome.quarantined
         assert outcome.attempts == 3
         assert "worker_crash" in outcome.error
 
     def test_outcome_is_deterministic(self):
         plan = FaultPlan(seed=9, specs=(FaultSpec(kind="sensor_dropout", probability=0.3),))
-        a = execute_task_resilient(self.task(plan, RetryPolicy(max_retries=6)))
-        b = execute_task_resilient(self.task(plan, RetryPolicy(max_retries=6)))
+        a = execute_task_resilient(self.task(plan, 6))
+        b = execute_task_resilient(self.task(plan, 6))
         assert a == b
 
     def test_real_errors_are_not_retried(self):
@@ -183,7 +183,7 @@ class TestRetrySemantics:
 
         task = MeasurementTask(
             app=Exploder(), spec=make_v100_spec(), freq_mhz=900.0, repetitions=1,
-            seed=3, fault_plan=TRANSIENT_PLAN, retry=RetryPolicy(max_retries=5),
+            seed=3, fault_plan=TRANSIENT_PLAN, max_attempts=6,
         )
         with pytest.raises(RuntimeError, match="real bug"):
             execute_task_resilient(task)

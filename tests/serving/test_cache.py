@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ServingError
-from repro.serving import Objective, PredictionCache, advice_key, quantize_features
+from repro.serving import Objective, PredictionCache, quantize_features
 from repro.serving.cache import _MIN_SHARD_CAPACITY, AdviceKeyMaker
 
 FREQS = (400.0, 800.0, 1200.0)
@@ -27,8 +27,9 @@ class TestQuantization:
         assert q == 0.0 and str(q) == "0.0"
 
     def test_signed_zero_yields_one_cache_key(self):
-        k_pos = advice_key("m", [0.0, 1.5], FREQS, Objective.tradeoff())
-        k_neg = advice_key("m", [-0.0, 1.5], FREQS, Objective.tradeoff())
+        maker = AdviceKeyMaker("m", FREQS)
+        k_pos = maker.key(quantize_features([0.0, 1.5]), Objective.tradeoff())
+        k_neg = maker.key(quantize_features([-0.0, 1.5]), Objective.tradeoff())
         assert k_pos == k_neg
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -128,7 +128,7 @@ def _characterization(time_s):
 WRITERS = {
     "save_dataset": (
         lambda path: save_dataset(synthetic_dataset(), path),
-        lambda path: save_dataset(synthetic_dataset().subset_for([1.0]), path),
+        lambda path: save_dataset(synthetic_dataset().split_leave_one_out([1.0])[1], path),
     ),
     "save_characterization": (
         lambda path: save_characterization(_characterization(1.5), path),

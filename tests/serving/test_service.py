@@ -15,8 +15,8 @@ from repro.serving import (
     AdvisorService,
     Objective,
     PredictionCache,
+    quantize_features,
     run_load,
-    synthetic_feature_pool,
     synthetic_requests,
 )
 
@@ -54,17 +54,6 @@ class TestBasics:
         with pytest.raises(ServingError, match="max_batch"):
             AdvisorService(fitted_model, SERVE_FREQS, max_batch=0)
 
-    def test_advise_many_in_order(self, service):
-        pool = synthetic_feature_pool([4.0], 3)
-        advice = service.advise_many([(f, None) for f in pool])
-        assert [a.freq_mhz for a in advice] == [
-            service.advise(f).freq_mhz for f in pool
-        ]
-
-    def test_advise_many_empty_stream(self, service):
-        assert service.advise_many([]) == []
-        assert service.stats.requests == 0
-
 
 class TestCache:
     def test_repeat_request_hits(self, service):
@@ -81,10 +70,11 @@ class TestCache:
         assert a.objective != b.objective
 
     def test_distinct_model_digests_do_not_collide(self):
-        from repro.serving import advice_key
+        from repro.serving.cache import AdviceKeyMaker
 
-        k1 = advice_key("one", [4.0], SERVE_FREQS, Objective.tradeoff())
-        k2 = advice_key("two", [4.0], SERVE_FREQS, Objective.tradeoff())
+        feats = quantize_features([4.0])
+        k1 = AdviceKeyMaker("one", SERVE_FREQS).key(feats, Objective.tradeoff())
+        k2 = AdviceKeyMaker("two", SERVE_FREQS).key(feats, Objective.tradeoff())
         assert k1 != k2
 
     def test_cache_disabled_still_correct(self, fitted_model):

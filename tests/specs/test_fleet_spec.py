@@ -54,6 +54,32 @@ class TestValidation:
         assert clean is None
         assert any("static_freq_mhz" in d.message for d in diags)
 
+    @pytest.mark.parametrize("policy", ["static", "advised"])
+    @pytest.mark.parametrize("clock", [100.0, 5000.0])
+    def test_static_clock_outside_the_advisor_grid_rejected(self, policy, clock):
+        """The static policy and the baseline snap the clock to the nearest
+        grid point, so a clock off the grid would silently run elsewhere."""
+        record = good_record()
+        record.update(policy=policy, static_freq_mhz=clock)
+        record["advisor"] = {"freq_min_mhz": 135.0, "freq_max_mhz": 1597.0}
+        clean, diags = FLEET_SCHEMA.validate(record)
+        assert clean is None
+        assert [(d.rule, d.message) for d in diags] == [
+            (
+                "SPEC002",
+                f"static_freq_mhz: {clock} is outside the advisor grid [135.0, 1597.0]",
+            )
+        ]
+
+    @pytest.mark.parametrize("clock", [135.0, 950.0, 1597.0])
+    def test_static_clock_on_the_advisor_grid_accepted(self, clock):
+        record = good_record()
+        record.update(policy="static", static_freq_mhz=clock)
+        record["advisor"] = {"freq_min_mhz": 135.0, "freq_max_mhz": 1597.0}
+        clean, diags = FLEET_SCHEMA.validate(record)
+        assert diags == []
+        assert clean["static_freq_mhz"] == clock
+
     def test_inverted_frequency_range_rejected(self):
         record = good_record()
         record["advisor"] = {"freq_min_mhz": 1500.0, "freq_max_mhz": 400.0}

@@ -146,13 +146,3 @@ class TestEngineReplay:
     def test_engine_rejects_bad_method(self):
         with pytest.raises(ConfigurationError, match="method"):
             CampaignEngine(jobs=1, method="warp")
-
-    def test_per_call_method_override(self):
-        spec = make_v100_spec()
-        apps = [CronosApplication.from_size(16, 16, 16, n_steps=1)]
-        engine = CampaignEngine(jobs=1, campaign_seed=7, method="serial")
-        a = engine.characterize_many(apps, spec, freqs_mhz=[800.0], repetitions=2)
-        b = engine.characterize_many(
-            apps, spec, freqs_mhz=[800.0], repetitions=2, method="replay")
-        for x, y in zip(a, b):
-            _assert_results_identical(x, y)
