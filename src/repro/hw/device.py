@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import DeviceError, FrequencyError
+from repro.errors import DeviceError
 from repro.hw.governor import AutoGovernor
 from repro.hw.perf import BatchTiming, KernelTiming, RooflineTimingModel
 from repro.hw.power import PowerModel
@@ -352,7 +352,23 @@ class SimulatedGPU:
         :meth:`fill_batch_columns`, so a caller that keeps ``columns``
         (a replay plan) evaluates each clock once. Device state is
         untouched; the caller accounts the throttles.
+
+        A pinned clock without a power cap is every launch's clock, so
+        that point is its column, taken as a slice: the returned arrays
+        are then views of ``columns``, which callers only read.
         """
+        pinned = self._pinned_mhz
+        if pinned is not None and self._power_cap_w is None and batch.n_unique:
+            self.fill_batch_columns(batch, columns, [pinned])
+            column = columns[(pinned, self._pinned_mem_mhz)]
+            n = batch.n_unique
+            return BatchPoint(
+                core_mhz=[pinned] * n,
+                columns=[column] * n,
+                time_s=column.timing.time_s[:, column.index],
+                energy_j=column.energy_j,
+                throttled=0,
+            )
         clocks: List[float] = []
         throttled = 0
         for i, launch in enumerate(batch.unique):

@@ -156,6 +156,11 @@ class FrequencyTable:
         out-of-range clocks are rejected, in-range ones are quantized).
         """
         f = float(freq_mhz)
+        freqs = self._freqs
+        i = int(np.searchsorted(freqs, f))
+        if i < freqs.size and freqs[i] == f:
+            # Already a bin (a sweep's own clocks): it is its own nearest.
+            return f
         if not np.isfinite(f) or f <= 0:
             raise FrequencyError(f"invalid frequency request: {freq_mhz!r}")
         step = self._step
@@ -163,8 +168,8 @@ class FrequencyTable:
             raise FrequencyError(
                 f"{f} MHz outside supported range [{self.min_mhz}, {self.max_mhz}] MHz"
             )
-        idx = int(np.argmin(np.abs(self._freqs - f)))
-        return float(self._freqs[idx])
+        idx = int(np.argmin(np.abs(freqs - f)))
+        return float(freqs[idx])
 
     def step_mhz(self) -> float:
         """Median inter-bin spacing (0 for a single-entry table)."""

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.ml.base import Regressor, check_X, check_Xy
-from repro.ml.soa import FlatForest, sequential_mean
+from repro.ml.soa import FlatForest
 from repro.ml.tree import DecisionTreeRegressor, _bin_features, _fit_trees
 from repro.utils.rng import RandomState, as_generator, spawn_child
 from repro.utils.validation import check_positive_int

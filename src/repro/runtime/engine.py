@@ -13,7 +13,9 @@ task's spec and a fresh sensor pair from the task's seed, so the
 measured noise at a point depends only on (campaign seed, device spec,
 app config, point, repetitions) — never on worker count, scheduling, or
 which other points ran first. ``jobs=1`` and ``jobs=N`` therefore
-produce bit-identical campaigns.
+produce bit-identical campaigns. The engine hands each task its sensor
+pair as state words, derived for a whole sweep at once (see below);
+they are bitwise the streams ``SynergyDevice(gpu, seed)`` spawns.
 
 Caching
 -------
@@ -30,7 +32,11 @@ for the task seeds (:class:`repro.runtime.seeding.TaskSeeder`), and a
 replay sweep records and deduplicates each app's launches once, handing
 the batch to every task of the app. After the cache lookups, the model
 cells of every missed point of an app at one memory clock are evaluated
-in one batched pass, and each task carries its own point's column.
+in one batched pass, and the sensor streams of every missed point of the
+sweep are derived in one seeding pass
+(:func:`repro.synergy.api.sensor_stream_words`): each missed point's
+task is built once, carrying its own point's column and stream words, so
+no worker hashes a seed and a cached point derives nothing.
 
 Resilience
 ----------
@@ -53,7 +59,7 @@ import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +76,7 @@ from repro.hw.specs import DeviceSpec
 from repro.kernels.batch import KernelLaunchBatch
 from repro.runtime.cache import CanonicalJSON, ResultCache, SweepKeys
 from repro.runtime.seeding import TaskSeeder, canonicalize
-from repro.synergy.api import SynergyDevice
+from repro.synergy.api import SynergyDevice, sensor_stream_words
 from repro.synergy.replay import ReplayPlan, record_launches, replay_measure
 from repro.synergy.runner import (
     Application,
@@ -113,6 +119,15 @@ def _point_key(freq_mhz: Optional[float], mem_freq_mhz: Optional[float]):
     if mem_freq_mhz is None:
         return float(freq_mhz)
     return f"{float(freq_mhz)}|mem{float(mem_freq_mhz)}"
+
+
+def _point_label(app_name: str, freq_mhz: Optional[float], mem_freq_mhz: Optional[float]) -> str:
+    """Human-readable label of one sweep point, for progress and quarantine."""
+    point = BASELINE_POINT if freq_mhz is None else f"{freq_mhz:.0f} MHz"
+    if mem_freq_mhz is not None:
+        point = f"{point} / mem {mem_freq_mhz:.0f} MHz"
+    return f"{app_name} @ {point}"
+
 
 #: Progress callback: (done, total, label, from_cache).
 ProgressFn = Callable[[int, int, str, bool], None]
@@ -180,9 +195,14 @@ class MeasurementTask:
     #: every task of the app shares it.
     launches: Optional[KernelLaunchBatch] = field(default=None, compare=False, repr=False)
     #: A replay task's own point, already evaluated by the engine's column
-    #: pass over the app's sweep (see :func:`_with_columns`). A clock it
+    #: pass over the app's sweep (see :func:`_sweep_columns`). A clock it
     #: lacks is evaluated by the task, as without it.
     columns: Optional[BatchColumns] = field(default=None, compare=False, repr=False)
+    #: The PCG64 state words of the task's energy and time sensor streams,
+    #: ``seed``'s row of :func:`repro.synergy.api.sensor_stream_words`,
+    #: which the engine derives in one pass over a sweep's missed points.
+    #: ``None`` spawns the same two streams from ``seed``.
+    streams: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.method == "replay" and self.launches is None:
@@ -193,10 +213,7 @@ class MeasurementTask:
     @property
     def label(self) -> str:
         """Human-readable task label for progress reporting."""
-        point = BASELINE_POINT if self.freq_mhz is None else f"{self.freq_mhz:.0f} MHz"
-        if self.mem_freq_mhz is not None:
-            point = f"{point} / mem {self.mem_freq_mhz:.0f} MHz"
-        return f"{self.app.name} @ {point}"
+        return _point_label(self.app.name, self.freq_mhz, self.mem_freq_mhz)
 
     @property
     def scope(self) -> str:
@@ -258,14 +275,16 @@ class PointMeasurement:
         except (AttributeError, KeyError, TypeError, OverflowError) as exc:
             raise DatasetError(f"malformed campaign point record: {exc!r}") from exc
 
-    def fits(self, task: MeasurementTask) -> bool:
-        """Whether this can be ``task``'s measurement: the same kind of
-        point (baseline or pinned, memory clock pinned or not) and one
-        value per repetition."""
+    def fits(
+        self, freq_mhz: Optional[float], mem_freq_mhz: Optional[float], repetitions: int
+    ) -> bool:
+        """Whether this can be the measurement of a point at ``freq_mhz`` and
+        ``mem_freq_mhz``: the same kind of point (baseline or pinned,
+        memory clock pinned or not) and one value per repetition."""
         return (
-            (self.freq_mhz is None) == (task.freq_mhz is None)
-            and (self.mem_freq_mhz is None) == (task.mem_freq_mhz is None)
-            and len(self.rep_times_s) == len(self.rep_energies_j) == task.repetitions
+            (self.freq_mhz is None) == (freq_mhz is None)
+            and (self.mem_freq_mhz is None) == (mem_freq_mhz is None)
+            and len(self.rep_times_s) == len(self.rep_energies_j) == repetitions
         )
 
     def to_sample(self) -> FrequencySample:
@@ -299,19 +318,25 @@ def _build_device(
     historical build, so fault-free campaigns are untouched.
     """
     if injector is None:
-        gpu: SimulatedGPU = SimulatedGPU(task.spec)
-        return SynergyDevice(gpu, seed=task.seed, ideal_sensors=task.ideal_sensors)
+        return _with_sensors(task, SimulatedGPU(task.spec))
     # Deferred import: the wrappers subclass ResultCache, so importing
     # them while repro.runtime is still initializing would be circular.
     from repro.faults.wrappers import FaultyGPU, FaultySensor
 
-    gpu = FaultyGPU(task.spec, injector)
-    device = SynergyDevice(gpu, seed=task.seed, ideal_sensors=task.ideal_sensors)
+    device = _with_sensors(task, FaultyGPU(task.spec, injector))
     device.time_sensor = FaultySensor(device.time_sensor, injector, SITE_SENSOR_TIME)
     device.energy_sensor = FaultySensor(
         device.energy_sensor, injector, SITE_SENSOR_ENERGY
     )
     return device
+
+
+def _with_sensors(task: MeasurementTask, gpu: SimulatedGPU) -> SynergyDevice:
+    """``gpu`` with ``task``'s fresh sensor pair: seeded from the stream
+    words the task carries, or spawned from its seed (the same streams)."""
+    if task.streams is None:
+        return SynergyDevice(gpu, seed=task.seed, ideal_sensors=task.ideal_sensors)
+    return SynergyDevice.from_stream_words(gpu, task.streams, task.ideal_sensors)
 
 
 def execute_task(task: MeasurementTask) -> PointMeasurement:
@@ -354,47 +379,58 @@ def _measure_on(task: MeasurementTask, device: SynergyDevice) -> PointMeasuremen
         freq_mhz=actual,
         time_s=t,
         energy_j=e,
-        rep_times_s=tuple(float(v) for v in times),
-        rep_energies_j=tuple(float(v) for v in energies),
+        rep_times_s=tuple(times.tolist()),
+        rep_energies_j=tuple(energies.tolist()),
         mem_freq_mhz=actual_mem,
     )
 
 
-def _replay_clock(task: MeasurementTask) -> Optional[float]:
-    """The core clock ``task``'s replay runs at, when known before it runs.
+class _SweepPoint(NamedTuple):
+    """One point of a sweep before its cache lookup: what a miss's task is
+    built from, with the sweep's spec, repetitions and engine settings."""
+
+    app: Application
+    launches: Optional[KernelLaunchBatch]
+    freq_mhz: Optional[float]
+    mem_freq_mhz: Optional[float]
+    seed: int
+
+
+def _replay_clock(spec: DeviceSpec, freq_mhz: Optional[float]) -> Optional[float]:
+    """The core clock a replay point runs at, when known before it runs.
 
     A pinned point runs at its (already snapped) clock and a baseline at
     the default clock. An auto-governed baseline picks its clocks per
-    launch as it runs, and a serial task evaluates no columns: ``None``.
+    launch as it runs: ``None``.
     """
-    if task.method != "replay":
-        return None
-    if task.freq_mhz is not None:
-        return task.freq_mhz
-    spec = task.spec
+    if freq_mhz is not None:
+        return freq_mhz
     return spec.core_freqs.default_mhz if spec.has_default_frequency else None
 
 
-def _with_columns(tasks: Sequence[MeasurementTask]) -> List[MeasurementTask]:
-    """``tasks``, each replay task carrying its own point's evaluated column.
+def _sweep_columns(
+    spec: DeviceSpec, points: Sequence[_SweepPoint]
+) -> List[Optional[BatchColumns]]:
+    """Each replay point's own evaluated column, in ``points`` order.
 
-    The tasks of one app in one sweep share its recorded batch. Those at
+    The points of one app in one sweep share its recorded batch. Those at
     one memory clock share one column pass: a single ``time_batch`` and
     ``energy_batch`` call over all their core clocks, on a device built
-    from their spec, as ``characterize`` primes its plan. Each task gets
+    from ``spec``, as ``characterize`` primes its plan. Each point gets
     only its own clock's column (:meth:`ReplayPlan.column`). A clock the
-    pass lacks, such as an auto-governed baseline's, is evaluated by the
-    task, so the values are bitwise those of a task without a column.
+    pass lacks, such as an auto-governed baseline's, is ``None`` and is
+    evaluated by the task, so the values are bitwise those of a task
+    without a column.
     """
-    clocks = [_replay_clock(task) for task in tasks]
+    clocks = [_replay_clock(spec, point.freq_mhz) for point in points]
     plans: Dict[int, ReplayPlan] = {}
     wanted: Dict[Tuple[int, Optional[float]], List[float]] = {}
-    for task, clock in zip(tasks, clocks):
+    for point, clock in zip(points, clocks):
         if clock is not None:
-            batch = id(task.launches)
+            batch = id(point.launches)
             if batch not in plans:
-                plans[batch] = ReplayPlan(SimulatedGPU(task.spec), task.launches)
-            wanted.setdefault((batch, task.mem_freq_mhz), []).append(clock)
+                plans[batch] = ReplayPlan(SimulatedGPU(spec), point.launches)
+            wanted.setdefault((batch, point.mem_freq_mhz), []).append(clock)
     for (batch, mem), group in wanted.items():
         plan = plans[batch]
         if mem is None:
@@ -403,12 +439,8 @@ def _with_columns(tasks: Sequence[MeasurementTask]) -> List[MeasurementTask]:
             plan.gpu.set_memory_frequency(mem)
         plan.prime(sorted(set(group)))
     return [
-        task
-        if clock is None
-        else dataclasses.replace(
-            task, columns=plans[id(task.launches)].column(clock, task.mem_freq_mhz)
-        )
-        for task, clock in zip(tasks, clocks)
+        None if clock is None else plans[id(point.launches)].column(clock, point.mem_freq_mhz)
+        for point, clock in zip(points, clocks)
     ]
 
 
@@ -701,14 +733,14 @@ class CampaignEngine:
         repetitions = check_positive_int(repetitions, "repetitions")
         sweep = resolve_sweep(spec.core_freqs, freqs_mhz)
         reference_mem = float(spec.mem_freq_mhz)
-        points = [(None, None)] + [
+        grid = [(None, None)] + [
             (f, None if m == reference_mem else m) for m in mem_sweep for f in sweep
         ]
 
         # What the points of an app share is built once, outside the point loop.
         key_fields = None if self.cache is None else self._key_fields(spec)
         recorder = SimulatedGPU(spec) if self.method == "replay" else None
-        tasks: List[MeasurementTask] = []
+        points: List[_SweepPoint] = []
         keys: List[Optional[Tuple[str, CanonicalJSON]]] = []
         for app in apps:
             app_fp = self._app_fingerprint(app)
@@ -719,37 +751,23 @@ class CampaignEngine:
                 launches = KernelLaunchBatch.from_launches(record_launches(app, recorder))
                 self.stats.launches_recorded += launches.n_launches
                 self.stats.unique_launches += launches.n_unique
-                self.stats.launch_evals_replay += launches.n_unique * len(points)
+                self.stats.launch_evals_replay += launches.n_unique * len(grid)
                 self.stats.launch_evals_serial_equivalent += (
-                    launches.n_launches * len(points) * repetitions
+                    launches.n_launches * len(grid) * repetitions
                 )
-            for freq, mem in points:
+            for freq, mem in grid:
                 point = _point_key(freq, mem)
                 seed = seeds.seed(point)
-                tasks.append(
-                    MeasurementTask(
-                        app=app,
-                        spec=spec,
-                        freq_mhz=freq,
-                        repetitions=repetitions,
-                        seed=seed,
-                        ideal_sensors=self.ideal_sensors,
-                        method=self.method,
-                        fault_plan=self.fault_plan,
-                        max_attempts=self.max_attempts,
-                        mem_freq_mhz=mem,
-                        launches=launches,
-                    )
-                )
+                points.append(_SweepPoint(app, launches, freq, mem, seed))
                 keys.append(None if sweep_keys is None else sweep_keys.key(point, repetitions, seed))
 
-        measurements = self._run_tasks(tasks, keys, progress)
+        measurements = self._run_points(spec, repetitions, points, keys, progress)
 
         # Merge per-point measurements back into one row per memory column.
         results: List[Optional[List[CharacterizationResult]]] = []
         baseline_label, baseline_freq = baseline_descriptor(spec)
         for i, app in enumerate(apps):
-            chunk = measurements[i * len(points) : (i + 1) * len(points)]
+            chunk = measurements[i * len(grid) : (i + 1) * len(grid)]
             baseline = chunk[0]
             if baseline is None:
                 # Every synergy metric is relative to the baseline; with
@@ -774,32 +792,39 @@ class CampaignEngine:
             results.append(rows)
         return results
 
-    def _run_tasks(
+    def _run_points(
         self,
-        tasks: List[MeasurementTask],
+        spec: DeviceSpec,
+        repetitions: int,
+        points: List[_SweepPoint],
         keys: List[Optional[Tuple[str, CanonicalJSON]]],
         progress: Optional[ProgressFn],
     ) -> List[Optional[PointMeasurement]]:
-        total = len(tasks)
+        total = len(points)
         self.stats.tasks_total += total
         done = 0
         results: List[Optional[PointMeasurement]] = [None] * total
         pending: List[int] = []
 
         # Phase 1: replay every cached point.
-        for i, task in enumerate(tasks):
-            cached = self._cache_get(task, keys[i])
+        for i, point in enumerate(points):
+            cached = self._cache_get(point, repetitions, keys[i])
             if cached is not None:
                 results[i] = cached
                 done += 1
                 if progress is not None:
-                    progress(done, total, task.label, True)
+                    progress(
+                        done,
+                        total,
+                        _point_label(point.app.name, point.freq_mhz, point.mem_freq_mhz),
+                        True,
+                    )
             else:
                 pending.append(i)
 
-        # Phase 2: one column pass per app and memory clock with a miss.
-        # It waits for the lookups, so a warm app evaluates nothing.
-        todo = dict(zip(pending, _with_columns([tasks[i] for i in pending])))
+        # Phase 2: the missed points' tasks. It waits for the lookups, so a
+        # warm point evaluates and derives nothing.
+        tasks = dict(zip(pending, self._tasks(spec, repetitions, [points[i] for i in pending])))
 
         # Phase 3: compute what is missing, inline or across the pool.
         # Retries live inside the worker function, so recovery behaves
@@ -807,7 +832,7 @@ class CampaignEngine:
         if pending and self.jobs == 1:
             for i in pending:
                 results[i] = self._after_execute(
-                    tasks[i], keys[i], execute_task_resilient(todo[i])
+                    tasks[i], keys[i], execute_task_resilient(tasks[i])
                 )
                 done += 1
                 if progress is not None:
@@ -816,7 +841,7 @@ class CampaignEngine:
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(execute_task_resilient, todo[i]): i for i in pending
+                    pool.submit(execute_task_resilient, tasks[i]): i for i in pending
                 }
                 remaining = set(futures)
                 while remaining:
@@ -834,17 +859,57 @@ class CampaignEngine:
             assert all(m is not None for m in results)
         return results
 
+    def _tasks(
+        self, spec: DeviceSpec, repetitions: int, points: List[_SweepPoint]
+    ) -> List[MeasurementTask]:
+        """One task per missed point, each carrying its column and streams.
+
+        A replay engine evaluates every app's missed clocks at one memory
+        clock in one column pass (:func:`_sweep_columns`), and every
+        engine derives the sensor streams of all the missed points in one
+        seeding pass (:func:`repro.synergy.api.sensor_stream_words`),
+        bitwise the streams each task's seed spawns.
+        """
+        if not points:
+            return []
+        if self.method == "replay":
+            columns = _sweep_columns(spec, points)
+        else:
+            columns = [None] * len(points)
+        streams = sensor_stream_words([point.seed for point in points])
+        return [
+            MeasurementTask(
+                app=point.app,
+                spec=spec,
+                freq_mhz=point.freq_mhz,
+                repetitions=repetitions,
+                seed=point.seed,
+                ideal_sensors=self.ideal_sensors,
+                method=self.method,
+                fault_plan=self.fault_plan,
+                max_attempts=self.max_attempts,
+                mem_freq_mhz=point.mem_freq_mhz,
+                launches=point.launches,
+                columns=column,
+                streams=words,
+            )
+            for point, column, words in zip(points, columns, streams)
+        ]
+
     # ------------------------------------------------------------------
     # cache plumbing
     # ------------------------------------------------------------------
     def _cache_get(
-        self, task: MeasurementTask, key: Optional[Tuple[str, CanonicalJSON]]
+        self,
+        point: _SweepPoint,
+        repetitions: int,
+        key: Optional[Tuple[str, CanonicalJSON]],
     ) -> Optional[PointMeasurement]:
-        """``task``'s cached measurement, or ``None`` to compute it.
+        """``point``'s cached measurement, or ``None`` to compute it.
 
         An entry whose value passed the cache's digest check but is not a
-        measurement of ``task``'s shape counts as a miss too: the task
-        runs and its put overwrites the entry.
+        measurement of ``point``'s shape counts as a miss too: the point's
+        task runs and its put overwrites the entry.
         """
         if key is None:
             return None
@@ -853,7 +918,9 @@ class CampaignEngine:
             measurement = None if record is None else PointMeasurement.from_record(record)
         except DatasetError:
             measurement = None
-        if measurement is None or not measurement.fits(task):
+        if measurement is None or not measurement.fits(
+            point.freq_mhz, point.mem_freq_mhz, repetitions
+        ):
             self.stats.cache_misses += 1
             return None
         self.stats.cache_hits += 1

@@ -18,22 +18,37 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import DeviceError
 from repro.hw.device import SimulatedGPU, create_device
 from repro.hw.sensors import EnergySensor, TimeSensor
-from repro.utils.rng import RandomState, as_generator, spawn_child
+from repro.utils.rng import (
+    RandomState,
+    as_generator,
+    draw_child_base,
+    spawn_child,
+    spawned_state_words,
+    words_generator,
+)
 
-__all__ = ["BUILTIN_DEVICES", "ProfileRegion", "SynergyDevice", "Platform", "builtin_device"]
+__all__ = [
+    "BUILTIN_DEVICES",
+    "ProfileRegion",
+    "SynergyDevice",
+    "Platform",
+    "builtin_device",
+    "sensor_stream_words",
+]
 
 #: Device short names resolvable without a device table.
 BUILTIN_DEVICES = ("v100", "mi100", "max1100", "a100", "h100", "mi250")
 #: The default platform's devices, in the order their seeds are drawn.
 _PLATFORM_ORDER = ("v100", "mi100")
+#: Sensor streams a device spawns from its seed, in order: energy, time.
+_SENSOR_STREAMS = 2
 
 
 class ProfileRegion:
@@ -93,14 +108,38 @@ class SynergyDevice:
         seed: RandomState = None,
         ideal_sensors: bool = False,
     ) -> None:
-        self.gpu = gpu
         rng = as_generator(seed)
+        self._attach(gpu, spawn_child(rng, 0), spawn_child(rng, 1), ideal_sensors)
+
+    @classmethod
+    def from_stream_words(
+        cls, gpu: SimulatedGPU, words: np.ndarray, ideal_sensors: bool = False
+    ) -> "SynergyDevice":
+        """The device ``SynergyDevice(gpu, seed, ideal_sensors)`` builds, from
+        its sensor streams' state words.
+
+        ``words`` is ``seed``'s row of :func:`sensor_stream_words`, so the
+        sensors read bitwise what the seeded device's read, without
+        hashing ``seed`` again.
+        """
+        device = cls.__new__(cls)
+        device._attach(gpu, words_generator(words[0]), words_generator(words[1]), ideal_sensors)
+        return device
+
+    def _attach(
+        self,
+        gpu: SimulatedGPU,
+        energy_rng: np.random.Generator,
+        time_rng: np.random.Generator,
+        ideal_sensors: bool,
+    ) -> None:
+        self.gpu = gpu
         if ideal_sensors:
-            self.energy_sensor = EnergySensor(rel_noise=0.0, quantum_j=1e-9, seed=spawn_child(rng, 0))
-            self.time_sensor = TimeSensor(rel_noise=0.0, add_noise_s=0.0, seed=spawn_child(rng, 1))
+            self.energy_sensor = EnergySensor(rel_noise=0.0, quantum_j=1e-9, seed=energy_rng)
+            self.time_sensor = TimeSensor(rel_noise=0.0, add_noise_s=0.0, seed=time_rng)
         else:
-            self.energy_sensor = EnergySensor(seed=spawn_child(rng, 0))
-            self.time_sensor = TimeSensor(seed=spawn_child(rng, 1))
+            self.energy_sensor = EnergySensor(seed=energy_rng)
+            self.time_sensor = TimeSensor(seed=time_rng)
 
     # -- passthrough DVFS interface ------------------------------------
     @property
@@ -194,14 +233,30 @@ def builtin_device(name: str, seed: RandomState = None) -> SynergyDevice:
     """The seeded device handle for one of :data:`BUILTIN_DEVICES`.
 
     The paper's V100 and MI100 get the sensor streams they have on
-    ``Platform.default(seed)``: both platform children are drawn, in
-    order, so a ``Generator`` seed advances exactly as the platform
-    advances it, but only the named device is built. Every other
-    built-in device gets a handle seeded with ``seed`` directly.
+    ``Platform.default(seed)``: both platform children's bases are drawn,
+    in order, so a ``Generator`` seed advances exactly as the platform
+    advances it, but only the named device and its child stream are
+    built. Every other built-in device gets a handle seeded with ``seed``
+    directly.
     """
     key = name.strip().lower()
     if key in _PLATFORM_ORDER:
         rng = as_generator(seed)
-        children = [spawn_child(rng, i) for i in range(len(_PLATFORM_ORDER))]
-        seed = children[_PLATFORM_ORDER.index(key)]
+        position = _PLATFORM_ORDER.index(key)
+        for i in range(len(_PLATFORM_ORDER)):
+            if i == position:
+                seed = spawn_child(rng, i)
+            else:
+                draw_child_base(rng)
     return SynergyDevice(create_device(key), seed=seed)
+
+
+def sensor_stream_words(seeds: Sequence[int]) -> np.ndarray:
+    """The sensor streams ``SynergyDevice(gpu, seed)`` builds, for many seeds at once.
+
+    Row ``k`` holds the PCG64 state words of seed ``k``'s energy and time
+    streams (``(len(seeds), 2, 4)`` uint64, see
+    :func:`repro.utils.rng.spawned_state_words`), which
+    :meth:`SynergyDevice.from_stream_words` seeds the sensors with.
+    """
+    return spawned_state_words(seeds, _SENSOR_STREAMS)

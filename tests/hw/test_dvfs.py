@@ -229,3 +229,50 @@ class TestStepComputedOnce:
         with pytest.raises(ValueError):
             t._freqs[0] = 1.0
         assert t.freqs_mhz.flags.writeable
+
+
+def _argmin_snap(t, f):
+    """The nearest bin as ``snap`` found it for every request: by ``argmin``."""
+    freqs = t.freqs_mhz
+    return float(freqs[int(np.argmin(np.abs(freqs - float(f))))])
+
+
+@pytest.mark.parametrize("name", sorted(_boundary_tables()))
+class TestSnapOfATableValue:
+    """A request that is already a bin is returned as is, without the
+    ``argmin``: a sweep's clocks are table values, and every pinned point
+    snaps its own. Every other request behaves as before."""
+
+    def test_every_bin_is_returned_without_argmin(self, name, monkeypatch):
+        t = _boundary_tables()[name]
+        calls = []
+        argmin = np.argmin
+        monkeypatch.setattr(np, "argmin", lambda *a, **k: calls.append(1) or argmin(*a, **k))
+        for f in t.freqs_mhz:
+            for request in (f, float(f), np.float64(f)):
+                out = t.snap(request)
+                assert type(out) is float and out.hex() == float(f).hex()
+        assert calls == []
+
+    def test_an_int_request_on_a_bin_is_that_bin(self, name):
+        t = _boundary_tables()[name]
+        for f in t.freqs_mhz:
+            if float(f).is_integer():
+                assert t.snap(int(f)) == f
+
+    def test_off_table_requests_still_take_the_nearest_bin(self, name):
+        t = _boundary_tables()[name]
+        step = t.step_mhz()
+        for f in t.freqs_mhz:
+            for off in (0.3 * step, -0.3 * step, 1e-7):
+                request = f + off
+                if t.min_mhz - step / 2 < request < t.max_mhz + step / 2:
+                    assert t.snap(request) == _argmin_snap(t, request)
+
+    def test_invalid_requests_are_rejected_as_before(self, name):
+        t = _boundary_tables()[name]
+        for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -0.0, -t.min_mhz):
+            with pytest.raises(FrequencyError):
+                t.snap(bad)
+        with pytest.raises(FrequencyError, match="outside supported range"):
+            t.snap(t.max_mhz + t.step_mhz() + 1.0)
