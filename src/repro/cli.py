@@ -537,7 +537,7 @@ def _run_fleet(spec, mode: str = "vectorized", baseline: bool = False, fmt: str 
         print(
             _render_fleet_summary(
                 comparison["static"],
-                f"static-clock baseline ({comparison['static_freq_mhz']:.0f} MHz)",
+                f"static-clock baseline ({comparison['static_freq_mhz']} MHz)",
             )
         )
         print(

@@ -50,6 +50,7 @@ __all__ = [
     "load_dataset",
     "save_characterization",
     "load_characterization",
+    "encode_domain_model",
     "save_domain_model",
     "load_domain_model",
     "DecodedDomainModel",
@@ -441,33 +442,18 @@ def _artifact_meta(arrays, source: ArtifactSource) -> Dict:
     return meta
 
 
-def _write_npz(path: PathLike, meta: Dict, arrays: Dict[str, np.ndarray]) -> None:
-    """Write a model archive: ``np.savez_compressed``'s bytes, replaced atomically.
-
-    The archive is encoded in memory first, so a failure mid-encode or
-    mid-write leaves the previous file as it was. A path without the
-    ``.npz`` suffix gets it, as ``np.savez_compressed`` would add it.
-    """
-    target = os.fspath(path)
-    if not target.endswith(".npz"):
-        target += ".npz"
-    encoded = io.BytesIO()
-    np.savez_compressed(
-        encoded, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays
-    )
-    atomic_write(pathlib.Path(target), encoded.getvalue())
-
-
 # ---------------------------------------------------------------------------
 # domain-specific models
 # ---------------------------------------------------------------------------
 _DS_PREFIXES = ("time__", "energy__", "speedup__", "norm_energy__")
 
 
-def save_domain_model(model: DomainSpecificModel, path: PathLike) -> None:
-    """Write a fitted :class:`DomainSpecificModel` (forest-backed) to ``.npz``.
+def encode_domain_model(model: DomainSpecificModel) -> bytes:
+    """The ``.npz`` archive of a fitted :class:`DomainSpecificModel` (forest-backed).
 
-    Only Random-Forest-backed models are supported (the paper's selected
+    These are ``np.savez_compressed``'s bytes, encoded in memory, and
+    the same model always encodes to the same bytes. Only
+    Random-Forest-backed models are supported (the paper's selected
     regressor); other regressors raise :class:`DatasetError`.
     """
     submodels = (
@@ -494,7 +480,25 @@ def save_domain_model(model: DomainSpecificModel, path: PathLike) -> None:
         "baseline_freq_mhz": model.baseline_freq_mhz,
         "submodels": sub_meta,
     }
-    _write_npz(path, meta, arrays)
+    encoded = io.BytesIO()
+    np.savez_compressed(
+        encoded, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays
+    )
+    return encoded.getvalue()
+
+
+def save_domain_model(model: DomainSpecificModel, path: PathLike) -> None:
+    """Write :func:`encode_domain_model`'s bytes to ``path``, replaced atomically.
+
+    The archive is encoded before the write starts, so a failure
+    mid-encode or mid-write leaves the previous file as it was. A path
+    without the ``.npz`` suffix gets it, as ``np.savez_compressed``
+    would add it.
+    """
+    target = os.fspath(path)
+    if not target.endswith(".npz"):
+        target += ".npz"
+    atomic_write(pathlib.Path(target), encode_domain_model(model))
 
 
 @dataclass(frozen=True)

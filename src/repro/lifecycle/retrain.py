@@ -19,9 +19,6 @@ digests.
 
 from __future__ import annotations
 
-import os
-import pathlib
-import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -100,7 +97,7 @@ class Retrainer:
         if not apps:
             raise LifecycleError("retraining needs at least one workload application")
         from repro.experiments.datasets import characterize_apps
-        from repro.io.serialization import save_domain_model
+        from repro.io.serialization import encode_domain_model
         from repro.ml import RandomForestRegressor
         from repro.modeling import DomainSpecificModel
         from repro.runtime.engine import CampaignEngine
@@ -132,23 +129,10 @@ class Retrainer:
             ),
             baseline_freq_mhz=self.baseline_freq_mhz,
         ).fit(dataset)
-
-        root = pathlib.Path(self.registry.root)
-        root.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=root, suffix=".npz")
-        os.close(fd)
-        try:
-            save_domain_model(model, tmp_name)
-            manifest = self.registry.register(
-                tmp_name,
-                self.name,
-                app=self.app,
-                device_signature=device.gpu.spec.signature(),
-                train_fingerprint=self.train_fingerprint(generation),
-            )
-        finally:
-            try:
-                os.unlink(tmp_name)
-            except OSError:  # repro-lint: ignore[EXC001] — best-effort tmp cleanup
-                pass
-        return manifest
+        return self.registry.register(
+            encode_domain_model(model),
+            self.name,
+            app=self.app,
+            device_signature=device.gpu.spec.signature(),
+            train_fingerprint=self.train_fingerprint(generation),
+        )

@@ -12,13 +12,20 @@ variance-reduction optimum at once. This is LightGBM's depth-wise
 histogram build, batched across trees, so a forest costs a few NumPy
 calls per level instead of a Python loop iteration per node.
 
-At the end the nodes are renumbered into the depth-first order of
-:meth:`DecisionTreeRegressor._fit_depth_first`, the per-node fit, so
-both give byte-identical arrays. The per-node fit stays as the
-reference oracle, and it still grows trees that draw a random feature
-subset per node (``max_features`` below the feature count), because the
-order of those draws is part of the tree. ``docs/perf.md`` ("Layer 5")
-gives the rules that keep the two equal.
+A tree that examines ``k`` of its ``d`` features per split
+(``max_features``) takes each node's subset from a pure function of the
+tree's seed, one draw from its ``random_state``, and the node's path
+from the root: the root's key is the seed, and a SplitMix64 stream from
+a node's key gives its children's keys and ranks its features, the
+``k`` lowest examined (:func:`_node_draws`). A level evaluates it for
+all its nodes at once, so no subset depends on the order nodes are
+visited in.
+
+At the end the nodes are renumbered into the order of a per-node,
+depth-first fit that takes the same draws, so both give byte-identical
+arrays. That fit is the tests' reference oracle
+(``tests/ml/depth_first.py``); ``docs/perf.md`` ("Layer 5") gives the
+rules that keep the two equal.
 
 The fitted tree is stored in flat arrays (``feature``, ``threshold``,
 ``left``, ``right``, ``value``), and prediction walks all samples level
@@ -45,6 +52,38 @@ _NO_FEATURE = -1
 _HIST_CELLS = 1 << 16
 
 TreeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+# SplitMix64 (Steele, Lea and Flood 2014): the stream's increment and the
+# two multipliers of its output mix.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def _tree_key(random_state: RandomState) -> np.uint64:
+    """A tree's root key: one draw from its ``random_state``."""
+    return as_generator(random_state).integers(2**64, dtype=np.uint64)
+
+
+def _node_draws(keys: np.ndarray, d: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The children's keys and the examined features of each node of key ``keys``.
+
+    Outputs 1 and 2 of the SplitMix64 stream that starts at a node's
+    ``uint64`` key are its (left, right) children's keys, returned as a
+    ``(nodes, 2)`` array; outputs 3 to ``d + 2`` score its features, and
+    the ``k`` lowest scores are the features it examines, returned as a
+    ``(nodes, d)`` mask. The output mix is a bijection, so one stream's
+    outputs differ and exactly ``k`` scores are at most the ``k``-th.
+    With ``k == d`` every node examines every feature, and nothing is drawn.
+    """
+    if k == d:
+        return np.zeros((keys.size, 2), dtype=np.uint64), np.ones((keys.size, d), dtype=bool)
+    z = keys[:, None] + _GAMMA * np.arange(1, d + 3, dtype=np.uint64)
+    z = (z ^ (z >> 30)) * _MIX_1
+    z = (z ^ (z >> 27)) * _MIX_2
+    z ^= z >> 31
+    scores = z[:, 2:]
+    return z[:, :2], scores <= np.sort(scores, axis=1)[:, k - 1 : k]
 
 
 class _BinnedData:
@@ -130,14 +169,16 @@ def _best_splits(
     node_sum: np.ndarray,
     node_sq: np.ndarray,
     parent_sse: np.ndarray,
+    examined: np.ndarray,
     min_leaf: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Best ``(feature, bin)`` of each node of one histogram chunk.
 
     ``samples`` holds the nodes' samples back to back, ``sizes[k]`` of
-    node *k*. The arithmetic is :meth:`DecisionTreeRegressor._fit_depth_first`'s,
-    term for term, over a leading node axis; the feature is
-    ``_NO_FEATURE`` where no split reduces the node's error.
+    node *k*, and ``examined[k]`` masks the features node *k* may split
+    on. The arithmetic is the per-node fit's, term for term, over a
+    leading node axis; the feature is ``_NO_FEATURE`` where no split
+    reduces the node's error.
     """
     d, B = binned.n_features, binned.bin_width
     G = sizes.size
@@ -156,7 +197,7 @@ def _best_splits(
     sr = node_sum[:, None, None] - sl
     s2r = node_sq[:, None, None] - s2l
 
-    valid = (cl >= min_leaf) & (cr >= min_leaf)
+    valid = (cl >= min_leaf) & (cr >= min_leaf) & examined[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         sse = (s2l - sl**2 / cl) + (s2r - sr**2 / cr)
     sse = np.where(valid, sse, np.inf).reshape(G, -1)
@@ -173,15 +214,19 @@ def _grow_level_wise(
     binned: _BinnedData,
     y: np.ndarray,
     roots: Sequence[np.ndarray],
+    keys: np.ndarray,
+    n_per_split: int,
     max_depth: Optional[int],
     min_samples_split: int,
     min_leaf: int,
 ) -> List[TreeArrays]:
-    """Grow one tree per root sample list, all trees together, level by level.
+    """Grow one tree per root sample list and key, all trees together, level by level.
 
-    Returns each tree's ``(feature, threshold, left, right, value)``,
-    byte-identical to what :meth:`DecisionTreeRegressor._fit_depth_first`
-    builds from the same root samples. Three rules keep them equal:
+    Each node splits on the best of the ``n_per_split`` features its key
+    draws (:func:`_node_draws`). Returns each tree's ``(feature,
+    threshold, left, right, value)``, byte-identical to what the
+    per-node, depth-first fit of ``tests/ml/depth_first.py`` builds from
+    the same root samples and keys. Three rules keep them equal:
 
     - a node's samples stay in the reference order (root order, then a
       stable partition), so each histogram bin adds its terms in the
@@ -210,6 +255,7 @@ def _grow_level_wise(
         starts = np.cumsum(sizes) - sizes
         node_sum, node_sq = _segment_sums(starts, sizes, y[samples], y2[samples])
         parent_sse = node_sq - node_sum * node_sum / sizes
+        child_keys, examined = _node_draws(keys, d, n_per_split)
         feature = np.full(sizes.size, _NO_FEATURE, dtype=np.int64)
         best_bin = np.zeros(sizes.size, dtype=np.int64)
         if depth < depth_limit and B > 1:
@@ -229,6 +275,7 @@ def _grow_level_wise(
                     node_sum[nodes],
                     node_sq[nodes],
                     parent_sse[nodes],
+                    examined[nodes],
                     min_leaf,
                 )
         levels.append((node_sum / sizes, feature, best_bin))
@@ -243,6 +290,7 @@ def _grow_level_wise(
         child = 2 * owner + go_right
         samples = part[np.argsort(child, kind="stable")]
         sizes = np.bincount(child)
+        keys = child_keys[split].ravel()
         depth += 1
     return _depth_first_arrays(levels, len(roots), split_value)
 
@@ -325,7 +373,8 @@ class DecisionTreeRegressor(Regressor):
         Maximum histogram bins per feature (exact splits whenever a
         feature has at most this many distinct values).
     random_state:
-        Seed for the per-node feature subsampling.
+        Seed for the per-node feature subsets: a fit that examines fewer
+        than all features draws the tree's root key from it once.
     """
 
     def __init__(
@@ -378,111 +427,6 @@ class DecisionTreeRegressor(Regressor):
         _fit_trees([self], _bin_features(X, self.max_bins), y, [np.arange(X.shape[0])])
         return self
 
-    def _fit_depth_first(self, binned: _BinnedData, y: np.ndarray, idx: np.ndarray) -> None:
-        """The per-node, depth-first fit over pre-binned data, on samples ``idx``.
-
-        It grows trees that draw a feature subset per node, and it is the
-        reference the level-wise growth must equal byte for byte.
-        """
-        self._check_growth_params()
-        d = binned.n_features
-        B = binned.bin_width
-        total_bins = d * B
-        n_per_split = self._n_features_per_split(d)
-        rng = as_generator(self.random_state) if n_per_split < d else None
-        y2 = y * y
-        codes_off = binned.codes_off
-        min_leaf = self.min_samples_leaf
-
-        features: List[int] = []
-        thresholds: List[float] = []
-        lefts: List[int] = []
-        rights: List[int] = []
-        values: List[float] = []
-
-        def new_node() -> int:
-            features.append(_NO_FEATURE)
-            thresholds.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
-            values.append(0.0)
-            return len(features) - 1
-
-        root = new_node()
-        stack: List[Tuple[int, np.ndarray, int]] = [(root, np.asarray(idx, dtype=np.int64), 0)]
-        max_depth = self.max_depth if self.max_depth is not None else np.inf
-
-        while stack:
-            node, node_idx, depth = stack.pop()
-            ys = y[node_idx]
-            m = node_idx.size
-            node_sum = float(ys.sum())
-            node_sq = float(y2[node_idx].sum())
-            values[node] = node_sum / m
-            parent_sse = node_sq - node_sum * node_sum / m
-            if (
-                depth >= max_depth
-                or m < self.min_samples_split
-                or m < 2 * min_leaf
-                or parent_sse <= 1e-12 * max(node_sq, 1.0)
-            ):
-                continue
-
-            # One flattened bincount covers all features: row-major ravel
-            # keeps each sample's d entries adjacent, so per-sample weights
-            # are repeated d times.
-            sel = codes_off[node_idx].ravel()
-            w1 = np.repeat(ys, d)
-            cnt = np.bincount(sel, minlength=total_bins).astype(float).reshape(d, B)
-            s1 = np.bincount(sel, weights=w1, minlength=total_bins).reshape(d, B)
-            s2 = np.bincount(sel, weights=np.repeat(y2[node_idx], d), minlength=total_bins).reshape(d, B)
-
-            cl = np.cumsum(cnt, axis=1)[:, :-1]
-            sl = np.cumsum(s1, axis=1)[:, :-1]
-            s2l = np.cumsum(s2, axis=1)[:, :-1]
-            cr = m - cl
-            sr = node_sum - sl
-            s2r = node_sq - s2l
-
-            valid = (cl >= min_leaf) & (cr >= min_leaf)
-            if rng is not None:
-                chosen = rng.choice(d, size=n_per_split, replace=False)
-                mask = np.zeros(d, dtype=bool)
-                mask[chosen] = True
-                valid &= mask[:, None]
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sse = (s2l - sl**2 / cl) + (s2r - sr**2 / cr)
-            sse = np.where(valid, sse, np.inf)
-            flat_best = int(np.argmin(sse))
-            best_sse = float(sse.flat[flat_best])
-            if not np.isfinite(best_sse) or parent_sse - best_sse <= 1e-12 * max(parent_sse, 1.0):
-                continue
-            best_feat, best_bin = divmod(flat_best, B - 1)
-
-            go_left = codes_off[node_idx, best_feat] - best_feat * B <= best_bin
-            left_idx = node_idx[go_left]
-            right_idx = node_idx[~go_left]
-            if left_idx.size == 0 or right_idx.size == 0:  # pragma: no cover - guarded by `valid`
-                continue
-
-            features[node] = int(best_feat)
-            thresholds[node] = float(binned.split_values[best_feat][best_bin])
-            lchild = new_node()
-            rchild = new_node()
-            lefts[node] = lchild
-            rights[node] = rchild
-            stack.append((lchild, left_idx, depth + 1))
-            stack.append((rchild, right_idx, depth + 1))
-
-        self.feature_ = np.array(features, dtype=np.int64)
-        self.threshold_ = np.array(thresholds, dtype=float)
-        self.left_ = np.array(lefts, dtype=np.int64)
-        self.right_ = np.array(rights, dtype=np.int64)
-        self.value_ = np.array(values, dtype=float)
-        self.n_features_in_ = d
-
     # ------------------------------------------------------------------
     def predict(self, X) -> np.ndarray:
         """Vectorized level-by-level tree traversal."""
@@ -528,19 +472,27 @@ def _fit_trees(
 ) -> None:
     """Fit ``trees``, which share their hyperparameters, each on its root samples.
 
-    Trees that draw a feature subset per node grow one at a time
-    depth-first, because the order of those draws is part of each tree.
-    All other trees grow together, level by level.
+    All trees grow together, level by level. A tree that examines fewer
+    than all features per split draws its key from its ``random_state``;
+    one that examines all of them draws nothing.
     """
     head = trees[0]
     head._check_growth_params()
     d = binned.n_features
-    if head._n_features_per_split(d) < d:
-        for tree, idx in zip(trees, roots):
-            tree._fit_depth_first(binned, y, idx)
-        return
+    n_per_split = head._n_features_per_split(d)
+    keys = np.array(
+        [_tree_key(tree.random_state) if n_per_split < d else 0 for tree in trees],
+        dtype=np.uint64,
+    )
     grown = _grow_level_wise(
-        binned, y, roots, head.max_depth, head.min_samples_split, head.min_samples_leaf
+        binned,
+        y,
+        roots,
+        keys,
+        n_per_split,
+        head.max_depth,
+        head.min_samples_split,
+        head.min_samples_leaf,
     )
     for tree, arrays in zip(trees, grown):
         tree.feature_, tree.threshold_, tree.left_, tree.right_, tree.value_ = arrays

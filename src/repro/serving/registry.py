@@ -172,20 +172,22 @@ class ModelRegistry:
                 out.append(int(entry.name[1:]))
         return sorted(out)
 
-    def _decode(self, data: bytes, sha256: str, path: pathlib.Path) -> DecodedDomainModel:
+    def _decode(self, data: bytes, sha256: str, source: PathLike) -> DecodedDomainModel:
         """Decode verified artifact bytes, once per SHA-256 while memoized.
 
         ``sha256`` must be the hash of ``data``; callers compute it from
-        the bytes they just read from ``path``, which decode errors name.
+        the bytes they just read or were handed. Decode errors name
+        ``source``: the file the bytes came from, or a label for bytes
+        handed in.
         The decode runs under the lock, so concurrent resolves of one
         artifact decode it once.
         """
         with self._decoded_lock:
             decoded = self._decoded.get(sha256)
             if decoded is None:
-                source = io.BytesIO(data)
-                source.name = str(path)
-                decoded = decode_domain_model(source)
+                buffer = io.BytesIO(data)
+                buffer.name = str(source)
+                decoded = decode_domain_model(buffer)
                 self._decoded[sha256] = decoded
             self._decoded.move_to_end(sha256)
             while len(self._decoded) > _DECODED_KEPT:
@@ -197,16 +199,18 @@ class ModelRegistry:
     # ------------------------------------------------------------------
     def register(
         self,
-        model_path: PathLike,
+        artifact: Union[PathLike, bytes],
         name: str,
         app: str = "unknown",
         device_signature: Optional[Dict[str, Any]] = None,
         train_fingerprint: Optional[str] = None,
     ) -> ModelManifest:
-        """Copy a trained model artifact into the registry as a new version.
+        """Store a trained model artifact in the registry as a new version.
 
-        The artifact is decoded once up front (so junk never enters the
-        registry — truncated/foreign files and trees prediction cannot
+        ``artifact`` is the artifact file's path, or the artifact's bytes
+        as :func:`~repro.io.serialization.encode_domain_model` returns
+        them. The artifact is decoded once up front (so junk never enters
+        the registry — truncated/foreign files and trees prediction cannot
         walk raise :class:`repro.errors.ArtifactError` here, not at
         serving time), then its exact bytes are stored with their SHA-256
         in the manifest. The decode is kept for the first ``resolve`` of
@@ -214,11 +218,14 @@ class ModelRegistry:
         is written last and commits the version.
         """
         self._check_name(name)
-        src = pathlib.Path(model_path)
-        try:
-            data = src.read_bytes()
-        except OSError as exc:
-            raise RegistryError(f"cannot read model artifact {src}: {exc}") from exc
+        if isinstance(artifact, bytes):
+            data, src = artifact, f"<{name} artifact bytes>"
+        else:
+            src = pathlib.Path(artifact)
+            try:
+                data = src.read_bytes()
+            except OSError as exc:
+                raise RegistryError(f"cannot read model artifact {src}: {exc}") from exc
         sha256 = _sha256_hex(data)
         decoded = self._decode(data, sha256, src)
 

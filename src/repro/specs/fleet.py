@@ -132,6 +132,17 @@ _FAULTS_SCHEMA = RecordSchema(
 )
 
 
+#: A static clock this close to a grid clock is that clock: it absorbs the
+#: rounding of a clock written with fewer digits than ``repr`` prints, and
+#: the baseline report carries the grid clock that ran.
+_GRID_CLOCK_TOL_MHZ = 1e-6
+
+
+def _advisor_grid(freq_min_mhz: float, freq_max_mhz: float, freq_points: int) -> np.ndarray:
+    """The advisor's clocks, as the spec check and both engines see them."""
+    return np.linspace(freq_min_mhz, freq_max_mhz, freq_points)
+
+
 def _fleet_extra(clean: Dict[str, Any], rep: Reporter, path: str) -> None:
     prefix = f"{path}." if path else ""
     if clean.get("advisor") is None:
@@ -159,6 +170,17 @@ def _fleet_extra(clean: Dict[str, Any], rep: Reporter, path: str) -> None:
             f"{prefix}static_freq_mhz: {static} is outside the advisor grid "
             f"[{advisor['freq_min_mhz']}, {advisor['freq_max_mhz']}]",
         )
+    elif static is not None:
+        grid = _advisor_grid(
+            advisor["freq_min_mhz"], advisor["freq_max_mhz"], advisor["freq_points"]
+        )
+        above = int(np.searchsorted(grid, static))
+        if np.abs(grid[max(above - 1, 0) : above + 1] - static).min() > _GRID_CLOCK_TOL_MHZ:
+            rep.error(
+                SPEC_VALUE,
+                f"{prefix}static_freq_mhz: {static} is not a clock of the advisor grid; "
+                f"the nearest are {float(grid[above - 1])} and {float(grid[above])}",
+            )
     job_types = clean.get("job_types")
     if isinstance(job_types, list) and job_types:
         arities = {
@@ -271,7 +293,7 @@ class FleetSpec(RecordSpec, schema=FLEET_SCHEMA):
 
     def freq_grid(self) -> np.ndarray:
         """The advisor's frequency grid (MHz), shared by both engines."""
-        return np.linspace(self.freq_min_mhz, self.freq_max_mhz, self.freq_points)
+        return _advisor_grid(self.freq_min_mhz, self.freq_max_mhz, self.freq_points)
 
     def describe(self) -> str:
         """One-line human summary for run logs."""

@@ -85,6 +85,15 @@ class TestFleetCommand:
         assert "energy_saved_j" in baseline
         assert "sla_delta" in baseline
 
+    def test_baseline_reports_the_grid_clock_that_ran(self, fleet_dir, capsys):
+        rc = main(
+            ["fleet", str(fleet_dir / "fleet.json"), "--baseline",
+             "--static-freq", "950.0000001", "--format", "json"]
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["baseline"]["static_freq_mhz"] == 950.0
+
     def test_overrides_change_the_simulated_fleet(self, fleet_dir, capsys):
         rc = main(
             ["fleet", str(fleet_dir / "fleet.json"),
@@ -118,6 +127,8 @@ class TestFleetCommand:
             (["--seed", "-3"], "seed"),
             (["--policy", "static", "--static-freq", "5000"], "static_freq_mhz"),
             (["--baseline", "--static-freq", "5000"], "static_freq_mhz"),
+            (["--policy", "static", "--static-freq", "990"], "static_freq_mhz"),
+            (["--baseline", "--static-freq", "990"], "static_freq_mhz"),
         ],
     )
     def test_bad_override_is_a_spec_diagnostic(self, fleet_dir, capsys, flags, field):

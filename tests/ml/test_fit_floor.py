@@ -21,6 +21,7 @@ from repro.runtime.engine import CampaignEngine
 from repro.serving import ModelRegistry
 from repro.specs import LifecycleSpec
 from repro.synergy.api import builtin_device
+from tests.ml.depth_first import fit_depth_first
 
 TREES = 30
 SEED = 11
@@ -97,7 +98,7 @@ def _depth_first(fits):
         binned = _bin_features(X, forest.max_bins)
         trees, roots = forest._new_trees(X.shape[0])
         for tree, root in zip(trees, roots):
-            tree._fit_depth_first(binned, y, root)
+            fit_depth_first(tree, binned, y, root)
         out.append(trees)
     return out
 

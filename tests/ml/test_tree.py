@@ -1,11 +1,23 @@
 """Unit tests for the decision-tree regressor."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ModelNotFittedError
 from repro.ml.metrics import r2_score
 from repro.ml.tree import DecisionTreeRegressor
+from tests.ml.depth_first import fit_depth_first
+
+FIELDS = ("feature_", "threshold_", "left_", "right_", "value_")
+#: SHA-256 of the five arrays of each tree of the ``"sqrt"`` forest in
+#: ``TestPerNodeDraws.test_sqrt_forest_arrays_are_pinned``.
+PINNED_SQRT_FOREST = [
+    "bc2a4db99bb9647ef9673470c8adcf5d795a01454f1970a21648b208e07cf909",
+    "9824f7fa6950836b24758943f09e26a7153f23b7b763da0c5f3379fdd41c7468",
+    "0e39b29058a1a3e00f814a89dd7debae0619f3c649ef645e24c9fae290b5d7cf",
+]
 
 
 class TestBasicFit:
@@ -188,19 +200,23 @@ class TestLevelWiseGrowth:
         assert sequential.tobytes() != want.tobytes()
 
     def test_histogram_chunks_leave_the_trees_unchanged(self, monkeypatch):
-        """One open node per histogram chunk grows the same forest."""
+        """One open node per histogram chunk grows the same forest, with
+        every feature examined per split and with a subset per node."""
         from repro.ml import tree as tree_module
         from repro.ml.forest import RandomForestRegressor
 
         rng = np.random.default_rng(8)
         X = rng.integers(0, 6, size=(120, 3)).astype(float)
         y = rng.normal(size=120)
-        whole = RandomForestRegressor(n_estimators=4, random_state=0).fit(X, y)
-        monkeypatch.setattr(tree_module, "_HIST_CELLS", 1)
-        chunked = RandomForestRegressor(n_estimators=4, random_state=0).fit(X, y)
-        for a, b in zip(whole.estimators_, chunked.estimators_):
-            for name in ("feature_", "threshold_", "left_", "right_", "value_"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for max_features in (None, "sqrt"):
+            params = dict(n_estimators=4, max_features=max_features, random_state=0)
+            whole = RandomForestRegressor(**params).fit(X, y)
+            with monkeypatch.context() as patch:
+                patch.setattr(tree_module, "_HIST_CELLS", 1)
+                chunked = RandomForestRegressor(**params).fit(X, y)
+            for a, b in zip(whole.estimators_, chunked.estimators_):
+                for name in FIELDS:
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_single_tree_fit_equals_depth_first_fit(self):
         from repro.ml.tree import _bin_features
@@ -210,6 +226,65 @@ class TestLevelWiseGrowth:
         y = rng.normal(size=80)
         fast = DecisionTreeRegressor(min_samples_leaf=2).fit(X, y)
         slow = DecisionTreeRegressor(min_samples_leaf=2)
-        slow._fit_depth_first(_bin_features(X, slow.max_bins), y, np.arange(80))
+        fit_depth_first(slow, _bin_features(X, slow.max_bins), y, np.arange(80))
         for name in ("feature_", "threshold_", "left_", "right_", "value_"):
             assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
+
+    def test_subsampled_tree_deeper_than_64_levels_equals_depth_first_fit(self):
+        """Keys hash down the path rather than number a heap, so a
+        subsampled chain 79 levels deep still matches the oracle."""
+        from repro.ml.tree import _bin_features
+
+        X = np.repeat(np.arange(80.0)[:, None], 2, axis=1)
+        y = 4.0 ** np.arange(80)
+        fast = DecisionTreeRegressor(max_features=1, max_bins=128, random_state=3).fit(X, y)
+        slow = DecisionTreeRegressor(max_features=1, max_bins=128, random_state=3)
+        fit_depth_first(slow, _bin_features(X, slow.max_bins), y, np.arange(80))
+        assert fast.depth == 79
+        for name in FIELDS:
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
+
+
+class TestPerNodeDraws:
+    """Feature subsets come from each node's key, not from a shared stream."""
+
+    def test_every_node_examines_k_of_d_features_each_near_k_over_d(self):
+        from repro.ml.tree import _node_draws
+
+        keys = np.arange(20_000, dtype=np.uint64)
+        for d in range(1, 9):
+            for k in range(1, d + 1):
+                children, examined = _node_draws(keys, d, k)
+                assert children.shape == (keys.size, 2) and examined.shape == (keys.size, d)
+                assert np.all(examined.sum(axis=1) == k)
+                # 4.5 binomial standard deviations at p = 1/2 is 0.016.
+                assert np.abs(examined.mean(axis=0) - k / d).max() < 0.016
+
+    def test_subsampled_forest_prefix_equals_a_smaller_forest(self):
+        """Each tree draws from its own stream: with the same seed, the
+        first three trees of a five-tree forest are the three-tree forest."""
+        from repro.ml.forest import RandomForestRegressor
+
+        rng = np.random.default_rng(10)
+        X = rng.integers(0, 6, size=(90, 4)).astype(float)
+        y = rng.normal(size=90)
+        small = RandomForestRegressor(n_estimators=3, max_features="sqrt", random_state=4).fit(X, y)
+        large = RandomForestRegressor(n_estimators=5, max_features="sqrt", random_state=4).fit(X, y)
+        for a, b in zip(small.estimators_, large.estimators_[:3]):
+            for name in FIELDS:
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_sqrt_forest_arrays_are_pinned(self):
+        """The oracle takes the same draws, so only a pin catches a change
+        to the draw itself: SHA-256 of each tree's five arrays."""
+        from repro.ml.forest import RandomForestRegressor
+
+        rng = np.random.default_rng(12)
+        X = rng.integers(0, 6, size=(60, 4)).astype(float)
+        y = rng.normal(size=60)
+        forest = RandomForestRegressor(n_estimators=3, max_features="sqrt", random_state=5).fit(X, y)
+        digests = [
+            hashlib.sha256(b"".join(getattr(tree, name).tobytes() for name in FIELDS)).hexdigest()
+            for tree in forest.estimators_
+        ]
+        assert digests == PINNED_SQRT_FOREST

@@ -8,6 +8,7 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import Lasso, LinearRegression, Ridge
 from repro.ml.metrics import mean_absolute_error, r2_score, root_mean_squared_error
 from repro.ml.tree import DecisionTreeRegressor, _bin_features
+from tests.ml.depth_first import fit_depth_first
 
 
 @st.composite
@@ -94,7 +95,8 @@ def test_tree_never_worse_than_constant_on_train(problem):
 @st.composite
 def forest_problems(draw):
     """Training sets with ties, constant columns and targets, -0.0 targets
-    and 1-3 rows, with the forest parameters that change tree shape."""
+    and 1-3 rows, with the forest parameters that change tree shape,
+    feature subsampling included."""
     n = draw(st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=4, max_value=40)))
     d = draw(st.integers(min_value=1, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -124,6 +126,14 @@ def forest_problems(draw):
         min_samples_leaf=draw(st.integers(min_value=1, max_value=3)),
         bootstrap=draw(st.booleans()),
         max_bins=draw(st.sampled_from([64, 8, 3])),
+        max_features=draw(
+            st.one_of(
+                st.none(),
+                st.just("sqrt"),
+                st.integers(min_value=1, max_value=d),
+                st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+            )
+        ),
         random_state=seed,
     )
     return X, y, params
@@ -140,7 +150,7 @@ def test_forest_fit_equals_depth_first_fit(problem):
     binned = _bin_features(X, reference.max_bins)
     trees, roots = reference._new_trees(X.shape[0])
     for tree, root in zip(trees, roots):
-        tree._fit_depth_first(binned, y, root)
+        fit_depth_first(tree, binned, y, root)
     assert len(fitted) == len(trees)
     for fast, slow in zip(fitted, trees):
         for name in ("feature_", "threshold_", "left_", "right_", "value_"):

@@ -82,7 +82,16 @@ class TestRegister:
             make_junk(model_file, junk)
             with pytest.raises(ArtifactError):
                 registry.register(junk, "junk")
+            with pytest.raises(ArtifactError, match="<junk artifact bytes>"):
+                registry.register(junk.read_bytes(), "junk")
         assert all(m.name != "junk" for m in registry.list())
+
+    def test_artifact_bytes_register_as_their_file_does(self, registry, model_file):
+        data = model_file.read_bytes()
+        from_bytes = registry.register(data, "toy", app="synthetic")
+        assert from_bytes.version == 2
+        assert from_bytes.as_dict() == {**registry.manifest("toy", 1).as_dict(), "version": 2}
+        assert registry.artifact_path("toy", 2).read_bytes() == data
 
 
 class TestResolve:

@@ -71,7 +71,7 @@ class TestValidation:
             )
         ]
 
-    @pytest.mark.parametrize("clock", [135.0, 950.0, 1597.0])
+    @pytest.mark.parametrize("clock", [135.0, 866.0, 1597.0])
     def test_static_clock_on_the_advisor_grid_accepted(self, clock):
         record = good_record()
         record.update(policy="static", static_freq_mhz=clock)
@@ -79,6 +79,41 @@ class TestValidation:
         clean, diags = FLEET_SCHEMA.validate(record)
         assert diags == []
         assert clean["static_freq_mhz"] == clock
+
+    @pytest.mark.parametrize(
+        "clock, below, above",
+        [
+            (950.0, 926.9166666666666, 987.8333333333333),
+            (990.0, 987.8333333333333, 1048.75),
+            (1000.0, 987.8333333333333, 1048.75),
+            (1010.0, 987.8333333333333, 1048.75),
+            (1200.0, 1170.5833333333333, 1231.5),
+        ],
+    )
+    def test_static_clock_between_grid_clocks_rejected(self, clock, below, above):
+        """Inside the range but off the 25-clock default grid: the baseline
+        would run at the nearest grid clock, so the spec names both."""
+        record = good_record()
+        record.update(policy="static", static_freq_mhz=clock)
+        clean, diags = FLEET_SCHEMA.validate(record)
+        assert clean is None
+        assert [(d.rule, d.message) for d in diags] == [
+            (
+                "SPEC002",
+                f"static_freq_mhz: {clock} is not a clock of the advisor grid; "
+                f"the nearest are {below} and {above}",
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "advisor", [{}, {"freq_min_mhz": 210.0, "freq_max_mhz": 1410.0, "freq_points": 7}]
+    )
+    def test_every_grid_clock_accepted_as_printed(self, advisor):
+        record = {**good_record(), "advisor": advisor}
+        for clock in FleetSpec.from_record(record).freq_grid():
+            record.update(policy="static", static_freq_mhz=json.loads(repr(float(clock))))
+            clean, diags = FLEET_SCHEMA.validate(record)
+            assert diags == [], clock
 
     def test_inverted_frequency_range_rejected(self):
         record = good_record()

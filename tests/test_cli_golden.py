@@ -96,6 +96,8 @@ CASES = [
                     "--format", "json"]),
     ("fleet-baseline", ["fleet", "{tmp}/specs/fleet_smoke.json", "--gpus", "8", "--ticks", "20",
                         "--baseline", "--static-freq", "1200"]),
+    ("fleet-baseline-on-grid", ["fleet", "{tmp}/specs/fleet_smoke.json", "--gpus", "8",
+                                "--ticks", "20", "--baseline", "--static-freq", "1231.5"]),
     ("fleet-reference", ["fleet", "{tmp}/specs/fleet_smoke.json", "--gpus", "4", "--ticks", "10",
                          "--mode", "reference"]),
     ("fleet-bad-override", ["fleet", "{tmp}/specs/fleet_smoke.json", "--gpus", "0"]),
