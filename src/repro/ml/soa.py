@@ -31,11 +31,28 @@ forest's historical ``out = zeros; out += tree_pred; out /= n_estimators``
 accumulation order operation-for-operation. The property suite
 (``tests/property/test_property_soa.py``) fuzzes this with hypothesis
 and ``tests/serving/test_load_floors.py`` gates on it.
+
+**A forest is a table over its split grid.** Trees fitted on a small
+grid of inputs split each feature only between two adjacent training
+values, so a pool has a few distinct thresholds per feature. They cut
+each feature's axis into intervals; a row's *cell* is its interval index
+per feature, ``np.searchsorted(splits_j, x_j, side="left")`` (a lane
+goes left on ``x <= threshold``, and ``x <= splits_j[k]`` holds exactly
+when the index is at most ``k``). Every row of one cell makes the same
+comparison at every node, so it reaches the same leaf in every tree and
+gets the same :func:`sequential_mean`, bit for bit. Prediction therefore
+fills a per-``groups`` table of cell means as it goes: a call walks
+(through :func:`traverse`) only the first row of each cell the table
+has not seen, and gathers every row from the table. A table is
+allocated only while ``cells * groups`` stays within the pool's node
+count, so it never holds more floats than ``value`` itself; a large
+forest on continuous features exceeds that and walks every row, as
+before.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,13 +108,42 @@ def sequential_mean(per_tree: np.ndarray) -> np.ndarray:
     return out
 
 
+#: ``(column, sorted distinct thresholds, stride)`` per split feature.
+Axis = Tuple[int, np.ndarray, int]
+
+#: Tables kept per pool; a pool normally sees one ``groups`` tuple.
+_MAX_TABLES = 8
+
+
+def _split_grid(
+    feature: np.ndarray, threshold: np.ndarray, n_features: int, bound: int
+) -> Optional[Tuple[Tuple[Axis, ...], int]]:
+    """The pool's split grid as ``(axes, n_cells)``, or ``None`` past ``bound``.
+
+    A feature no node splits on has one interval and no axis. Cell ids
+    are mixed-radix: ``sum(interval_j * stride_j)``. The count is a
+    Python int and stops growing once it passes ``bound``.
+    """
+    axes: List[Axis] = []
+    n_cells = 1
+    for j in range(n_features):
+        splits = np.unique(threshold[feature == j])
+        if splits.size:
+            axes.append((j, splits, n_cells))
+            n_cells *= splits.size + 1
+            if n_cells > bound:
+                return None
+    return tuple(axes), n_cells
+
+
 class FlatForest:
     """All trees of one (or several) forests in one contiguous node pool.
 
     Built once per fitted forest (lazily, on first vectorized predict)
     and never serialized: it is derived state, reconstructible from the
     per-tree arrays, so model artifacts and registry digests are
-    unchanged by its existence.
+    unchanged by its existence. The same holds for its split grid and
+    the cell tables that fill as it predicts.
     """
 
     __slots__ = (
@@ -110,6 +156,8 @@ class FlatForest:
         "n_features_in",
         "max_depth",
         "_lanes_cache",
+        "_grid",
+        "_tables",
     )
 
     def __init__(
@@ -136,6 +184,10 @@ class FlatForest:
         # repeat/tile allocations per predict. Benign under races
         # (idempotent values), bounded below.
         self._lanes_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._grid = _split_grid(feature, threshold, self.n_features_in, self.n_nodes)
+        # groups -> (cell means per group, filled mask). Two threads may
+        # fill one cell; both write the same bits, values before the mask.
+        self._tables: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_trees(cls, trees: Sequence, n_features_in: int) -> "FlatForest":
@@ -213,7 +265,7 @@ class FlatForest:
 
     def predict_mean(self, X: np.ndarray) -> np.ndarray:
         """Forest mean prediction (historical accumulation order)."""
-        return sequential_mean(self.predict_per_tree(X))
+        return self.predict_group_means(X, ((0, self.n_trees),))[0]
 
     def predict_group_means(
         self, X: np.ndarray, groups: Sequence[Tuple[int, int]]
@@ -223,7 +275,47 @@ class FlatForest:
         ``groups`` are ``(start, stop)`` tree-index slices; each result
         is bitwise what that sub-forest's own :func:`sequential_mean`
         over its trees would produce. Used by the domain model to walk
-        its four regressors' trees in a single pass.
+        its four regressors' trees in a single pass. Within the table
+        bound only the first row of each unseen cell is walked.
         """
-        per_tree = self.predict_per_tree(X)
-        return [sequential_mean(per_tree[a:b]) for a, b in groups]
+        table = self._table(groups)
+        if table is None:
+            per_tree = self.predict_per_tree(X)
+            return [sequential_mean(per_tree[a:b]) for a, b in groups]
+        means, filled = table
+        cells = self._cells(X)
+        seen = filled[cells]
+        if not seen.all():
+            unseen = np.flatnonzero(~seen)
+            new, first = np.unique(cells[unseen], return_index=True)
+            per_tree = self.predict_per_tree(X[unseen[first]])
+            means[:, new] = [sequential_mean(per_tree[a:b]) for a, b in groups]
+            filled[new] = True
+        return list(means[:, cells])
+
+    def _cells(self, X: np.ndarray) -> np.ndarray:
+        """Each row's cell id on the pool's split grid."""
+        out = np.zeros(X.shape[0], dtype=np.int64)
+        for j, splits, stride in self._grid[0]:
+            out += splits.searchsorted(X[:, j], side="left") * stride
+        return out
+
+    def _table(
+        self, groups: Sequence[Tuple[int, int]]
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The cell table for ``groups``, or ``None`` past the bound."""
+        if self._grid is None:
+            return None
+        key = tuple(map(tuple, groups))
+        table = self._tables.get(key)
+        if table is None:
+            n_cells = self._grid[1]
+            if n_cells * len(key) > self.n_nodes:
+                return None
+            table = (
+                np.empty((len(key), n_cells), dtype=self.value.dtype),
+                np.zeros(n_cells, dtype=bool),
+            )
+            if len(self._tables) < _MAX_TABLES:
+                table = self._tables.setdefault(key, table)
+        return table

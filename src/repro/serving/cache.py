@@ -9,14 +9,19 @@ Because the advisor is a pure function of that tuple, a cache hit
 returns the *identical* advice the model would recompute, so caching can
 never change what a client observes — only how fast they observe it.
 
-Features are quantized before hashing: two requests whose features agree
-to one part in 10**9 would walk the same tree paths anyway, and
-quantization keeps float noise (e.g. a client re-deriving sizes through
-a different arithmetic order) from fragmenting the cache. Quantization
-also **canonicalizes signed zeros** (``-0.0`` → ``0.0``): the two
-compare equal and predict identically, but serialize to different JSON
-(and therefore different digests), which used to split one logical
-entry into two and let a ``-0.0`` request miss a ``0.0`` entry.
+Features are quantized before hashing, and the service answers for the
+quantized features: the model sees ``quantize_features(x)``, not ``x``.
+That keeps float noise (e.g. a client re-deriving sizes through a
+different arithmetic order) from fragmenting the cache, but it is not
+free of effect: two inputs share a prediction exactly when they lie in
+one cell of the model's split grid, and rounding can move an input
+across a split. A LiGen model that splits ligands at 129.0 answers
+``(129.0000000004, 20, 89)`` as ``(129.0, 20, 89)``, the left side of
+that split. Quantization also **canonicalizes signed zeros** (``-0.0``
+→ ``0.0``): the two compare equal and predict identically, but
+serialize to different JSON (and therefore different digests), which
+used to split one logical entry into two and let a ``-0.0`` request
+miss a ``0.0`` entry.
 Non-finite features are rejected up front — NaN is unequal even to
 itself, so no cache key (or model input) can meaningfully contain one.
 
@@ -58,6 +63,11 @@ DEFAULT_SHARDS = 8
 def quantize_features(features: Sequence[float]) -> Tuple[float, ...]:
     """Round features to the cache quantum (also the in-batch dedup key).
 
+    The service predicts from the rounded values, so advice for ``x`` is
+    the model's answer at ``quantize_features(x)``. Rounding can cross a
+    split threshold (``129.0000000004`` becomes ``129.0``, which goes
+    left of a split at ``129.0``), so it can change the answer: inputs
+    share a prediction exactly when they lie in one split cell.
     Canonical: ``-0.0`` maps to ``0.0`` so bitwise-different-but-equal
     tuples share one cache identity. Non-finite values raise
     :class:`ServingError` (the NaN policy: there is no meaningful cache
