@@ -277,7 +277,7 @@ def cmd_campaign(args) -> int:
     # through the same executor and report as `repro run`.
     campaign = campaign_spec_from_cli(
         args.app, device=args.device, quick=args.quick, freq_count=args.freqs,
-        repetitions=args.reps, seed=args.seed, jobs=args.jobs,
+        repetitions=args.reps, seed=args.seed,
         method="replay" if args.replay else "serial",
         cache_dir=None if args.no_cache else args.cache_dir,
         max_retries=args.max_retries, mem_freqs_mhz=_mem_freq_list(args),
@@ -837,16 +837,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="run a characterization campaign through the parallel, cached engine",
+        help="run a characterization campaign through the cached engine",
     )
     p.add_argument("--app", choices=APP_KINDS, required=True)
     sweep_flags(
         p, reps=5, freqs_help="frequency bins to sweep (0 = all)",
         seed_help="campaign seed (per-task seeds derive from it)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (results are identical for any value)",
     )
     p.add_argument(
         "--cache-dir", default=".repro-cache",

@@ -10,7 +10,7 @@ per-application ``build_*_campaign`` functions are keyword spellings of
 it.
 
 Builders accept an optional :class:`repro.runtime.engine.CampaignEngine`
-that fans the (input x frequency) grid out over a process pool with
+that runs the (input x frequency) grid with per-task seeds and
 persistent result caching; without one they fall back to the serial
 in-process sweep on the caller's device handle (preserving the exact
 sensor-noise stream of historical runs).
@@ -178,7 +178,7 @@ def characterize_apps(
             )
         grid = [None if result is None else [result] for result in results]
     else:
-        engine = engine if engine is not None else CampaignEngine(jobs=1)
+        engine = engine if engine is not None else CampaignEngine()
         grid = engine.characterize_grid(
             apps, device.gpu.spec, freqs_mhz=freqs_mhz, mem_freqs_mhz=mem_freqs_mhz,
             repetitions=repetitions, progress=progress,

@@ -15,8 +15,8 @@ Sites are short strings (``"gpu.launch"``, ``"sensor.energy"``,
 ``"worker"``, ``"cache.put"``); the injector's ``scope`` (typically the
 campaign task key) is folded into the hashed site so different tasks see
 decorrelated fault streams while each task's stream is independent of
-every other — which is what keeps ``jobs=1`` and ``jobs=N`` chaos
-campaigns identical.
+every other — which is what keeps a chaos campaign identical whichever
+of its points the cache already holds.
 
 Occurrence counters are *per injector, per site* and persist across
 retry attempts: a retried task continues the occurrence sequence instead

@@ -8,7 +8,7 @@ always fires), or both. Firing decisions are derived purely from
 ``sha256(plan seed, site, occurrence)`` (see
 :mod:`repro.faults.injector`), so a plan replays bit-identically — the
 same plan over the same campaign injects the same faults at the same
-sites, regardless of worker count or host.
+sites, regardless of host.
 
 Fault kinds
 -----------
@@ -199,8 +199,8 @@ class FaultPlan:
 
     The plan seed roots every firing decision; two runs of the same plan
     over the same campaign are bit-identical chaos experiments. Plans
-    are frozen and picklable, so they travel to pool workers inside
-    :class:`repro.runtime.engine.MeasurementTask`.
+    are frozen, so every :class:`repro.runtime.engine.MeasurementTask`
+    of a campaign can share one.
     """
 
     seed: int = 0

@@ -485,17 +485,6 @@ class SimulatedGPU:
         self._launch_count += int(launches)
         self._throttle_count += int(throttles)
 
-    def clone(self) -> "SimulatedGPU":
-        """A fresh device with the same (shared, immutable) spec.
-
-        Counters are zeroed and the clock is back at the boot state —
-        exactly what a campaign worker process needs: the physical truth
-        of the device without any state carried over from other sweep
-        points. The spec object itself is shared, not copied; it is a
-        frozen dataclass, so sharing is safe and the clone is cheap.
-        """
-        return SimulatedGPU(self.spec)
-
     def close(self) -> None:
         """Mark the device unusable; later launches raise :class:`DeviceError`."""
         self._closed = True

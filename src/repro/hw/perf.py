@@ -169,28 +169,6 @@ class BatchTiming:
         floor = active_idle_frac
         return self.u_comp * (floor + (1.0 - floor) * self.width_util[:, None])
 
-    def column(self, j: int) -> "BatchTiming":
-        """The timing at frequency ``j`` alone, as an ``(n_unique, 1)`` batch.
-
-        Its matrices are views into this one's; pickling one copies only
-        its own column.
-        """
-        cut = slice(j, j + 1)
-        return BatchTiming(
-            freqs_mhz=self.freqs_mhz[cut],
-            time_s=self.time_s[:, cut],
-            exec_s=self.exec_s[:, cut],
-            overhead_s=self.overhead_s,
-            t_comp_s=self.t_comp_s[:, cut],
-            t_bw_s=self.t_bw_s,
-            t_lat_s=self.t_lat_s,
-            u_comp=self.u_comp[:, cut],
-            u_mem=self.u_mem[:, cut],
-            width_util=self.width_util,
-            occupancy=self.occupancy,
-            regime=self.regime[:, cut],
-        )
-
 
 class RooflineTimingModel:
     """Maps a :class:`KernelLaunch` and a core frequency to a :class:`KernelTiming`.

@@ -46,8 +46,8 @@ class Retrainer:
         The clock training targets are normalized against.
     seed:
         The lifecycle seed; per-generation campaign seeds derive from it.
-    repetitions, n_trees, jobs:
-        Campaign repetitions, forest size, and engine worker processes.
+    repetitions, n_trees:
+        Campaign repetitions and forest size.
     app:
         Application label recorded in the manifest.
     device_name:
@@ -62,7 +62,6 @@ class Retrainer:
     seed: int = 42
     repetitions: int = 1
     n_trees: int = 12
-    jobs: int = 1
     app: str = "unknown"
     device_name: str = "v100"
 
@@ -104,11 +103,7 @@ class Retrainer:
         from repro.synergy.api import builtin_device
 
         device = builtin_device(self.device_name, seed=self.campaign_seed(generation))
-        engine = CampaignEngine(
-            jobs=self.jobs,
-            campaign_seed=self.campaign_seed(generation),
-            method="replay",
-        )
+        engine = CampaignEngine(campaign_seed=self.campaign_seed(generation), method="replay")
         dataset = characterize_apps(
             device,
             apps,

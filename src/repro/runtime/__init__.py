@@ -1,21 +1,21 @@
-"""Campaign execution runtime: parallel fan-out + persistent result cache.
+"""Campaign execution runtime: per-task seeds + persistent result cache.
 
 The paper's protocol (§5.1) sweeps every application over up to 196
 frequency bins x a workload grid x 5 repetitions — the hottest path when
 reproducing Figures 9-13. This package turns that sweep from a serial
-O(grid) recompute into an incremental, parallel campaign:
+O(grid) recompute into an incremental campaign:
 
 - :mod:`repro.runtime.seeding` — deterministic per-task seeds derived
   from a campaign seed plus the task key, so results are bit-identical
-  regardless of worker count or completion order;
+  whichever points ran before or came from the cache;
 - :mod:`repro.runtime.cache` — a content-addressed on-disk cache keyed
   by a stable hash of (device spec, app config, frequency, repetitions,
   seed, schema version), so re-runs and interrupted campaigns resume
   instantly;
-- :mod:`repro.runtime.engine` — the :class:`CampaignEngine` that fans
-  the (input-features x frequency) measurement grid out over a
-  ``concurrent.futures`` process pool and merges per-point results back
-  into :class:`repro.synergy.runner.CharacterizationResult` objects.
+- :mod:`repro.runtime.engine` — the :class:`CampaignEngine` that runs
+  the (input-features x frequency) measurement grid in the calling
+  process and merges per-point results back into
+  :class:`repro.synergy.runner.CharacterizationResult` objects.
 
 See ``docs/campaign-engine.md`` for the cache layout and invalidation
 rules.

@@ -188,9 +188,8 @@ class ResultCache:
 
     Notes
     -----
-    The cache is written only by the coordinating process (workers
-    return results; the engine persists them), so no cross-process
-    locking is needed. Corrupt or foreign files under ``root`` are
+    The cache is written only by the engine, after each task returns,
+    so no cross-process locking is needed. Corrupt or foreign files under ``root`` are
     treated as misses, never as errors: a half-written entry from a
     killed run degrades to a recompute.
     """

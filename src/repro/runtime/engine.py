@@ -1,19 +1,19 @@
 """The campaign execution engine.
 
-Fans the (application x frequency) measurement grid out over a
-``concurrent.futures`` process pool and merges per-point results back
+Runs the (application x frequency) measurement grid in the calling
+process, one point after another, and merges per-point results back
 into :class:`repro.synergy.runner.CharacterizationResult` objects.
 
 Determinism
 -----------
 Every sweep point is an independent :class:`MeasurementTask` carrying its
 own seed, derived from the campaign seed plus the task key (see
-:mod:`repro.runtime.seeding`). A worker builds a *fresh* device from the
-task's spec and a fresh sensor pair from the task's seed, so the
-measured noise at a point depends only on (campaign seed, device spec,
-app config, point, repetitions) — never on worker count, scheduling, or
-which other points ran first. ``jobs=1`` and ``jobs=N`` therefore
-produce bit-identical campaigns. The engine hands each task its sensor
+:mod:`repro.runtime.seeding`). Each task builds a *fresh* device from
+its spec and a fresh sensor pair from its seed, so the measured noise
+at a point depends only on (campaign seed, device spec, app config,
+point, repetitions) — never on which other points ran first or came
+from the cache. A resumed or partly warm campaign therefore measures
+the same values as a cold one. The engine hands each task its sensor
 pair as state words, derived for a whole sweep at once (see below);
 they are bitwise the streams ``SynergyDevice(gpu, seed)`` spawns.
 
@@ -35,8 +35,9 @@ cells of every missed point of an app at one memory clock are evaluated
 in one batched pass, and the sensor streams of every missed point of the
 sweep are derived in one seeding pass
 (:func:`repro.synergy.api.sensor_stream_words`): each missed point's
-task is built once, carrying its own point's column and stream words, so
-no worker hashes a seed and a cached point derives nothing.
+task is built once, carrying its app's evaluated columns and its own
+stream words, so no task hashes a seed and a cached point derives
+nothing.
 
 Resilience
 ----------
@@ -55,8 +56,6 @@ result. Non-injected errors (real bugs) still propagate loudly.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -163,7 +162,7 @@ def app_fingerprint(app: Application) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class MeasurementTask:
-    """One picklable sweep point: an app at one frequency (or baseline).
+    """One sweep point: an app at one frequency (or baseline).
 
     ``freq_mhz is None`` means the baseline run (default clock on
     NVIDIA/Intel, automatic governor on AMD). ``seed`` fully determines
@@ -194,9 +193,10 @@ class MeasurementTask:
     #: and a serial one ignores. The engine records it once per sweep and
     #: every task of the app shares it.
     launches: Optional[KernelLaunchBatch] = field(default=None, compare=False, repr=False)
-    #: A replay task's own point, already evaluated by the engine's column
-    #: pass over the app's sweep (see :func:`_sweep_columns`). A clock it
-    #: lacks is evaluated by the task, as without it.
+    #: The clocks the engine's column pass evaluated for the app's launches
+    #: (see :func:`_sweep_columns`), which every replay task of the app
+    #: reads and none writes. A clock it lacks is evaluated by the task,
+    #: as without it.
     columns: Optional[BatchColumns] = field(default=None, compare=False, repr=False)
     #: The PCG64 state words of the task's energy and time sensor streams,
     #: ``seed``'s row of :func:`repro.synergy.api.sensor_stream_words`,
@@ -221,7 +221,7 @@ class MeasurementTask:
 
         Derived from the task seed (itself a pure function of the
         campaign seed + task identity), so chaos decisions depend only
-        on values — never on scheduling or worker count.
+        on values — never on which tasks ran before.
         """
         return f"task:{self.seed}"
 
@@ -301,6 +301,11 @@ class PointMeasurement:
         )
 
 
+def _is_int(value: Any) -> bool:
+    """Whether ``value`` is an integer: a NumPy one is, a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _number(value: Any) -> float:
     """``value`` as a float; a JSON number is the only thing accepted."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -342,14 +347,12 @@ def _with_sensors(task: MeasurementTask, gpu: SimulatedGPU) -> SynergyDevice:
 def execute_task(task: MeasurementTask) -> PointMeasurement:
     """Run one measurement task on a freshly built device.
 
-    Module-level (picklable) so it can be shipped to pool workers; also
-    called inline for ``jobs=1``, which is what makes serial and parallel
-    campaigns bit-identical. ``task.method == "replay"`` replays the
-    repetitions of the task's recorded launch sequence through the
-    batched model path — same device build, same sensor streams, same
-    measured values bit-for-bit (see ``docs/perf.md``). Any fault plan
-    on the task is ignored here — this is the single-attempt primitive;
-    the retrying entry point is :func:`execute_task_resilient`.
+    ``task.method == "replay"`` replays the repetitions of the task's
+    recorded launch sequence through the batched model path — same
+    device build, same sensor streams, same measured values bit-for-bit
+    (see ``docs/perf.md``). Any fault plan on the task is ignored here —
+    this is the single-attempt primitive; the retrying entry point is
+    :func:`execute_task_resilient`.
     """
     return _measure_on(task, _build_device(task))
 
@@ -359,8 +362,8 @@ def _measure_on(task: MeasurementTask, device: SynergyDevice) -> PointMeasuremen
 
     The point is measured by :func:`repro.synergy.runner.measure_point`,
     the primitive ``characterize`` loops over. A replay task replays its
-    recorded launches from the column it carries, evaluating only a
-    clock that column lacks.
+    recorded launches from the columns it carries, evaluating only a
+    clock they lack.
     """
     actual_mem: Optional[float] = None
     if task.mem_freq_mhz is not None:
@@ -411,16 +414,17 @@ def _replay_clock(spec: DeviceSpec, freq_mhz: Optional[float]) -> Optional[float
 def _sweep_columns(
     spec: DeviceSpec, points: Sequence[_SweepPoint]
 ) -> List[Optional[BatchColumns]]:
-    """Each replay point's own evaluated column, in ``points`` order.
+    """Each replay point's evaluated columns, in ``points`` order.
 
     The points of one app in one sweep share its recorded batch. Those at
     one memory clock share one column pass: a single ``time_batch`` and
     ``energy_batch`` call over all their core clocks, on a device built
     from ``spec``, as ``characterize`` primes its plan. Each point gets
-    only its own clock's column (:meth:`ReplayPlan.column`). A clock the
-    pass lacks, such as an auto-governed baseline's, is ``None`` and is
-    evaluated by the task, so the values are bitwise those of a task
-    without a column.
+    its app's column map, which its task's :class:`ReplayPlan` copies
+    before it adds a clock. A point whose clock is not known before it
+    runs, an auto-governed baseline, gets ``None`` and its task
+    evaluates its clocks, so the values are bitwise those of a task
+    without columns.
     """
     clocks = [_replay_clock(spec, point.freq_mhz) for point in points]
     plans: Dict[int, ReplayPlan] = {}
@@ -439,14 +443,14 @@ def _sweep_columns(
             plan.gpu.set_memory_frequency(mem)
         plan.prime(sorted(set(group)))
     return [
-        None if clock is None else plans[id(point.launches)].column(clock, point.mem_freq_mhz)
+        None if clock is None else plans[id(point.launches)].columns
         for point, clock in zip(points, clocks)
     ]
 
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """What one resilient task execution produced (picklable).
+    """What one resilient task execution produced.
 
     ``measurement is None`` means the task exhausted its retry budget on
     injected transient faults and was quarantined; ``error`` then holds
@@ -467,7 +471,7 @@ class TaskOutcome:
 def execute_task_resilient(task: MeasurementTask) -> TaskOutcome:
     """Run ``task`` with per-task retry over injected transient faults.
 
-    The engine's worker entry point. Without a fault plan this is
+    The engine's per-task entry point. Without a fault plan this is
     exactly :func:`execute_task` (one attempt, no wrappers). With one,
     each attempt builds a fresh device/sensor pair (so the successful
     attempt is bit-identical to a fault-free run) while the *injector*
@@ -517,7 +521,7 @@ class CampaignStats:
     launch_evals_replay: int = 0
     launch_evals_serial_equivalent: int = 0
     #: Resilience accounting (non-zero only under an injected fault plan):
-    #: extra attempts spent recovering, total faults observed by workers,
+    #: extra attempts spent recovering, total faults the tasks observed,
     #: and the sweep points that exhausted their retry budget.
     retries: int = 0
     faults_injected: int = 0
@@ -538,20 +542,24 @@ class CampaignStats:
 
 
 class CampaignEngine:
-    """Parallel, cached executor for characterization campaigns.
+    """Cached executor for characterization campaigns.
+
+    Every point runs in the calling process, in the order the sweep
+    lists it.
 
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` executes inline (no pool), ``None`` uses
-        ``os.cpu_count()``. Results are identical for every value.
+        Only ``1``. The keyword stays so that a caller spelling
+        ``jobs=1`` still builds an engine; any other value raises
+        :class:`ConfigurationError`.
     cache:
         Optional :class:`ResultCache`; ``None`` disables persistence.
     campaign_seed:
         Root of every per-task seed. Two engines with equal seeds (and
         equal grids) measure identical campaigns.
     ideal_sensors:
-        Build workers with noiseless sensors (ablation/test mode).
+        Build devices with noiseless sensors (ablation/test mode).
     method:
         Measurement method for every task: ``"serial"`` or
         ``"replay"`` (batched record/replay fast path; bit-identical
@@ -572,7 +580,7 @@ class CampaignEngine:
     def __init__(
         self,
         *,
-        jobs: Optional[int] = 1,
+        jobs: int = 1,
         cache: Optional[ResultCache] = None,
         campaign_seed: int = 0,
         ideal_sensors: bool = False,
@@ -580,12 +588,15 @@ class CampaignEngine:
         fault_plan: Optional[FaultPlan] = None,
         max_retries: int = 2,
     ) -> None:
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        self.jobs = check_positive_int(jobs, "jobs")
+        if not (_is_int(jobs) and jobs == 1):
+            raise ConfigurationError(
+                f"jobs must be 1, got {jobs!r}: a campaign runs in the calling process"
+            )
+        if not (_is_int(max_retries) and max_retries >= 0):
+            raise ConfigurationError(f"max_retries must be an int >= 0, got {max_retries!r}")
+        if not _is_int(campaign_seed):
+            raise ConfigurationError(f"campaign_seed must be an int, got {campaign_seed!r}")
         self.fault_plan = fault_plan
-        if int(max_retries) < 0:
-            raise ConfigurationError("max_retries must be >= 0")
         self.max_attempts = int(max_retries) + 1
         if (
             cache is not None
@@ -662,13 +673,13 @@ class CampaignEngine:
         repetitions: int = DEFAULT_REPETITIONS,
         progress: Optional[ProgressFn] = None,
     ) -> List[Optional[CharacterizationResult]]:
-        """Sweep several applications as one task pool.
+        """Sweep several applications as one campaign.
 
-        All (app x point) tasks share the pool, so a many-input campaign
-        keeps every worker busy even while individual sweeps drain.
-        Results are returned in ``apps`` order and are bit-identical for
-        any ``jobs`` value — and, because the replay fast path reproduces
-        the serial noise stream exactly, for either engine ``method``.
+        The (app x point) tasks share one cache pass, one column pass per
+        app and memory clock and one seeding pass. Results are returned
+        in ``apps`` order and, because the replay fast path reproduces
+        the serial noise stream exactly, are bit-identical for either
+        engine ``method``.
 
         Under a fault plan the campaign degrades gracefully: a sweep
         point that exhausted its retry budget is dropped from its app's
@@ -689,7 +700,7 @@ class CampaignEngine:
         repetitions: int = DEFAULT_REPETITIONS,
         progress: Optional[ProgressFn] = None,
     ) -> List[Optional[List[CharacterizationResult]]]:
-        """Fan the (app x f_core x f_mem) grid out as one task pool.
+        """Sweep the (app x f_core x f_mem) grid as one campaign.
 
         For each app the return slot holds one
         :class:`CharacterizationResult` per swept memory clock (ascending),
@@ -720,7 +731,7 @@ class CampaignEngine:
         repetitions: int,
         progress: Optional[ProgressFn],
     ) -> List[Optional[List[CharacterizationResult]]]:
-        """The task pool both sweeps share: build, account, run and merge.
+        """The campaign both sweeps share: build, account, run and merge.
 
         ``mem_sweep`` lists the memory columns. ``[None]`` is the core-only
         column, which never touches the memory clock; a pinned column at
@@ -822,38 +833,15 @@ class CampaignEngine:
             else:
                 pending.append(i)
 
-        # Phase 2: the missed points' tasks. It waits for the lookups, so a
-        # warm point evaluates and derives nothing.
-        tasks = dict(zip(pending, self._tasks(spec, repetitions, [points[i] for i in pending])))
-
-        # Phase 3: compute what is missing, inline or across the pool.
-        # Retries live inside the worker function, so recovery behaves
-        # identically inline and pooled.
-        if pending and self.jobs == 1:
-            for i in pending:
-                results[i] = self._after_execute(
-                    tasks[i], keys[i], execute_task_resilient(tasks[i])
-                )
-                done += 1
-                if progress is not None:
-                    progress(done, total, tasks[i].label, False)
-        elif pending:
-            workers = min(self.jobs, len(pending))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(execute_task_resilient, tasks[i]): i for i in pending
-                }
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        i = futures[future]
-                        results[i] = self._after_execute(
-                            tasks[i], keys[i], future.result()
-                        )
-                        done += 1
-                        if progress is not None:
-                            progress(done, total, tasks[i].label, False)
+        # Phase 2: build the missed points' tasks, after the lookups, so a
+        # warm point evaluates and derives nothing; then run them in sweep
+        # order.
+        tasks = self._tasks(spec, repetitions, [points[i] for i in pending])
+        for i, task in zip(pending, tasks):
+            results[i] = self._after_execute(task, keys[i], execute_task_resilient(task))
+            done += 1
+            if progress is not None:
+                progress(done, total, task.label, False)
 
         if self.fault_plan is None:
             assert all(m is not None for m in results)
@@ -862,7 +850,7 @@ class CampaignEngine:
     def _tasks(
         self, spec: DeviceSpec, repetitions: int, points: List[_SweepPoint]
     ) -> List[MeasurementTask]:
-        """One task per missed point, each carrying its column and streams.
+        """One task per missed point, each carrying its columns and streams.
 
         A replay engine evaluates every app's missed clocks at one memory
         clock in one column pass (:func:`_sweep_columns`), and every

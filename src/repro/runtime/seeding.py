@@ -1,13 +1,13 @@
 """Deterministic seed derivation for campaign tasks.
 
-Parallel sweeps must not consume a shared RNG stream: the order in which
-workers finish would then change the noise every point sees, and a
-``--jobs 8`` run could never reproduce a ``--jobs 1`` run. Instead every
-measurement task derives its own seed from the *campaign seed* plus the
-task's identity (application fingerprint + sweep point), hashed through
-SHA-256. The derivation depends only on values, never on execution
-order, process ids, or wall-clock time — so a campaign is bit-identical
-across worker counts, interruptions, and machines.
+A campaign must not consume a shared RNG stream: the points a cache
+already holds would then shift the noise every other point sees, and a
+resumed or partly warm campaign could never reproduce a cold one.
+Instead every measurement task derives its own seed from the *campaign
+seed* plus the task's identity (application fingerprint + sweep point),
+hashed through SHA-256. The derivation depends only on values, never on
+execution order, process ids, or wall-clock time — so a campaign is
+bit-identical across interruptions, partial caches, and machines.
 """
 
 from __future__ import annotations

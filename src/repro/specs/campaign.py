@@ -121,7 +121,7 @@ _ENGINE_SCHEMA = RecordSchema(
     kind="engine config",
     fields=(
         FieldSpec("seed", "int", default=42, minimum=0),
-        FieldSpec("jobs", "int", default=1, minimum=1),
+        FieldSpec("jobs", "int", default=1, minimum=1, maximum=1),
         FieldSpec("method", "str", default="replay", choices=("serial", "replay")),
         FieldSpec("cache_dir", "str", default=None, allow_none=True),
         FieldSpec("max_retries", "int", default=2, minimum=0),
@@ -223,6 +223,8 @@ class EngineSpec(RecordSpec, schema=_ENGINE_SCHEMA):
     """Execution knobs mirroring :class:`repro.runtime.engine.CampaignEngine`."""
 
     seed: int = record_field("seed", 42)
+    #: Only 1: a campaign runs in the calling process. The field stays so
+    #: that specs spelling ``"jobs": 1`` load and keep their fingerprints.
     jobs: int = record_field("jobs", 1)
     method: str = record_field("method", "replay")
     cache_dir: Optional[str] = record_field("cache_dir", None)
@@ -306,7 +308,6 @@ def campaign_spec_from_cli(
     freq_count: Optional[int] = None,
     repetitions: int = 5,
     seed: int = 42,
-    jobs: int = 1,
     method: str = "replay",
     cache_dir: Optional[str] = None,
     max_retries: int = 2,
@@ -339,7 +340,6 @@ def campaign_spec_from_cli(
             },
             "engine": {
                 "seed": seed,
-                "jobs": jobs,
                 "method": method,
                 "cache_dir": cache_dir,
                 "max_retries": max_retries,

@@ -65,7 +65,6 @@ def build_engine(spec: CampaignSpec, fault_plan=None):
         None if spec.engine.cache_dir is None else ResultCache(spec.engine.cache_dir)
     )
     return CampaignEngine(
-        jobs=spec.engine.jobs,
         cache=cache,
         campaign_seed=spec.engine.seed,
         method=spec.engine.method,

@@ -27,9 +27,8 @@ The replay engine removes the redundancy in three steps:
 
 Because the true values and the sensor-noise stream both match the
 serial path bit-for-bit, ``characterize(..., method="replay")`` returns
-byte-identical results — cache keys, seeds and ``jobs=N`` determinism
-are untouched. See ``docs/perf.md`` for the equivalence argument and
-its boundaries.
+byte-identical results — cache keys and seeds are untouched. See
+``docs/perf.md`` for the equivalence argument and its boundaries.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hw.device import BatchColumn, BatchColumns, SimulatedGPU
+from repro.hw.device import BatchColumns, SimulatedGPU
 from repro.kernels.batch import KernelLaunchBatch
 from repro.kernels.ir import KernelLaunch
 from repro.synergy.api import SynergyDevice
@@ -99,14 +98,14 @@ def record_launches(app, gpu: SimulatedGPU) -> List[KernelLaunch]:
 class ReplayPlan:
     """A recorded launch sequence plus its device's evaluated clock columns.
 
-    The plan owns the deduplicated batch and the column cache of
-    :meth:`repro.hw.device.SimulatedGPU.evaluate_batch`, which maps a
-    ``(core, mem)`` clock pair to the per-unique-launch evaluation.
-    :meth:`prime` fills the cache for a whole sweep in a single batched
-    model evaluation; :meth:`point_values` resolves the device's
-    *current* clock state (pinned clock, auto governor, power cap) into
-    per-launch value arrays for one application run. :meth:`column`
-    hands one evaluated column to another plan of the same launches.
+    The plan owns the deduplicated batch and ``columns``, the column
+    cache of :meth:`repro.hw.device.SimulatedGPU.evaluate_batch`, which
+    maps a ``(core, mem)`` clock pair to the per-unique-launch
+    evaluation. :meth:`prime` fills the cache for a whole sweep in a
+    single batched model evaluation; :meth:`point_values` resolves the
+    device's *current* clock state (pinned clock, auto governor, power
+    cap) into per-launch value arrays for one application run. Another
+    plan of the same launches can start from ``columns``.
     """
 
     def __init__(
@@ -118,14 +117,14 @@ class ReplayPlan:
         """``launches`` is a recorded sequence, or one already deduplicated.
 
         ``columns`` are clocks already evaluated for these launches on a
-        device of the same spec (see :meth:`column`); the plan evaluates
-        only the clocks they lack.
+        device of the same spec, such as another plan's ``columns``. The
+        plan copies them and evaluates only the clocks they lack.
         """
         self.gpu = gpu
         if not isinstance(launches, KernelLaunchBatch):
             launches = KernelLaunchBatch.from_launches(launches)
         self.batch = launches
-        self._columns: BatchColumns = {} if columns is None else dict(columns)
+        self.columns: BatchColumns = {} if columns is None else dict(columns)
 
     @property
     def n_launches(self) -> int:
@@ -140,7 +139,7 @@ class ReplayPlan:
     @property
     def model_evals(self) -> int:
         """Batched (unique x frequency) model evaluations performed."""
-        return self.batch.n_unique * len(self._columns)
+        return self.batch.n_unique * len(self.columns)
 
     def prime(self, freqs_mhz) -> None:
         """Pre-evaluate a pinned-clock sweep in one batched model pass.
@@ -151,21 +150,7 @@ class ReplayPlan:
         :meth:`point_values` (at most a few extra bins).
         """
         if self.gpu.power_cap_w is None:
-            self.gpu.fill_batch_columns(self.batch, self._columns, [float(f) for f in freqs_mhz])
-
-    def column(self, core_mhz: float, mem_mhz: Optional[float]) -> Optional[BatchColumns]:
-        """The evaluated ``(core_mhz, mem_mhz)`` column alone, or ``None``.
-
-        ``mem_mhz`` is the pinned memory clock, ``None`` at the reference
-        clock. The column's timing is cut down to that one clock, so a
-        task that carries it to a pool worker pickles one column, not the
-        whole pass.
-        """
-        found = self._columns.get((core_mhz, mem_mhz))
-        if found is None:
-            return None
-        own = BatchColumn(found.timing.column(found.index), 0, found.energy_j)
-        return {(core_mhz, mem_mhz): own}
+            self.gpu.fill_batch_columns(self.batch, self.columns, [float(f) for f in freqs_mhz])
 
     def point_values(self) -> Tuple[np.ndarray, np.ndarray, int]:
         """Per-launch values for one run at the device's current clock state.
@@ -175,7 +160,7 @@ class ReplayPlan:
         ``throttled_launches`` counts cap-throttled launch occurrences,
         mirroring the serial per-launch throttle accounting.
         """
-        point = self.gpu.evaluate_batch(self.batch, self._columns)
+        point = self.gpu.evaluate_batch(self.batch, self.columns)
         inverse = self.batch.inverse
         return point.time_s[inverse], point.energy_j[inverse], point.throttled
 

@@ -2,11 +2,11 @@
 
 A replay campaign evaluates each app's missed points in one batched
 pass per memory clock, after its cache lookups, and hands each task its
-own point's column. Drawn campaigns cover the V100, the MI100 (whose
-auto-governed baseline the pass cannot know) and 2-D grids on the A100,
-1-5 repetitions, caches warmed on part of the sweep, and ``jobs`` 1 and
-2. On sampled points, every value must equal what a serial engine
-measures, bit for bit.
+app's evaluated columns. Drawn campaigns cover the V100, the MI100
+(whose auto-governed baseline the pass cannot know) and 2-D grids on the
+A100, 1-5 repetitions and caches warmed on part of the sweep. On sampled
+points, every value must equal what a serial engine measures, bit for
+bit.
 """
 
 import tempfile
@@ -53,7 +53,6 @@ def campaigns(draw):
         "mems": mems,
         "repetitions": draw(st.integers(min_value=1, max_value=5)),
         "seed": draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        "jobs": draw(st.sampled_from([1, 2])),
         # The cache is warmed with these clocks (and memory clocks) first.
         "warm": _subset(draw, freqs, min_size=0, max_size=len(freqs)),
         "warm_mems": None if mems is None else _subset(draw, mems, max_size=len(mems)),
@@ -96,9 +95,7 @@ def test_replay_campaign_equals_serial_oracle(c):
         if c["warm"]:
             warm = CampaignEngine(cache=ResultCache(root), campaign_seed=c["seed"], method="replay")
             _sweep(warm, c, c["warm"], c["warm_mems"])
-        engine = CampaignEngine(
-            jobs=c["jobs"], cache=ResultCache(root), campaign_seed=c["seed"], method="replay"
-        )
+        engine = CampaignEngine(cache=ResultCache(root), campaign_seed=c["seed"], method="replay")
         replayed = _sweep(engine, c, c["freqs"], c["mems"])
         if c["warm"]:
             assert engine.stats.cache_hits > 0

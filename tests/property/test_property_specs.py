@@ -103,7 +103,7 @@ campaign_record_st = st.fixed_dictionaries(
         "engine": st.fixed_dictionaries(
             {
                 "seed": st.integers(min_value=0, max_value=2**31 - 1),
-                "jobs": st.integers(min_value=1, max_value=8),
+                "jobs": st.just(1),
                 "method": st.sampled_from(["serial", "replay"]),
                 "max_retries": st.integers(min_value=0, max_value=5),
             }

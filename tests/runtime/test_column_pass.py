@@ -2,20 +2,16 @@
 
 After its cache lookups, the engine evaluates every missed point of an
 app at one memory clock in a single ``time_batch`` / ``energy_batch``
-call, and each task carries only its own point's column:
+call, and each task carries its app's evaluated columns:
 
 - cold, that is one call per (app, memory column); warm, none; partly
   warm, one per (app, memory column) that still has a miss, over the
   missed clocks only;
 - an auto-governed baseline, whose clocks are not known before it runs,
   is still evaluated by its own task;
-- a task shipped to a pool worker pickles to the same size whether the
-  sweep has 4 clocks or all 196 of the V100;
 - every value is bitwise the one a task without a column measures.
 """
 
-import pickle
-from concurrent.futures import Future
 from functools import wraps
 
 import numpy as np
@@ -27,7 +23,6 @@ from repro.hw.power import PowerModel
 from repro.hw.specs import make_a100_spec, make_mi100_spec, make_v100_spec
 from repro.ligen.app import LigenApplication
 from repro.mhd.app import MhdApplication
-from repro.runtime import engine as engine_module
 from repro.runtime.cache import ResultCache
 from repro.runtime.engine import CampaignEngine
 
@@ -53,9 +48,9 @@ def _mhd_sweep(engine, mem_freqs=MHD_MEM_FREQS):
     )
 
 
-def _engine(root=None, jobs=1, seed=5):
+def _engine(root=None, seed=5):
     cache = None if root is None else ResultCache(root)
-    return CampaignEngine(jobs=jobs, cache=cache, campaign_seed=seed, method="replay")
+    return CampaignEngine(jobs=1, cache=cache, campaign_seed=seed, method="replay")
 
 
 def _bits(results):
@@ -149,56 +144,3 @@ class TestOnePassPerColumn:
         assert time_passes[: len(apps)] == [(300.0, 1502.0)] * len(apps)
         assert len(time_passes) == 2 * len(apps)
 
-
-@pytest.fixture
-def shipped(monkeypatch):
-    """``((core, mem), pickled bytes)`` of every task a pool worker receives."""
-    sizes = []
-
-    class InlinePool:
-        """A process-pool stand-in that pickles each task as a worker would get it."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, task):
-            blob = pickle.dumps(task)
-            sizes.append(((task.freq_mhz, task.mem_freq_mhz), len(blob)))
-            future = Future()
-            future.set_result(fn(pickle.loads(blob)))
-            return future
-
-    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", InlinePool)
-    return sizes
-
-
-class TestPooledTasks:
-    def test_a_pooled_task_ships_its_own_column_only(self, shipped):
-        spec = make_v100_spec()
-        app = V100_APPS[0]
-        _engine(jobs=2).characterize(
-            app, spec, freqs_mhz=[135.0, 900.0, 1282.0, 1597.0], repetitions=1
-        )
-        few = dict(shipped)
-        shipped.clear()
-        _engine(jobs=2).characterize(app, spec, freqs_mhz=None, repetitions=1)
-        every = dict(shipped)
-        assert len(few) == 1 + 4
-        assert len(every) == 1 + len(spec.core_freqs.freqs_mhz)
-        for point, size in few.items():
-            assert every[point] == size, point
-
-    def test_pooled_campaign_equals_inline_bitwise(self, shipped):
-        inline = _engine()
-        pooled = _engine(jobs=2)
-        assert _bits(_v100_sweep(pooled)) == _bits(_v100_sweep(inline))
-        assert _bits(_mhd_sweep(pooled)) == _bits(_mhd_sweep(inline))
-        assert len(shipped) == len(V100_APPS) * (1 + len(V100_FREQS)) + len(MHD_APPS) * (
-            1 + len(MHD_FREQS) * len(MHD_MEM_FREQS)
-        )

@@ -1,4 +1,4 @@
-"""Tests for the parallel, cached campaign execution engine."""
+"""Tests for the cached campaign execution engine."""
 
 import json
 
@@ -44,13 +44,32 @@ def _assert_identical(results_a, results_b):
             assert np.array_equal(sa.rep_energies_j, sb.rep_energies_j)
 
 
-class TestDeterminism:
-    def test_serial_and_parallel_bit_identical(self):
-        spec = make_v100_spec()
-        serial = _run(CampaignEngine(jobs=1, campaign_seed=42), spec)
-        parallel = _run(CampaignEngine(jobs=2, campaign_seed=42), spec)
-        _assert_identical(serial, parallel)
+class TestConstruction:
+    @pytest.mark.parametrize("jobs", [None, 0, 2])
+    def test_jobs_other_than_one_is_refused(self, jobs):
+        with pytest.raises(ConfigurationError, match="calling process"):
+            CampaignEngine(jobs=jobs)
 
+    def test_jobs_one_and_numpy_ints_run_the_default_campaign(self):
+        spec = make_v100_spec()
+        spelled = CampaignEngine(
+            jobs=np.int64(1), max_retries=np.int32(3), campaign_seed=np.uint64(42)
+        )
+        assert spelled.max_attempts == 4
+        _assert_identical(_run(spelled, spec), _run(CampaignEngine(campaign_seed=42), spec))
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_max_retries_must_be_an_int(self, value):
+        with pytest.raises(ConfigurationError, match="max_retries"):
+            CampaignEngine(max_retries=value)
+
+    @pytest.mark.parametrize("value", [1.7, True])
+    def test_campaign_seed_must_be_an_int(self, value):
+        with pytest.raises(ConfigurationError, match="campaign_seed"):
+            CampaignEngine(campaign_seed=value)
+
+
+class TestDeterminism:
     def test_campaign_seed_changes_noise(self):
         spec = make_v100_spec()
         a = _run(CampaignEngine(jobs=1, campaign_seed=42), spec)

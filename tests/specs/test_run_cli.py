@@ -146,6 +146,41 @@ class TestRunWhatCannotRun:
         assert not out.exists()
 
 
+def _jobs_two(tmp_path, kind):
+    """The quick Cronos campaign spec asking for ``"jobs": 2``, or a scenario inlining it."""
+    record = json.loads((EXAMPLES / "campaign_cronos_quick.json").read_text())
+    record["engine"]["jobs"] = 2
+    if kind == "scenario":
+        record = {
+            "format": "repro.scenario", "schema_version": 1, "name": "two", "campaign": record
+        }
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(record))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["campaign", "scenario"])
+class TestEngineJobs:
+    """A campaign runs in the calling process: ``engine.jobs`` above 1 is a finding."""
+
+    def test_lint_reports_it(self, tmp_path, capsys, kind):
+        rc = main(["lint", "--no-self-check", "--format", "json", str(_jobs_two(tmp_path, kind))])
+        diags = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert rc == 1
+        assert [(d["rule"], d["message"]) for d in diags] == [
+            ("SPEC002", "engine.jobs: must be <= 1, got 2")
+        ]
+
+    def test_run_refuses_it_before_measuring(self, tmp_path, capsys, kind):
+        out = tmp_path / "ds.json"
+        rc = main(["run", str(_jobs_two(tmp_path, kind)), "--dataset-output", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "[SPEC002] engine.jobs: must be <= 1, got 2" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestLintJsonSpecs:
     def test_directory_walk_reports_all_seeded_errors(self, capsys):
         rc = main(["lint", "--no-self-check", "--select", "SPEC", str(INVALID)])

@@ -191,7 +191,6 @@ class TestTrainPredictTune:
 class TestCampaignCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["campaign", "--app", "cronos"])
-        assert args.jobs == 1
         assert args.cache_dir == ".repro-cache"
         assert args.no_cache is False
         assert args.seed == 42
