@@ -14,7 +14,7 @@ just enough to cover the quantities appearing in :class:`repro.hw.specs.DeviceSp
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["DimensionError", "Quantity", "UNITS", "quantity"]
 

@@ -585,21 +585,14 @@ def cmd_serve(args) -> int:
         ModelRegistry,
         Objective,
         run_load,
-        run_load_multiprocess,
         synthetic_requests,
     )
 
-    for flag, value in (("--workers", args.workers), ("--processes", args.processes)):
-        if value < 1:
-            raise ServingError(f"{flag} must be >= 1, got {value}")
-    freqs = _serving_freqs(args)
-    # One set of service options for the in-process and the worker advisors.
-    options = dict(
-        version=args.version, max_batch=args.batch_size,
-        cache_size=args.cache_size, cache_shards=args.cache_shards,
-    )
+    if args.workers < 1:
+        raise ServingError(f"--workers must be >= 1, got {args.workers}")
     service = AdvisorService.from_registry(
-        ModelRegistry(args.registry), args.name, freqs, **options
+        ModelRegistry(args.registry), args.name, _serving_freqs(args),
+        version=args.version, max_batch=args.batch_size, cache_size=args.cache_size,
     )
     manifest = service.manifest
     if args.features:
@@ -610,20 +603,9 @@ def cmd_serve(args) -> int:
         base, args.requests, pool_size=args.pool, objectives=[Objective.tradeoff()],
         seed=args.seed,
     )
-    workers = f"{args.workers} worker(s)"
-    if args.processes > 1:
-        workers = f"{args.processes} process(es) x {workers}"
-    print(f"serving {len(requests)} requests to {manifest.ref} with {workers} ...")
-    if args.processes > 1:
-        run_load_multiprocess(
-            args.registry, args.name, requests, freqs,
-            processes=args.processes, workers_per_process=args.workers, **options,
-        )
-        print(
-            f"served {len(requests)} requests across {args.processes} processes "
-            "(per-process stats stay in the workers)"
-        )
-        return 0
+    print(
+        f"serving {len(requests)} requests to {manifest.ref} with {args.workers} worker(s) ..."
+    )
     run_load(service, requests, workers=args.workers)
     print(service.report())
     return 0
@@ -994,23 +976,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     served_model_flags(p)
     p.add_argument("--requests", type=int, default=200, help="request count")
-    p.add_argument("--workers", type=int, default=4, help="client threads (per process)")
-    p.add_argument(
-        "--processes",
-        type=int,
-        default=1,
-        help="worker processes (>1 drives independent advisor processes past the GIL)",
-    )
+    p.add_argument("--workers", type=int, default=4, help="client threads")
     p.add_argument("--pool", type=int, default=8, help="distinct feature tuples in the stream")
     p.add_argument("--seed", type=int, default=0, help="request-stream seed")
     p.add_argument("--batch-size", type=int, default=16, help="micro-batch cap")
     p.add_argument("--cache-size", type=int, default=2048, help="LRU advice-cache capacity")
-    p.add_argument(
-        "--cache-shards",
-        type=int,
-        default=8,
-        help="advice-cache lock shards (clamped down for small caches)",
-    )
     p.add_argument(
         "--features",
         help="base feature tuple for the synthetic pool (default: 64.0 per feature)",

@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.cronos.grid import NGHOST, Grid3D
+from repro.cronos.grid import NGHOST
 from repro.cronos.state import (
     DENSITY_FLOOR,
     N_COMPONENTS,

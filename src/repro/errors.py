@@ -165,4 +165,4 @@ class FrequencyRejectedError(TransientFaultError):
 
 
 class WorkerCrashError(TransientFaultError):
-    """A campaign worker process died before finishing its task."""
+    """A measurement attempt died at startup, before touching the device."""

@@ -19,7 +19,6 @@ from repro.errors import ConfigurationError
 from repro.kernels.ir import KernelSpec
 from repro.ml.base import Regressor
 from repro.ml.metrics import mean_absolute_percentage_error
-from repro.modeling.dataset import EnergyDataset
 from repro.modeling.domain import DomainSpecificModel, default_regressor_factory
 from repro.modeling.general import GeneralPurposeModel
 from repro.experiments.datasets import CampaignData

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.ligen.app import LigenApplication
 from repro.modeling.domain import TradeoffPrediction
 from repro.modeling.predictor import ParetoAssessment, assess_pareto_prediction, true_front

@@ -514,8 +514,7 @@ def _builtin_spec(factory) -> DeviceSpec:
     """Each built-in spec, built once per process.
 
     A spec is a frozen dataclass whose frequency tables hold read-only
-    arrays, so every device built from it can share it (as
-    :meth:`SimulatedGPU.clone` does).
+    arrays, so every device built from it can share it.
     """
     return factory()
 

@@ -15,8 +15,6 @@ Noise model per reading::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_in_range, check_positive
 

@@ -14,9 +14,7 @@ claim about the exact silicon.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Mapping, Optional
 
 from repro.hw.dvfs import FrequencyTable, VoltageCurve
 from repro.utils.validation import check_positive

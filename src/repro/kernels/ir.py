@@ -29,7 +29,7 @@ the central mechanism of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np

@@ -31,7 +31,7 @@ the control arm the lifecycle benchmark compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.lifecycle.canary import CanaryController, PromotionDecision
 from repro.lifecycle.drift import DriftMonitor

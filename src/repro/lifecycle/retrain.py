@@ -20,7 +20,7 @@ digests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import LifecycleError
 from repro.runtime.seeding import derive_task_seed, stable_digest

@@ -11,7 +11,7 @@ paper's ``f`` input feature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

@@ -11,7 +11,6 @@ ligand scoring samples it by trilinear interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

@@ -19,7 +19,7 @@ This matches scikit-learn's ``SVR`` semantics for ``C``, ``epsilon`` and
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -17,7 +17,7 @@ the payoff against evenly spaced sweeps at equal measurement budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

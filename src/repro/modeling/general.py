@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import ModelNotFittedError
 from repro.kernels.features import extract_normalized_features
-from repro.kernels.ir import KernelSpec, merge_specs
+from repro.kernels.ir import KernelSpec
 from repro.kernels.microbench import MicroBenchmark, generate_microbenchmarks
 from repro.ml.base import Regressor
 from repro.modeling.domain import TradeoffPrediction, default_regressor_factory

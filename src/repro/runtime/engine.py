@@ -88,7 +88,6 @@ from repro.synergy.runner import (
     measure_point,
     resolve_sweep,
 )
-from repro.utils.validation import check_positive_int
 
 __all__ = [
     "MeasurementTask",
@@ -741,7 +740,9 @@ class CampaignEngine:
         """
         if not apps:
             raise ConfigurationError("a sweep needs at least one application")
-        repetitions = check_positive_int(repetitions, "repetitions")
+        if not (_is_int(repetitions) and repetitions >= 1):
+            raise ConfigurationError(f"repetitions must be an int >= 1, got {repetitions!r}")
+        repetitions = int(repetitions)
         sweep = resolve_sweep(spec.core_freqs, freqs_mhz)
         reference_mem = float(spec.mem_freq_mhz)
         grid = [(None, None)] + [

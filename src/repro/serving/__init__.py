@@ -11,14 +11,14 @@ The inference-stack layer over everything trained offline (PRs 1–4):
   max-speedup-under-power-cap;
 - :mod:`repro.serving.service` — :class:`AdvisorService`: thread-safe
   ``advise()`` with request micro-batching through the vectorized
-  forest path and an LRU advice cache; batching and caching are
-  bit-transparent (concurrent == serial, batched == scalar);
+  forest path and an exact-LRU advice cache behind one lock; batching
+  and caching are bit-transparent (concurrent == serial, batched ==
+  scalar);
 - :mod:`repro.serving.stats` — request/batch/cache counters and
   reservoir-sampled latency percentiles;
 - :mod:`repro.serving.load` — seeded synthetic request streams plus
-  multi-thread and multi-process load drivers (the ``repro serve``
-  engine; the process driver proves cache-miss throughput scales past
-  the GIL).
+  the threaded load driver (the ``repro serve`` engine), which serves
+  from threads of the calling process.
 
 See ``docs/serving.md``.
 """
@@ -26,7 +26,6 @@ See ``docs/serving.md``.
 from repro.serving.cache import PredictionCache, quantize_features
 from repro.serving.load import (
     run_load,
-    run_load_multiprocess,
     synthetic_feature_pool,
     synthetic_requests,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "VerifyReport",
     "quantize_features",
     "run_load",
-    "run_load_multiprocess",
     "synthetic_feature_pool",
     "synthetic_requests",
 ]

@@ -1,4 +1,4 @@
-"""Sharded LRU advice cache for the advisor service.
+"""LRU advice cache for the advisor service.
 
 Keys (:class:`AdviceKeyMaker`) identify ``(model digest, quantized
 features, frequency grid, objective)`` — the full identity of an advice
@@ -24,21 +24,12 @@ used to split one logical entry into two and let a ``-0.0`` request
 miss a ``0.0`` entry.
 Non-finite features are rejected up front — NaN is unequal even to
 itself, so no cache key (or model input) can meaningfully contain one.
-
-The cache is split into ``shards`` independent ``lock + OrderedDict``
-segments selected by a stable CRC32 of the key, so concurrent serving
-threads (and the leader/follower batch path) do not serialize on one
-global lock. Each shard runs exact LRU over its own keyspace slice;
-small caches collapse to a single shard (see ``_MIN_SHARD_CAPACITY``)
-so eviction order stays globally exact where capacity is tight enough
-for tests and small deployments to rely on it.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import zlib
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -50,14 +41,6 @@ __all__ = ["quantize_features", "AdviceKeyMaker", "PredictionCache"]
 
 #: Decimal places kept when quantizing feature values into cache keys.
 FEATURE_QUANTUM_DECIMALS = 9
-
-#: Below this many entries per shard, sharding is collapsed: a sharded
-#: cache approximates global LRU (evictions are per-shard), which is a
-#: fine trade at thousands of entries but surprising at ten.
-_MIN_SHARD_CAPACITY = 64
-
-#: Default shard count for the advisor's advice cache.
-DEFAULT_SHARDS = 8
 
 
 def quantize_features(features: Sequence[float]) -> Tuple[float, ...]:
@@ -124,109 +107,50 @@ class AdviceKeyMaker:
         return f"{self._base}|{quantized_features!r}|{token}"
 
 
-class _Shard:
-    """One lock + OrderedDict segment with exact LRU over its keys."""
+class PredictionCache:
+    """Thread-safe bounded LRU map from advice keys to :class:`Advice`.
 
-    __slots__ = ("capacity", "entries", "lock", "hits", "misses", "evictions")
+    One lock guards one ``OrderedDict``, so eviction is exact LRU at
+    every capacity. ``capacity <= 0`` disables caching entirely (every
+    lookup misses); the service still works, just recomputes. Counters
+    are owned here so hit/eviction behaviour is observable in the
+    service stats report.
+    """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int = 2048) -> None:
         self.capacity = int(capacity)
-        self.entries: "OrderedDict[str, Advice]" = OrderedDict()
-        self.lock = threading.Lock()
+        self._entries: "OrderedDict[str, Advice]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-
-class PredictionCache:
-    """Thread-safe bounded sharded-LRU map from advice keys to :class:`Advice`.
-
-    ``capacity <= 0`` disables caching entirely (every lookup misses);
-    the service still works, just recomputes. ``shards`` caps how many
-    independent lock+dict segments the capacity is spread over — the
-    effective count is clamped so each shard holds at least
-    ``_MIN_SHARD_CAPACITY`` entries (so a tiny cache is one shard with
-    exact global LRU). Counters are owned here so hit/eviction behaviour
-    is observable in the service stats report.
-    """
-
-    def __init__(self, capacity: int = 2048, shards: int = DEFAULT_SHARDS) -> None:
-        self.capacity = int(capacity)
-        if int(shards) < 1:
-            raise ServingError("cache shards must be >= 1")
-        if self.capacity <= 0:
-            n_shards = 1
-        else:
-            n_shards = max(1, min(int(shards), self.capacity // _MIN_SHARD_CAPACITY))
-        # Spread capacity exactly: the first (capacity % n) shards take
-        # the remainder, so total capacity is preserved to the entry.
-        base, rem = divmod(max(self.capacity, 0), n_shards)
-        self._shards: List[_Shard] = [
-            _Shard(base + (1 if i < rem else 0)) for i in range(n_shards)
-        ]
-
-    @property
-    def shards(self) -> int:
-        """Effective shard count (after the small-cache clamp)."""
-        return len(self._shards)
-
-    def _shard_for(self, key: str) -> _Shard:
-        # CRC32, not hash(): stable across processes and runs, so shard
-        # placement (and therefore eviction behaviour) is reproducible.
-        return self._shards[zlib.crc32(key.encode("utf-8")) % len(self._shards)]
-
     def get(self, key: str) -> Optional[Advice]:
         """The cached advice for ``key``, or ``None`` (recency updated)."""
-        shard = self._shard_for(key)
-        with shard.lock:
-            advice = shard.entries.get(key)
+        with self._lock:
+            advice = self._entries.get(key)
             if advice is None:
-                shard.misses += 1
+                self.misses += 1
                 return None
-            shard.entries.move_to_end(key)
-            shard.hits += 1
+            self._entries.move_to_end(key)
+            self.hits += 1
             return advice
 
     def put(self, key: str, advice: Advice) -> None:
-        """Insert (or refresh) an entry, evicting the shard's least-recent."""
+        """Insert (or refresh) an entry, evicting the least-recent."""
         if self.capacity <= 0:
             return
-        shard = self._shard_for(key)
-        with shard.lock:
-            if key in shard.entries:
-                shard.entries.move_to_end(key)
-            shard.entries[key] = advice
-            while len(shard.entries) > shard.capacity:
-                shard.entries.popitem(last=False)
-                shard.evictions += 1
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._entries[key] = advice
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     def __len__(self) -> int:
-        total = 0
-        for shard in self._shards:
-            with shard.lock:
-                total += len(shard.entries)
-        return total
-
-    # -- aggregated counters (API-compatible with the unsharded cache) --
-    @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(s.misses for s in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(s.evictions for s in self._shards)
-
-    def shard_sizes(self) -> List[int]:
-        """Entry count per shard (observability + distribution tests)."""
-        sizes = []
-        for shard in self._shards:
-            with shard.lock:
-                sizes.append(len(shard.entries))
-        return sizes
+        with self._lock:
+            return len(self._entries)
 
     def hit_ratio(self) -> float:
         """Hits over lookups — defined as 0.0 before any traffic.
@@ -242,7 +166,6 @@ class PredictionCache:
         """Plain-dict counter view (stats reports and tests)."""
         return {
             "capacity": self.capacity,
-            "shards": self.shards,
             "entries": len(self),
             "hits": self.hits,
             "misses": self.misses,

@@ -102,10 +102,6 @@ class AdvisorService:
         Upper bound on requests coalesced into one vectorized pass.
     cache_size:
         LRU advice-cache capacity (0 disables caching).
-    cache_shards:
-        Upper bound on independent lock+dict cache shards (contention
-        knob; clamped down for small caches — see
-        :class:`~repro.serving.cache.PredictionCache`).
     mem_freqs_mhz:
         Memory clocks that, crossed with ``freqs_mhz``, make the serving
         grid 2-D. Only for models whose last feature is the memory clock
@@ -123,7 +119,6 @@ class AdvisorService:
         model_digest: str = "unregistered",
         max_batch: int = 16,
         cache_size: int = 2048,
-        cache_shards: int = 8,
         manifest: Optional[ModelManifest] = None,
         mem_freqs_mhz: Optional[Sequence[float]] = None,
     ) -> None:
@@ -137,7 +132,7 @@ class AdvisorService:
             raise ServingError("max_batch must be >= 1")
         self.max_batch = int(max_batch)
         self.manifest = manifest
-        self.cache = PredictionCache(cache_size, shards=cache_shards)
+        self.cache = PredictionCache(cache_size)
         self._keys = AdviceKeyMaker(self.model_digest, self.freqs_mhz, self.mem_freqs_mhz)
         self.stats = ServiceStats()
         self._cond = threading.Condition()
@@ -157,7 +152,6 @@ class AdvisorService:
         version: Optional[int] = None,
         max_batch: int = 16,
         cache_size: int = 2048,
-        cache_shards: int = 8,
         mem_freqs_mhz: Optional[Sequence[float]] = None,
     ) -> "AdvisorService":
         """Resolve (integrity-verified) a registered model and serve it."""
@@ -168,7 +162,6 @@ class AdvisorService:
             model_digest=manifest.artifact_sha256,
             max_batch=max_batch,
             cache_size=cache_size,
-            cache_shards=cache_shards,
             manifest=manifest,
             mem_freqs_mhz=mem_freqs_mhz,
         )

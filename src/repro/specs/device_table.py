@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Union
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.errors import SpecError

@@ -44,6 +44,13 @@ def _assert_identical(results_a, results_b):
             assert np.array_equal(sa.rep_energies_j, sb.rep_energies_j)
 
 
+def _flat(out):
+    """The results of any sweep entry point as one flat list."""
+    if not isinstance(out, list):
+        return [out]
+    return [r for slot in out for r in (slot if isinstance(slot, list) else [slot])]
+
+
 class TestConstruction:
     @pytest.mark.parametrize("jobs", [None, 0, 2])
     def test_jobs_other_than_one_is_refused(self, jobs):
@@ -67,6 +74,37 @@ class TestConstruction:
     def test_campaign_seed_must_be_an_int(self, value):
         with pytest.raises(ConfigurationError, match="campaign_seed"):
             CampaignEngine(campaign_seed=value)
+
+
+#: The three sweep entry points, each over one tiny app and one clock.
+SWEEPS = {
+    "characterize": lambda engine, app, spec, reps: engine.characterize(
+        app, spec, freqs_mhz=[900.0], repetitions=reps
+    ),
+    "characterize_many": lambda engine, app, spec, reps: engine.characterize_many(
+        [app], spec, freqs_mhz=[900.0], repetitions=reps
+    ),
+    "characterize_grid": lambda engine, app, spec, reps: engine.characterize_grid(
+        [app], spec, freqs_mhz=[900.0], mem_freqs_mhz=[spec.mem_freq_mhz], repetitions=reps
+    ),
+}
+
+
+class TestRepetitions:
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True])
+    def test_must_be_an_int_of_at_least_one(self, sweep, value):
+        app = LigenApplication(16, 31, 4)
+        with pytest.raises(ConfigurationError, match="repetitions"):
+            SWEEPS[sweep](CampaignEngine(), app, make_v100_spec(), value)
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_numpy_int_runs_the_int_campaign(self, sweep):
+        app, spec = LigenApplication(16, 31, 4), make_v100_spec()
+        want = _flat(SWEEPS[sweep](CampaignEngine(), app, spec, 2))
+        got = _flat(SWEEPS[sweep](CampaignEngine(), app, spec, np.int64(2)))
+        assert all(len(s.rep_times_s) == 2 for r in got for s in r.samples)
+        _assert_identical(got, want)
 
 
 class TestDeterminism:

@@ -2,8 +2,8 @@
 
 Headline invariant: a campaign run under a *transient* fault plan with
 retries enabled is bit-identical to the fault-free campaign — in serial
-and replay measurement modes, inline and pooled — and cache corruption
-is detected and self-healed, never served.
+and replay measurement modes — and cache corruption is detected and
+self-healed, never served.
 """
 
 from pathlib import Path
@@ -11,18 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, WorkerCrashError
 from repro.faults import FaultPlan, FaultSpec
 from repro.faults.wrappers import FaultyResultCache
 from repro.hw.specs import make_v100_spec
 from repro.ligen.app import LigenApplication
 from repro.runtime.cache import ResultCache
-from repro.runtime.engine import (
-    CampaignEngine,
-    MeasurementTask,
-    TaskOutcome,
-    execute_task_resilient,
-)
+from repro.runtime.engine import CampaignEngine, MeasurementTask, execute_task_resilient
 
 FREQS = [900.0, 1282.0]
 REPS = 2

@@ -1,17 +1,18 @@
-"""Unit tests for the sharded advice cache and cache-key machinery.
+"""Unit tests for the LRU advice cache and cache-key machinery.
 
 Regression anchors for this layer's bug sweep: signed-zero features
-used to split one logical cache entry into two, ``hit_ratio`` on a
-fresh cache divided by zero in spirit (NaN in reports), and sharding
-must never change observable LRU semantics for small caches.
+used to split one logical cache entry into two, and ``hit_ratio`` on a
+fresh cache divided by zero in spirit (NaN in reports).
 """
 
-import numpy as np
+import sys
+import threading
+
 import pytest
 
 from repro.errors import ServingError
 from repro.serving import Objective, PredictionCache, quantize_features
-from repro.serving.cache import _MIN_SHARD_CAPACITY, AdviceKeyMaker
+from repro.serving.cache import AdviceKeyMaker
 
 FREQS = (400.0, 800.0, 1200.0)
 
@@ -83,38 +84,16 @@ class TestHitRatio:
         assert cache.hit_ratio() == 0.0
 
 
-class TestSharding:
-    def test_small_capacity_collapses_to_one_shard(self):
-        assert PredictionCache(capacity=2, shards=8).shards == 1
-        assert PredictionCache(capacity=_MIN_SHARD_CAPACITY, shards=8).shards == 1
-
-    def test_large_capacity_uses_requested_shards(self):
-        assert PredictionCache(capacity=2048, shards=8).shards == 8
-
-    def test_intermediate_capacity_clamped(self):
-        assert PredictionCache(capacity=4 * _MIN_SHARD_CAPACITY, shards=8).shards == 4
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ServingError, match="shards"):
-            PredictionCache(capacity=8, shards=0)
-
-    def test_total_capacity_preserved_across_shards(self):
-        cache = PredictionCache(capacity=2048, shards=8)
+class TestCapacity:
+    def test_total_capacity_preserved(self):
+        cache = PredictionCache(capacity=2048)
         for i in range(5000):
             cache.put(f"key-{i}", i)
         assert len(cache) == 2048
-        assert sum(cache.shard_sizes()) == 2048
         assert cache.evictions == 5000 - 2048
 
-    def test_keys_spread_over_shards(self):
-        cache = PredictionCache(capacity=2048, shards=8)
-        for i in range(500):
-            cache.put(f"key-{i}", i)
-        occupied = [s for s in cache.shard_sizes() if s > 0]
-        assert len(occupied) == 8  # CRC32 spreads this many keys everywhere
-
-    def test_counters_aggregate_across_shards(self):
-        cache = PredictionCache(capacity=2048, shards=8)
+    def test_counters_count_every_lookup(self):
+        cache = PredictionCache(capacity=2048)
         for i in range(64):
             cache.put(f"key-{i}", i)
         for i in range(64):
@@ -123,19 +102,9 @@ class TestSharding:
             assert cache.get(f"missing-{i}") is None
         assert cache.hits == 64
         assert cache.misses == 32
-        assert cache.as_dict()["shards"] == 8
 
-    def test_shard_placement_is_deterministic(self):
-        a = PredictionCache(capacity=2048, shards=8)
-        b = PredictionCache(capacity=2048, shards=8)
-        for i in range(100):
-            a.put(f"key-{i}", i)
-            b.put(f"key-{i}", i)
-        assert a.shard_sizes() == b.shard_sizes()
-
-    def test_single_shard_lru_exactness_preserved(self):
-        # The pre-shard behaviour contract: global LRU order for small caches.
-        cache = PredictionCache(capacity=3, shards=8)
+    def test_lru_exactness(self):
+        cache = PredictionCache(capacity=3)
         for key in ("a", "b", "c"):
             cache.put(key, key.upper())
         cache.get("a")
@@ -144,3 +113,36 @@ class TestSharding:
         assert cache.get("a") == "A"
         assert cache.get("c") == "C"
         assert cache.get("d") == "D"
+
+
+def test_threads_lose_no_update():
+    # More threads than cores and a microsecond switch interval preempt
+    # threads between the steps of get and put. Without the lock an
+    # eviction races a refresh of the same key, and lookups go missing.
+    cache = PredictionCache(capacity=48)
+    n_threads, n_ops = 8, 2000
+    wrong = []
+
+    def client(offset):
+        for i in range(n_ops):
+            key = f"key-{(7 * i + offset) % 64}"
+            advice = cache.get(key)
+            if advice is None:
+                cache.put(key, key.upper())
+            elif advice != key.upper():
+                wrong.append((key, advice))
+
+    threads = [threading.Thread(target=client, args=(n,)) for n in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert cache.hits + cache.misses == n_threads * n_ops
+    assert len(cache) == 48

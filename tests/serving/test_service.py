@@ -106,14 +106,6 @@ class TestCache:
                 service.advise([bad])
         assert service.stats.requests == 0  # rejected before entering the path
 
-    def test_cache_shards_knob_plumbed_through(self, fitted_model):
-        svc = AdvisorService(
-            fitted_model, SERVE_FREQS, cache_size=2048, cache_shards=4
-        )
-        assert svc.cache.shards == 4
-        assert svc.advise([4.0]) == svc.advise([4.0])
-        assert svc.stats.cache_hits == 1
-
     def test_lru_eviction_bound(self):
         cache = PredictionCache(capacity=2)
         cache.put("a", "A")

@@ -122,8 +122,6 @@ CASES = [
                            "--deadline-s", "1e-9", *SERVING_GRID]),
     ("serve", ["serve", "--registry", REG, "--name", "cronos", "--requests", "24",
                "--workers", "1", "--pool", "4", "--features", "160,64,64", *SERVING_GRID]),
-    ("serve-processes", ["serve", "--registry", REG, "--name", "cronos", "--requests", "8",
-                         "--workers", "1", "--processes", "2", *SERVING_GRID]),
     ("lifecycle-status", ["lifecycle", "status", "--root", LIFE_REG, "--name", "ligen-advisor"]),
     ("lifecycle-status-json", ["lifecycle", "status", "--root", LIFE_REG,
                                "--name", "ligen-advisor", "--format", "json"]),
