@@ -4,7 +4,6 @@
 saving at near-zero speedup loss grows (paper §3.1.1).
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_REPETITIONS, write_artifact

@@ -5,7 +5,6 @@ manual down-clocking saves energy: ~35% at ~10% speedup loss for the
 small grid, about 5 points less for the large grid (paper §3.1.1).
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_REPETITIONS, write_artifact

@@ -11,7 +11,6 @@ high-speedup end for LiGen, and both models' achieved points land close
 to the front.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import bench_forest, write_artifact

@@ -13,7 +13,6 @@ Assertions pin the §7 narrative: per-kernel beats whole-app, and the
 model-driven plan recovers most of the oracle plan's savings.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import write_artifact

@@ -48,11 +48,19 @@ allocated only while ``cells * groups`` stays within the pool's node
 count, so it never holds more floats than ``value`` itself; a large
 forest on continuous features exceeds that and walks every row, as
 before.
+
+**A batch crossed with a clock grid needs no design matrix.** A cell id
+is a sum of one term per split feature, so the cell of the design row
+``(x_b, f_k)`` is the part of ``x_b`` plus the part of ``f_k``.
+:meth:`FlatForest.predict_crossed_group_means` finds ``B`` row parts and
+``k`` clock parts (one ``searchsorted`` per split feature), gathers the
+table at their broadcast sum, and builds design rows only for the first
+row of each unseen cell (all ``B * k`` rows past the table bound).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -282,22 +290,68 @@ class FlatForest:
         if table is None:
             per_tree = self.predict_per_tree(X)
             return [sequential_mean(per_tree[a:b]) for a, b in groups]
+        return self._gather(table, groups, self._cells(X), lambda idx: X[idx])
+
+    def predict_crossed_group_means(
+        self, rows: np.ndarray, column: np.ndarray, groups: Sequence[Tuple[int, int]]
+    ) -> List[np.ndarray]:
+        """:meth:`predict_group_means` of ``rows`` crossed with ``column``.
+
+        The design matrix is implied, not built: its row ``b * k + j`` is
+        ``(rows[b], column[j])``, every input of a batch at every clock
+        of a ``k``-clock grid, with the clock as the last feature. Each
+        group's means come back with shape ``(len(rows), k)``. A cell id
+        is a sum over axes, so the cell of row ``b * k + j`` is the cell
+        part of ``rows[b]`` plus the cell part of ``column[j]``; design
+        rows are built only for the first row of each unseen cell, or
+        all of them past the table bound.
+        """
+        k = column.size
+
+        def design(idx: np.ndarray) -> np.ndarray:
+            return np.column_stack((rows[idx // k], column[idx % k]))
+
+        table = self._table(groups)
+        if table is None:
+            per_tree = self.predict_per_tree(design(np.arange(rows.shape[0] * k)))
+            return [sequential_mean(per_tree[a:b]).reshape(rows.shape[0], k) for a, b in groups]
+        cells = self._cells(rows)[:, None] + self._cells(column[:, None], rows.shape[1])
+        return self._gather(table, groups, cells, design)
+
+    def _gather(
+        self,
+        table: Tuple[np.ndarray, np.ndarray],
+        groups: Sequence[Tuple[int, int]],
+        cells: np.ndarray,
+        design: Callable[[np.ndarray], np.ndarray],
+    ) -> List[np.ndarray]:
+        """Per-group table means at ``cells``, filling the unseen cells first.
+
+        ``design(idx)`` gives the design rows at flat positions ``idx``
+        of ``cells``; only the first position of each unseen cell is
+        walked. Each result has the shape of ``cells``.
+        """
         means, filled = table
-        cells = self._cells(X)
         seen = filled[cells]
-        if not seen.all():
+        if np.count_nonzero(seen) < seen.size:
             unseen = np.flatnonzero(~seen)
-            new, first = np.unique(cells[unseen], return_index=True)
-            per_tree = self.predict_per_tree(X[unseen[first]])
+            new, first = np.unique(cells.ravel()[unseen], return_index=True)
+            per_tree = self.predict_per_tree(design(unseen[first]))
             means[:, new] = [sequential_mean(per_tree[a:b]) for a, b in groups]
             filled[new] = True
         return list(means[:, cells])
 
-    def _cells(self, X: np.ndarray) -> np.ndarray:
-        """Each row's cell id on the pool's split grid."""
+    def _cells(self, X: np.ndarray, first: int = 0) -> np.ndarray:
+        """Each row's cell-id part from the axes of features ``first`` on.
+
+        Column ``c`` of ``X`` holds feature ``first + c``. Over every
+        feature this is the row's cell id on the pool's split grid; over
+        disjoint feature ranges the parts add up to it.
+        """
         out = np.zeros(X.shape[0], dtype=np.int64)
         for j, splits, stride in self._grid[0]:
-            out += splits.searchsorted(X[:, j], side="left") * stride
+            if first <= j < first + X.shape[1]:
+                out += splits.searchsorted(X[:, j - first], side="left") * stride
         return out
 
     def _table(

@@ -29,7 +29,7 @@ from repro.ml.forest import RandomForestRegressor, _in_reference_mode
 from repro.ml.soa import FlatForest
 from repro.modeling.dataset import EnergyDataset
 from repro.pareto.front import ParetoFront, extract_front
-from repro.utils.validation import check_positive, ensure_1d
+from repro.utils.validation import all_finite, check_positive, ensure_1d
 
 __all__ = [
     "TradeoffPrediction",
@@ -295,20 +295,16 @@ class DomainSpecificModel:
         self._combined_flat = (flat, groups)
         return self._combined_flat
 
-    def _design_batch(self, batch: Sequence[Tuple[float, ...]], freqs: np.ndarray) -> np.ndarray:
-        """The stacked design matrix for a request batch, in one allocation.
+    def _design_batch(self, rows: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+        """The stacked design matrix of feature ``rows`` over ``freqs``.
 
-        Row block *i* equals ``self._design(batch[i], freqs)`` exactly
+        Row block *i* equals ``self._design(rows[i], freqs)`` exactly
         (pure float copies — no arithmetic), just without the per-request
         ``tile``/``vstack`` round trips.
         """
-        d = len(self.feature_names)
-        for feats in batch:
-            if len(feats) != d:
-                raise ValueError(f"expected {d} features, got {len(feats)}")
-        B, k = len(batch), freqs.size
+        (B, d), k = rows.shape, freqs.size
         X = np.empty((B * k, d + 1))
-        X[:, :d] = np.repeat(np.asarray(batch, dtype=float), k, axis=0)
+        X[:, :d] = np.repeat(rows, k, axis=0)
         X[:, d] = np.tile(freqs, B)
         return X
 
@@ -362,43 +358,49 @@ class DomainSpecificModel:
     ) -> list:
         """Trade-off profiles for many inputs in one vectorized pass.
 
-        Builds one stacked design matrix for the whole batch and walks
-        **all trees of all four regressors** in a single SoA traversal
-        (falling back to four per-model passes for non-forest
-        regressors). Row-wise prediction, ``exp`` and the clamping
-        ``maximum`` are all element-independent and the per-submodel
-        tree accumulation order is preserved, so each returned
-        :class:`TradeoffPrediction` is bit-identical to what
-        :meth:`predict_tradeoff` would produce for that input alone.
+        The combined pool of **all four regressors' trees** answers the
+        batch crossed with the frequency grid
+        (:meth:`~repro.ml.soa.FlatForest.predict_crossed_group_means`)
+        without a stacked design matrix; reference mode and non-forest
+        regressors score the stacked matrix model by model. Row-wise
+        prediction, ``exp`` and the clamping ``maximum`` are all
+        element-independent and the per-submodel tree accumulation order
+        is preserved, so each returned :class:`TradeoffPrediction` is
+        bit-identical to what :meth:`predict_tradeoff` would produce for
+        that input alone.
         """
         self._check_fitted()
         freqs = ensure_1d(freqs_mhz, "freqs_mhz")
         batch = [tuple(float(v) for v in feats) for feats in features_batch]
         if not batch:
             return []
-        X = self._design_batch(batch, freqs)
+        d = len(self.feature_names)
+        for feats in batch:
+            if len(feats) != d:
+                raise ValueError(f"expected {d} features, got {len(feats)}")
+        rows = np.array(batch, dtype=float)
         combined = None if _in_reference_mode() else self._combined_flat_forest()
         if combined is not None:
             flat, groups = combined
-            raw_t, raw_e, raw_s, raw_n = flat.predict_group_means(
-                check_X(X, flat.n_features_in), groups
+            # check_X of the crossed design matrix, without building it
+            if freqs.size and not (all_finite(rows) and all_finite(freqs)):
+                raise ValueError("X contains non-finite entries")
+            raw_t, raw_e, raw_s, raw_n = flat.predict_crossed_group_means(rows, freqs, groups)
+        else:
+            X = self._design_batch(rows, freqs)
+            raw_t, raw_e, raw_s, raw_n = (
+                m.predict(X).reshape(len(batch), freqs.size)
+                for m in (
+                    self._time_model,
+                    self._energy_model,
+                    self._speedup_model,
+                    self._norm_energy_model,
+                )
             )
-        else:
-            raw_t = self._time_model.predict(X)
-            raw_e = self._energy_model.predict(X)
-            raw_s = self._speedup_model.predict(X)
-            raw_n = self._norm_energy_model.predict(X)
-        if len(batch) == 1:
-            times = [np.exp(raw_t)]
-            energies = [np.exp(raw_e)]
-            speedups = [np.maximum(raw_s, 1e-9)]
-            norm_energies = [np.maximum(raw_n, 1e-9)]
-        else:
-            bounds = np.cumsum([freqs.size] * len(batch))[:-1]
-            times = np.split(np.exp(raw_t), bounds)
-            energies = np.split(np.exp(raw_e), bounds)
-            speedups = np.split(np.maximum(raw_s, 1e-9), bounds)
-            norm_energies = np.split(np.maximum(raw_n, 1e-9), bounds)
+        times = np.exp(raw_t)
+        energies = np.exp(raw_e)
+        speedups = np.maximum(raw_s, 1e-9)
+        norm_energies = np.maximum(raw_n, 1e-9)
         return [
             TradeoffPrediction(
                 freqs_mhz=freqs,

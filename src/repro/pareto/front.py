@@ -4,22 +4,30 @@ Convention (paper §2.1): a configuration is Pareto-optimal when no other
 configuration achieves **higher speedup** without **higher normalized
 energy** — i.e. we maximize speedup and minimize energy. Ties are handled
 so that duplicated points are reported once.
+
+One array kernel, :func:`front_indices`, finds the front: sort by
+(speedup descending, energy ascending) and keep each point whose energy
+is strictly below every energy sorted before it. :func:`pareto_mask`,
+:func:`extract_front` and the serving objectives all read it, so a
+predicted front is computed without a Python loop over the points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.validation import check_finite_array
+from repro.utils.validation import all_finite, check_finite_array
 
 __all__ = [
     "ParetoPoint",
     "ParetoFront",
+    "front_indices",
     "pareto_mask",
+    "profile_arrays",
     "extract_front",
     "half_bin_tolerance",
     "DEFAULT_FREQ_TOL_MHZ",
@@ -73,35 +81,38 @@ class ParetoPoint:
         return at_least and strictly
 
 
+def front_indices(speedups: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Indices of the non-dominated points, in ascending speedup.
+
+    ``speedups`` and ``energies`` are finite 1-D float arrays of one
+    length. ``O(n log n)``: sort by speedup descending, energy ascending
+    as the tie break (a stable sort, so among exact duplicates the first
+    index leads), and keep each point whose energy is strictly below the
+    running minimum of the energies sorted before it. Kept speedups are
+    therefore distinct, and the kept indices read backwards are the
+    front in ascending speedup, the order :class:`ParetoFront` sorts
+    into.
+    """
+    order = np.lexsort((energies, -speedups))
+    sorted_en = energies[order]
+    keep = np.empty(order.size, dtype=bool)
+    keep[:1] = True
+    np.less(sorted_en[1:], np.minimum.accumulate(sorted_en)[:-1], out=keep[1:])
+    return order[keep][::-1]
+
+
 def pareto_mask(speedups, energies) -> np.ndarray:
     """Boolean mask of non-dominated points (maximize speedup, minimize energy).
 
-    ``O(n log n)``: sort by speedup descending (energy ascending as a tie
-    break) and scan, keeping points whose energy strictly improves on the
-    best seen so far; within an exact tie on both axes only the first
-    occurrence is kept.
+    Within an exact tie on both axes only the first occurrence is kept
+    (see :func:`front_indices`).
     """
     sp = check_finite_array(speedups, "speedups").ravel()
     en = check_finite_array(energies, "energies").ravel()
     if sp.shape != en.shape:
         raise ValueError("speedups and energies must have the same length")
-    n = sp.size
-    mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return mask
-    order = np.lexsort((en, -sp))  # speedup desc, then energy asc
-    best_energy = np.inf
-    prev_sp = np.nan
-    prev_en = np.nan
-    for idx in order:
-        s, e = sp[idx], en[idx]
-        if e < best_energy:
-            mask[idx] = True
-            best_energy = e
-            prev_sp, prev_en = s, e
-        elif e == best_energy and s == prev_sp and e == prev_en:
-            # exact duplicate of the previously kept point: skip
-            continue
+    mask = np.zeros(sp.size, dtype=bool)
+    mask[front_indices(sp, en)] = True
     return mask
 
 
@@ -186,6 +197,29 @@ class ParetoFront:
         return bool(np.all(np.diff(en) >= -1e-12))
 
 
+def profile_arrays(
+    speedups, energies, freqs_mhz, mem_freqs_mhz=None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """One profile's parallel arrays as flat float arrays of one length.
+
+    ``mem_freqs_mhz`` is the memory clock of each configuration of a 2-D
+    ``(core, mem)`` profile and stays ``None`` on a core-only one. The
+    lengths are checked, then every entry is checked finite in one pass;
+    a failure names the first array that holds a NaN or an infinity.
+    """
+    given = [speedups, energies, freqs_mhz]
+    if mem_freqs_mhz is not None:
+        given.append(mem_freqs_mhz)
+    flat = [np.asarray(a, dtype=float).ravel() for a in given]
+    names = ("speedups", "energies", "freqs_mhz", "mem_freqs_mhz")[: len(flat)]
+    if not flat[0].size == flat[1].size == flat[2].size == flat[-1].size:
+        raise ValueError(f"{', '.join(names)} must have equal length")
+    if not all_finite(np.concatenate(flat)):
+        for name, a in zip(names, flat):
+            check_finite_array(a, name)
+    return flat[0], flat[1], flat[2], flat[3] if mem_freqs_mhz is not None else None
+
+
 def extract_front(speedups, energies, freqs_mhz, mem_freqs_mhz=None) -> ParetoFront:
     """Extract the Pareto front from parallel arrays of configurations.
 
@@ -194,21 +228,14 @@ def extract_front(speedups, energies, freqs_mhz, mem_freqs_mhz=None) -> ParetoFr
     each front point carries its memory clock. The objective plane is
     unchanged (maximize speedup, minimize energy).
     """
-    sp = check_finite_array(speedups, "speedups").ravel()
-    en = check_finite_array(energies, "energies").ravel()
-    fr = check_finite_array(freqs_mhz, "freqs_mhz").ravel()
-    if not (sp.size == en.size == fr.size):
-        raise ValueError("speedups, energies and freqs_mhz must have equal length")
-    mask = pareto_mask(sp, en)
-    if mem_freqs_mhz is None:
-        mems = repeat(None)
-    else:
-        mf = check_finite_array(mem_freqs_mhz, "mem_freqs_mhz").ravel()
-        if mf.size != sp.size:
-            raise ValueError("mem_freqs_mhz and freqs_mhz must have equal length")
-        mems = mf[mask].tolist()
-    pts = [
-        ParetoPoint(speedup=float(s), energy=float(e), freq_mhz=float(f), mem_freq_mhz=m)
-        for s, e, f, m in zip(sp[mask], en[mask], fr[mask], mems)
-    ]
-    return ParetoFront(pts)
+    sp, en, fr, mf = profile_arrays(speedups, energies, freqs_mhz, mem_freqs_mhz)
+    front = front_indices(sp, en)
+    mems = repeat(None) if mf is None else mf[front].tolist()
+    return ParetoFront(
+        [
+            ParetoPoint(speedup=s, energy=e, freq_mhz=f, mem_freq_mhz=m)
+            for s, e, f, m in zip(
+                sp[front].tolist(), en[front].tolist(), fr[front].tolist(), mems
+            )
+        ]
+    )

@@ -29,9 +29,12 @@ itself, so no cache key (or model input) can meaningfully contain one.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ServingError
 from repro.runtime.seeding import stable_digest
@@ -52,18 +55,46 @@ def quantize_features(features: Sequence[float]) -> Tuple[float, ...]:
     left of a split at ``129.0``), so it can change the answer: inputs
     share a prediction exactly when they lie in one split cell.
     Canonical: ``-0.0`` maps to ``0.0`` so bitwise-different-but-equal
-    tuples share one cache identity. Non-finite values raise
-    :class:`ServingError` (the NaN policy: there is no meaningful cache
-    key — or model prediction — for a NaN/inf feature).
+    tuples share one cache identity. Anything but an iterable of finite
+    real numbers raises :class:`ServingError`: a string or bytes, a
+    scalar, or an element that is a string, a bool, complex, ``None``,
+    nested, too large for a float, NaN or infinite (the NaN policy:
+    there is no meaningful cache key — or model prediction — for a
+    NaN/inf feature).
     """
+    if type(features) is not tuple and type(features) is not list:
+        features = _iterable(features)
     out: List[float] = []
     for v in features:
-        v = float(v)
+        if type(v) is not float:
+            v = _real(v)
         if not math.isfinite(v):
             raise ServingError(f"feature values must be finite, got {v!r}")
         q = round(v, FEATURE_QUANTUM_DECIMALS)
         out.append(0.0 if q == 0.0 else q)
     return tuple(out)
+
+
+def _iterable(features: Any) -> Iterator[Any]:
+    """An iterator over a request that is not a tuple or list, or :class:`ServingError`."""
+    if isinstance(features, (str, bytes, bytearray)):
+        raise ServingError(f"features must be numbers, got {type(features).__name__}")
+    try:
+        return iter(features)
+    except TypeError:
+        raise ServingError(
+            f"features must be an iterable of numbers, got {type(features).__name__}"
+        ) from None
+
+
+def _real(value: object) -> float:
+    """A feature element that is not a ``float``, as one, or :class:`ServingError`."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ServingError(f"feature values must be real numbers, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ServingError("a feature value is too large for a float") from None
 
 
 class AdviceKeyMaker:

@@ -13,6 +13,8 @@ objective) tuple is deterministic and safely cacheable.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -20,11 +22,28 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.modeling.domain import TradeoffPrediction
+from repro.pareto.front import DEFAULT_FREQ_TOL_MHZ, front_indices, profile_arrays
 
 __all__ = ["OBJECTIVE_KINDS", "Objective", "Advice"]
 
+#: The one parameter each objective kind takes (``None``: none).
+_PARAMETER = {"tradeoff": None, "min_energy_deadline": "deadline_s", "max_speedup_power": "power_w"}
+
 #: Supported objective kinds (the CLI exposes exactly these).
-OBJECTIVE_KINDS = ("tradeoff", "min_energy_deadline", "max_speedup_power")
+OBJECTIVE_KINDS = tuple(_PARAMETER)
+
+
+def _positive(value: object, name: str) -> float:
+    """``value`` as a positive finite float; anything else is a :class:`ServingError`."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ServingError(f"{name} must be a positive real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ServingError(f"{name} is too large for a float") from None
+    if not (math.isfinite(number) and number > 0):
+        raise ServingError(f"{name} must be positive, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -80,8 +99,10 @@ class Advice:
 class Objective:
     """A declarative advice objective.
 
-    Use the factory classmethods; they validate the parameters the kind
-    requires:
+    Build one with the factory classmethods. Every construction is
+    checked: an unknown kind, a missing parameter, a parameter that is
+    not a positive finite real (a bool is not), or a parameter the kind
+    does not use raises :class:`ServingError`.
 
     - :meth:`tradeoff` — balanced speedup/energy pick: the profile point
       minimizing normalized energy-delay product ``ne / sp`` (the
@@ -101,6 +122,21 @@ class Objective:
     deadline_s: Optional[float] = None
     power_w: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, str) or self.kind not in OBJECTIVE_KINDS:
+            raise ServingError(
+                f"unknown objective kind {self.kind!r}; expected one of {OBJECTIVE_KINDS}"
+            )
+        for name in ("deadline_s", "power_w"):
+            value = getattr(self, name)
+            if name != _PARAMETER[self.kind]:
+                if value is not None:
+                    raise ServingError(f"{self.kind} takes no {name}")
+            elif value is None:
+                raise ServingError(f"{self.kind} requires {name}")
+            else:
+                object.__setattr__(self, name, _positive(value, name))
+
     # -- factories ---------------------------------------------------------
     @classmethod
     def tradeoff(cls) -> "Objective":
@@ -110,16 +146,12 @@ class Objective:
     @classmethod
     def min_energy_deadline(cls, deadline_s: float) -> "Objective":
         """Least predicted energy with predicted time <= ``deadline_s``."""
-        if not np.isfinite(deadline_s) or deadline_s <= 0:
-            raise ServingError(f"deadline_s must be positive, got {deadline_s!r}")
-        return cls(kind="min_energy_deadline", deadline_s=float(deadline_s))
+        return cls(kind="min_energy_deadline", deadline_s=deadline_s)
 
     @classmethod
     def max_speedup_power(cls, power_w: float) -> "Objective":
         """Most predicted speedup with predicted average power <= ``power_w``."""
-        if not np.isfinite(power_w) or power_w <= 0:
-            raise ServingError(f"power_w must be positive, got {power_w!r}")
-        return cls(kind="max_speedup_power", power_w=float(power_w))
+        return cls(kind="max_speedup_power", power_w=power_w)
 
     @classmethod
     def from_kind(
@@ -128,20 +160,16 @@ class Objective:
         deadline_s: Optional[float] = None,
         power_w: Optional[float] = None,
     ) -> "Objective":
-        """Build from a kind string plus parameters (the CLI entry path)."""
-        if kind == "tradeoff":
-            return cls.tradeoff()
+        """Build from a kind string plus parameters (the CLI entry path).
+
+        Only the parameter ``kind`` uses is passed on; the other is
+        ignored. An unknown kind raises :class:`ServingError`.
+        """
         if kind == "min_energy_deadline":
-            if deadline_s is None:
-                raise ServingError("min_energy_deadline requires deadline_s")
             return cls.min_energy_deadline(deadline_s)
         if kind == "max_speedup_power":
-            if power_w is None:
-                raise ServingError("max_speedup_power requires power_w")
             return cls.max_speedup_power(power_w)
-        raise ServingError(
-            f"unknown objective kind {kind!r}; expected one of {OBJECTIVE_KINDS}"
-        )
+        return cls(kind=kind)
 
     # -- evaluation --------------------------------------------------------
     def _select(
@@ -161,25 +189,21 @@ class Objective:
         if self.kind == "tradeoff":
             return int(np.argmin(ne / sp))
         if self.kind == "min_energy_deadline":
-            mask = times <= self.deadline_s
-            if not mask.any():
+            candidates = np.flatnonzero(times <= self.deadline_s)
+            if not candidates.size:
                 raise ServingError(
                     f"no configuration meets the {self.deadline_s} s deadline "
                     f"(fastest predicted time: {float(times.min()):.6g} s)"
                 )
-            candidates = np.flatnonzero(mask)
-            return int(candidates[int(np.argmin(energies[mask]))])
-        if self.kind == "max_speedup_power":
-            power = energies / times
-            mask = power <= self.power_w
-            if not mask.any():
-                raise ServingError(
-                    f"no configuration stays under {self.power_w} W "
-                    f"(lowest predicted power: {float(power.min()):.6g} W)"
-                )
-            candidates = np.flatnonzero(mask)
-            return int(candidates[int(np.argmax(sp[mask]))])
-        raise ServingError(f"unknown objective kind {self.kind!r}")
+            return int(candidates[int(np.argmin(energies[candidates]))])
+        power = energies / times  # max_speedup_power
+        candidates = np.flatnonzero(power <= self.power_w)
+        if not candidates.size:
+            raise ServingError(
+                f"no configuration stays under {self.power_w} W "
+                f"(lowest predicted power: {float(power.min()):.6g} W)"
+            )
+        return int(candidates[int(np.argmax(sp[candidates]))])
 
     def evaluate(self, prediction: TradeoffPrediction) -> Advice:
         """Apply this objective to one predicted profile.
@@ -188,6 +212,10 @@ class Objective:
         :func:`~repro.modeling.domain.stack_memory_rows`) is searched as
         one flattened ``(f_core, f_mem)`` grid, and the advice then also
         carries the winning memory clock and the grid-wide Pareto pairs.
+        The predicted front is read from index arrays
+        (:func:`~repro.pareto.front.front_indices`): the same set, order
+        and membership test as ``prediction.pareto_front()``, without
+        building it.
         """
         sp = prediction.speedups
         ne = prediction.normalized_energies
@@ -195,11 +223,24 @@ class Objective:
         energies = prediction.energies_j
         idx = self._select(sp, ne, times, energies)
 
-        front = prediction.pareto_front()
-        pareto_freqs = tuple(float(f) for f in front.freqs_mhz)
-        freq = float(prediction.freqs_mhz[idx])
-        mems = prediction.mem_freqs_mhz
-        mem_freq = None if mems is None else float(mems[idx])
+        sp, ne, freqs, mems = profile_arrays(
+            sp, ne, prediction.freqs_mhz, prediction.mem_freqs_mhz
+        )
+        front = front_indices(sp, ne)
+        freq = float(freqs[idx])
+        pareto_freqs = tuple(freqs[front].tolist())
+        # What ParetoFront.contains_freq computes at its default
+        # tolerance, jointly on the memory clock of a 2-D profile.
+        tol = DEFAULT_FREQ_TOL_MHZ
+        mem_freq = pareto_pairs = None
+        if mems is None:
+            on_front = any(abs(f - freq) <= tol for f in pareto_freqs)
+        else:
+            mem_freq = float(mems[idx])
+            pareto_pairs = tuple(zip(pareto_freqs, mems[front].tolist()))
+            on_front = any(
+                abs(f - freq) <= tol and abs(m - mem_freq) <= tol for f, m in pareto_pairs
+            )
         return Advice(
             objective=self.kind,
             freq_mhz=freq,
@@ -208,11 +249,9 @@ class Objective:
             predicted_speedup=float(sp[idx]),
             predicted_normalized_energy=float(ne[idx]),
             pareto_freqs_mhz=pareto_freqs,
-            on_pareto_front=front.contains_freq(freq, mem_freq_mhz=mem_freq),
+            on_pareto_front=on_front,
             mem_freq_mhz=mem_freq,
-            pareto_pairs_mhz=(
-                None if mems is None else tuple((p.freq_mhz, p.mem_freq_mhz) for p in front)
-            ),
+            pareto_pairs_mhz=pareto_pairs,
         )
 
     def describe(self) -> str:

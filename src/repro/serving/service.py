@@ -12,8 +12,11 @@ three layers of machinery a bare model call lacks:
 2. **micro-batching**: concurrent cache-missing requests are coalesced
    into one vectorized pass through the model's
    :meth:`~repro.modeling.domain.DomainSpecificModel.predict_tradeoff_batch`
-   (one stacked forest walk instead of one per request), with duplicate
-   feature tuples inside a batch sharing a single prediction;
+   (one gather from the forest's cell table for the whole batch, with a
+   walk only for cells the table has not seen), with duplicate feature
+   tuples inside a batch sharing a single prediction. Each request's
+   objective then reads its advice and the predicted Pareto front from
+   index arrays over its profile (:mod:`repro.pareto.front`);
 3. **service counters** (requests, batch sizes, cache hits, latency
    reservoir percentiles) for the stats report.
 
@@ -28,7 +31,9 @@ enqueues itself; whoever finds no evaluation in flight drains the queue
 (up to ``max_batch``) and evaluates it while later arrivals pile up
 behind the next leader. No timers, no waiting for a batch to "fill" —
 batch sizes emerge from actual concurrency, and a serial caller always
-sees batch size 1.
+sees batch size 1. A failure stays with the requests it concerns: a
+model error fails its batch, an objective error only its own request,
+and every request of a batch completes.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError, ServingError
+from repro.errors import ServingError
 from repro.modeling.domain import DomainSpecificModel, TradeoffPrediction, stack_memory_rows
 from repro.serving.cache import AdviceKeyMaker, PredictionCache, quantize_features
 from repro.serving.objectives import Advice, Objective
@@ -182,6 +187,8 @@ class AdvisorService:
         t0 = now_s()
         if objective is None:
             objective = Objective.tradeoff()
+        elif not isinstance(objective, Objective):
+            raise ServingError(f"objective must be an Objective, got {type(objective).__name__}")
         feats = quantize_features(features)
         names = self.model.feature_names
         if self.mem_freqs_mhz is None:
@@ -218,7 +225,9 @@ class AdvisorService:
                 while True:
                     if slot.done:
                         break
-                    if not self._busy:
+                    # An unfinished slot is pending or in the running
+                    # batch, so a new leader never takes an empty one.
+                    if not self._busy and self._pending:
                         # Become the leader: take the oldest pending slots
                         # (up to max_batch) and evaluate them outside the
                         # lock while later arrivals queue behind us.
@@ -254,9 +263,11 @@ class AdvisorService:
     def _evaluate_batch(self, batch: List[_Slot]) -> None:
         """Predict once per distinct feature tuple, advise every slot.
 
-        Every slot in the batch is *always* marked done — even when the
-        model itself raises — so follower threads can never be stranded
-        waiting on a batch that died.
+        Every slot in the batch is *always* marked done, so follower
+        threads can never be stranded waiting on a batch that died. An
+        exception is confined to the slots it concerns: a failed model
+        call to the whole batch, a failed objective to its own slot.
+        Each slot's caller re-raises its own error.
         """
         groups: Dict[Tuple[float, ...], List[_Slot]] = {}
         for slot in batch:
@@ -274,7 +285,7 @@ class AdvisorService:
             for slot in groups[feats]:
                 try:
                     slot.result = slot.objective.evaluate(prediction)
-                except ReproError as exc:
+                except BaseException as exc:
                     slot.error = exc
                 else:
                     if slot.keys is self._keys:

@@ -12,6 +12,7 @@ from typing import Any
 import numpy as np
 
 __all__ = [
+    "all_finite",
     "check_finite_array",
     "check_in_range",
     "check_non_negative_int",
@@ -78,10 +79,19 @@ def check_probability(value: float, name: str) -> float:
     return check_in_range(value, name, 0.0, 1.0)
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of a float ndarray is finite (true when empty).
+
+    Counts the finite entries instead of reducing with ``all``, which
+    costs several times more on the short arrays of a serving request.
+    """
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
+
+
 def check_finite_array(arr: Any, name: str) -> np.ndarray:
     """Convert to a float ndarray and require every entry to be finite."""
     out = np.asarray(arr, dtype=float)
-    if out.size and not np.isfinite(out).all():
+    if not all_finite(out):
         raise ValueError(f"{name} contains non-finite entries")
     return out
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.hw import create_device
 from repro.hw.perf import KernelTiming
-from repro.synergy import Platform, SynergyDevice
+from repro.synergy import Platform
 from repro.synergy.replay import ReplayPlan
 
 

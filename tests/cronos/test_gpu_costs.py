@@ -1,12 +1,9 @@
 """Unit tests for the Cronos GPU cost model and workload app."""
 
-import numpy as np
 import pytest
 
 from repro.cronos.app import CRONOS_FEATURE_NAMES, CronosApplication
 from repro.cronos.gpu_costs import (
-    BOUNDARY_SPEC,
-    COMPUTE_CHANGES_SPEC,
     all_specs,
     step_launches,
     substep_launches,

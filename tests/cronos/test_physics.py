@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cronos.physics import fast_speed, hll_flux, max_signal_speed, mhd_flux
-from repro.cronos.state import conserved_from_primitive
 
 GAMMA = 5.0 / 3.0
 

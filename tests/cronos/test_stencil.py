@@ -1,7 +1,6 @@
 """Unit tests for the computeChanges stencil."""
 
 import numpy as np
-import pytest
 
 from repro.cronos.boundary import BoundaryKind, apply_boundary
 from repro.cronos.grid import Grid3D

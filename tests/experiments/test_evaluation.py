@@ -8,7 +8,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.evaluation import compare_regressors, evaluate_fig13
 from repro.kernels.microbench import generate_microbenchmarks
 from repro.ligen.app import LIGEN_FEATURE_NAMES
-from repro.ml import Lasso, LinearRegression, RandomForestRegressor
+from repro.ml import LinearRegression, RandomForestRegressor
 from repro.modeling.general import GeneralPurposeModel, cronos_static_spec
 
 

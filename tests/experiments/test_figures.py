@@ -1,6 +1,5 @@
 """Unit tests for the figure-data builders."""
 
-import numpy as np
 import pytest
 
 from repro.cronos.app import CronosApplication

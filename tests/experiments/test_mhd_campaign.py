@@ -2,7 +2,6 @@
 protocol and the 2-D (core x mem) grid."""
 
 import numpy as np
-import pytest
 
 from repro.experiments.datasets import MEM_FEATURE_NAME, build_campaign
 from repro.hw.device import create_device

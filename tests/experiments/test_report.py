@@ -1,11 +1,9 @@
 """Unit tests for the ASCII report renderers."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.evaluation import AccuracyRow, RegressorScore
 from repro.experiments.figures import (
-    CharacterizationSeries,
     RawScalingPoint,
     characterization_series,
 )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeviceError, KernelError
-from repro.hw.device import SimulatedGPU, create_device
+from repro.hw.device import create_device
 from repro.hw.perf import RooflineTimingModel
 from repro.hw.power import PowerModel
 from repro.hw.specs import make_mi100_spec, make_v100_spec

@@ -5,7 +5,7 @@ import pytest
 
 from repro.hw import create_device, make_intel_max_spec
 from repro.kernels.ir import KernelLaunch, KernelSpec
-from repro.synergy import Platform, SynergyDevice, characterize
+from repro.synergy import SynergyDevice, characterize
 
 
 def compute_kernel(threads=1_000_000):

@@ -1,6 +1,5 @@
 """Unit tests for the roofline timing model."""
 
-import numpy as np
 import pytest
 
 from repro.errors import KernelError

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import DeviceError
-from repro.hw.device import create_device
 from repro.kernels.ir import KernelLaunch, KernelSpec
 
 

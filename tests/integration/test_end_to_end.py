@@ -6,7 +6,6 @@ accurately than the general-purpose model, and the DS-predicted Pareto
 frequencies land on/near the true front.
 """
 
-import numpy as np
 import pytest
 
 from repro.cronos.app import CRONOS_FEATURE_NAMES

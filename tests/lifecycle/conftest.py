@@ -10,7 +10,6 @@ measurement, no noise, deterministic outcomes.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.io import save_domain_model

@@ -11,8 +11,6 @@ import pytest
 from repro.errors import LifecycleError
 from repro.lifecycle import CanaryController, shadow_evaluate
 
-from .conftest import make_records
-
 
 class TestShadowEvaluate:
     def test_accurate_model_scores_low(self, good_model, shadow_records):

@@ -1,6 +1,5 @@
 """Unit tests for the loop's construction helpers (no campaigns run)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import LifecycleError, SpecValidationError

@@ -1,12 +1,11 @@
 """Unit tests for the LiGen GPU cost model and workload app."""
 
-import numpy as np
 import pytest
 
 from repro.hw import RooflineTimingModel, create_device, make_v100_spec
 from repro.ligen.app import LIGEN_FEATURE_NAMES, LigenApplication
 from repro.ligen.docking import DockingParams
-from repro.ligen.gpu_costs import DOCK_SPEC, SCORE_SPEC, all_specs, screening_launches
+from repro.ligen.gpu_costs import all_specs, screening_launches
 
 
 class TestScreeningLaunches:

@@ -1,6 +1,5 @@
 """Unit tests for the domain-specific model."""
 
-import numpy as np
 import pytest
 
 from repro.errors import DatasetError, ModelNotFittedError

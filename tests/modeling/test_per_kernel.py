@@ -1,6 +1,5 @@
 """Tests for per-kernel domain-specific models (paper §7)."""
 
-import numpy as np
 import pytest
 
 from repro.cronos.gpu_costs import step_launches

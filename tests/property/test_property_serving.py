@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ServingError
 from repro.ml.forest import RandomForestRegressor
 from repro.modeling.dataset import EnergyDataset, EnergySample
 from repro.modeling.domain import DomainSpecificModel
@@ -131,3 +132,57 @@ def test_reservoir_percentiles_bounded_by_observations(latencies):
 def test_feature_quantization_is_idempotent(features):
     once = quantize_features(features)
     assert quantize_features(once) == once
+
+
+#: Elements a feature request may hold, well-formed or not.
+_ELEMENTS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.booleans()
+    | st.just(np.True_)
+    | st.complex_numbers(allow_nan=False, allow_infinity=False)
+    | st.none()
+    | st.text(max_size=3)
+    | st.binary(max_size=3)
+    | st.lists(st.floats(allow_nan=False), max_size=2)
+)
+
+
+def _expected_features(features):
+    """The float tuple a valid request quantizes to, or ``None`` if it is malformed."""
+    if isinstance(features, (str, bytes)) or not isinstance(features, (list, tuple)):
+        return None
+    out = []
+    for v in features:
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, float)):
+            return None
+        try:
+            v = float(v)
+        except OverflowError:
+            return None
+        if not np.isfinite(v):
+            return None
+        q = round(v, 9)
+        out.append(0.0 if q == 0.0 else q)
+    return tuple(out)
+
+
+@given(
+    st.lists(_ELEMENTS, max_size=4)
+    | st.tuples(st.floats(allow_nan=False, allow_infinity=False))
+    | st.text(max_size=3)
+    | st.binary(max_size=3)
+    | st.floats()
+    | st.none()
+)
+@settings(max_examples=300, deadline=None)
+def test_feature_requests_quantize_or_raise_serving_error(features):
+    """Any request is a float tuple or a ``ServingError``, never a traceback."""
+    want = _expected_features(features)
+    try:
+        got = quantize_features(features)
+    except ServingError:
+        assert want is None
+    else:
+        assert got == want
+        assert all(type(v) is float for v in got)

@@ -126,3 +126,39 @@ def test_cell_table_row_by_row_equals_reference(case):
     for X in (queries, warm):
         for i in range(X.shape[0]):
             _assert_matches(forest, flat, X[i : i + 1], groups)
+
+
+def _crossed_design(rows, column):
+    """The explicit design matrix: row ``b * k + j`` is ``(rows[b], column[j])``."""
+    k = column.size
+    return np.column_stack((np.repeat(rows, k, axis=0), np.tile(column, rows.shape[0])))
+
+
+@given(grid_forests(), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_crossed_gather_equals_the_explicit_design_matrix(case, past_bound, data):
+    """Batch rows crossed with a clock column, against the design matrix they imply.
+
+    The last feature plays the clock. Rows come from the queries and
+    clocks from the warm-up rows, so batch and grid sizes vary on their
+    own (both may be empty). The pool is first warmed over other rows,
+    so a batch mixes filled and unfilled cells; with ``past_bound`` the
+    groups are repeated until the pool allocates no table.
+    """
+    forest, queries, warm, cut = case
+    trees = forest.estimators_
+    flat = FlatForest.from_trees(trees, forest.n_features_in_)
+    groups = _groups(len(trees), cut)
+    if past_bound:
+        groups = groups * (flat.n_nodes // len(groups) + 1)
+    k = data.draw(st.integers(min_value=0, max_value=warm.shape[0]))
+    rows, column = queries[:, :-1], warm[:k, -1]
+    flat.predict_group_means(warm, groups)
+    got = flat.predict_crossed_group_means(rows, column, groups)
+    X = _crossed_design(rows, column)
+    fresh = FlatForest.from_trees(trees, forest.n_features_in_)
+    want = fresh.predict_group_means(X, groups)
+    assert len(got) == len(groups)
+    for g, w, r in zip(got, want, _reference(forest, X, groups)):
+        assert g.shape == (rows.shape[0], k)
+        assert g.tobytes() == w.tobytes() == r.tobytes()

@@ -8,6 +8,7 @@ fresh cache divided by zero in spirit (NaN in reports).
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ServingError
@@ -42,6 +43,33 @@ class TestQuantization:
         a = quantize_features([1.0 + 1e-13])
         b = quantize_features([1.0])
         assert a == b
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param("3", id="str"),
+            pytest.param(b"3", id="bytes"),
+            pytest.param(3.0, id="scalar"),
+            pytest.param(None, id="none"),
+            pytest.param(np.array([[3.0]]), id="2d-array"),
+            pytest.param([[3.0]], id="nested-list"),
+            pytest.param([None], id="none-element"),
+            pytest.param(["x"], id="str-element"),
+            pytest.param([b"3"], id="bytes-element"),
+            pytest.param([1 + 2j], id="complex-element"),
+            pytest.param([10**400], id="huge-int-element"),
+            pytest.param([True], id="bool-element"),
+            pytest.param([np.True_], id="numpy-bool-element"),
+        ],
+    )
+    def test_malformed_requests_are_serving_errors(self, bad):
+        with pytest.raises(ServingError):
+            quantize_features(bad)
+
+    def test_real_number_types_are_accepted(self):
+        got = quantize_features([3, np.float32(0.5), np.int64(7), np.float64(2.25)])
+        assert got == (3.0, 0.5, 7.0, 2.25)
+        assert all(type(v) is float for v in got)
 
 
 class TestAdviceKeyMaker:

@@ -108,6 +108,53 @@ class TestFromKind:
         }
 
 
+class TestConstruction:
+    """Every way to build an objective is checked, not only the factories."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"kind": "make_it_fast"}, id="unknown-kind"),
+            pytest.param({"kind": 3}, id="non-string-kind"),
+            pytest.param({"kind": "min_energy_deadline"}, id="missing-deadline"),
+            pytest.param({"kind": "max_speedup_power"}, id="missing-power"),
+            pytest.param({"kind": "tradeoff", "deadline_s": 3.0}, id="tradeoff-with-deadline"),
+            pytest.param(
+                {"kind": "min_energy_deadline", "deadline_s": 3.0, "power_w": 100.0},
+                id="deadline-with-power",
+            ),
+            pytest.param(
+                {"kind": "max_speedup_power", "power_w": 100.0, "deadline_s": 3.0},
+                id="power-with-deadline",
+            ),
+            pytest.param({"kind": "min_energy_deadline", "deadline_s": True}, id="bool"),
+            pytest.param({"kind": "max_speedup_power", "power_w": np.True_}, id="numpy-bool"),
+            pytest.param({"kind": "min_energy_deadline", "deadline_s": "3"}, id="string"),
+            pytest.param({"kind": "min_energy_deadline", "deadline_s": 1 + 2j}, id="complex"),
+            pytest.param({"kind": "min_energy_deadline", "deadline_s": 10**400}, id="huge-int"),
+            pytest.param({"kind": "max_speedup_power", "power_w": float("nan")}, id="nan"),
+            pytest.param({"kind": "max_speedup_power", "power_w": float("inf")}, id="inf"),
+            pytest.param({"kind": "max_speedup_power", "power_w": 0}, id="zero"),
+            pytest.param({"kind": "max_speedup_power", "power_w": -5.0}, id="negative"),
+        ],
+    )
+    def test_bad_objectives_raise_serving_errors(self, kwargs):
+        with pytest.raises(ServingError):
+            Objective(**kwargs)
+
+    def test_factories_refuse_a_bool(self):
+        with pytest.raises(ServingError):
+            Objective.min_energy_deadline(True)
+        with pytest.raises(ServingError):
+            Objective.max_speedup_power(False)
+
+    def test_a_hand_built_objective_equals_the_factorys(self):
+        built = Objective(kind="min_energy_deadline", deadline_s=np.int64(2))
+        assert built == Objective.min_energy_deadline(2.0)
+        assert repr(built) == repr(Objective.min_energy_deadline(2.0))
+        assert Objective() == Objective.tradeoff()
+
+
 class TestDeterminism:
     def test_equal_profiles_equal_advice(self):
         for objective in (

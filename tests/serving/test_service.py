@@ -137,6 +137,12 @@ class TestErrors:
         advice = service.advise([4.0])
         assert advice.objective == "tradeoff"
 
+    def test_a_non_objective_is_refused_before_it_queues(self, service):
+        with pytest.raises(ServingError, match="Objective"):
+            service.advise([4.0], "tradeoff")
+        assert service.stats.requests == 0
+        assert service._pending == []
+
 
 class TestConcurrency:
     def test_concurrent_equals_serial_bitwise(self, fitted_model):
@@ -248,6 +254,57 @@ class TestConcurrency:
         # The service must still be operational (no stuck leader flag).
         assert svc._busy is False
         assert svc._pending == []
+
+
+    def test_a_failing_objective_is_confined_to_its_own_slot(self, fitted_model, monkeypatch):
+        """Two requests in one batch: one objective raises, both clients finish."""
+        import threading
+        import time
+
+        svc = AdvisorService(fitted_model, SERVE_FREQS, model_digest="d", cache_size=0)
+        bad = Objective.max_speedup_power(123.0)
+        real = Objective.evaluate
+
+        def evaluate(objective, prediction):
+            if objective == bad:
+                raise RuntimeError("objective exploded")
+            return real(objective, prediction)
+
+        monkeypatch.setattr(Objective, "evaluate", evaluate)
+        results = {}
+
+        def ask(name, objective):
+            try:
+                results[name] = svc.advise([4.0], objective)
+            except BaseException as exc:  # recorded for the assertions below
+                results[name] = exc
+
+        # Hold the service busy so that both requests queue into one batch.
+        with svc._cond:
+            svc._busy = True
+        threads = [
+            threading.Thread(target=ask, args=args, daemon=True)
+            for args in (("good", Objective.tradeoff()), ("bad", bad))
+        ]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 10
+        while True:
+            with svc._cond:
+                if len(svc._pending) == 2:
+                    svc._busy = False
+                    svc._cond.notify_all()
+                    break
+            assert time.monotonic() < deadline, "requests never queued"
+            time.sleep(0.001)
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert svc.stats.batches == 1 and svc.stats.batch_size_max == 2
+        assert isinstance(results["bad"], RuntimeError)
+        monkeypatch.undo()
+        serial = AdvisorService(fitted_model, SERVE_FREQS, model_digest="d")
+        assert results["good"] == serial.advise([4.0], Objective.tradeoff())
 
 
 class TestRegistryIntegration:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DeviceError
 from repro.kernels.ir import KernelLaunch, KernelSpec
-from repro.synergy.api import Platform, SynergyDevice
+from repro.synergy.api import Platform
 
 
 def k(threads=100_000):

@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.hw import create_device
 from repro.synergy.tuning import (
     PerKernelDVFS,
-    TuningDecision,
     TuningMetric,
     plan_per_kernel_frequencies,
     select_frequency,

@@ -1,4 +1,4 @@
-"""Every module-level import in ``src/repro`` is used.
+"""Every module-level import in ``src/repro``, ``tests`` and ``benchmarks`` is used.
 
 An import binding whose name appears nowhere else in its module's text
 is dead. Any other occurrence counts as a use, which keeps the check
@@ -11,7 +11,8 @@ import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = (ROOT / "src" / "repro", ROOT / "tests", ROOT / "benchmarks")
 
 
 def _unused_imports(path):
@@ -33,8 +34,9 @@ def _unused_imports(path):
 
 def test_no_module_level_import_is_unused():
     found = [
-        f"{path.relative_to(SRC)}: {name}"
-        for path in sorted(SRC.rglob("*.py"))
+        f"{path.relative_to(ROOT)}: {name}"
+        for top in SCANNED
+        for path in sorted(top.rglob("*.py"))
         if path.name != "__init__.py"
         for name in _unused_imports(path)
     ]

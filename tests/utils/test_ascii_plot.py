@@ -1,6 +1,5 @@
 """Unit tests for ASCII scatter plotting."""
 
-import numpy as np
 import pytest
 
 from repro.utils.ascii_plot import ascii_scatter
